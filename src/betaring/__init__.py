@@ -5,12 +5,10 @@ symmetric functions with plethysm, and big Witt vectors.
 
 from .adams import AdamsTable, check_gcd, check_prop_adams, psi_partition, psi_upper, solve_psi_K
 from .bring import (
-    B2Element,
     BElement,
     beta_regular,
     beta_upper,
     diagonal,
-    diagonal_multi,
     eval_burnside,
     eval_z,
     product,
@@ -26,7 +24,6 @@ from .burnside import (
     beta_virtual,
     group_catalog,
     induce,
-    multiply,
     orbit_decompose,
 )
 from .catalog import (
@@ -59,7 +56,6 @@ from .perms import (
     cycle_type,
     direct_embed,
     double_cosets,
-    generate,
     mixed_wreath,
     normalizer_order,
     orbit_partition,
@@ -68,8 +64,6 @@ from .perms import (
 )
 from .symfunc import (
     SymFunc,
-    SymFunc2,
-    convert,
     coproduct,
     cycle_index,
     e_,
@@ -80,7 +74,7 @@ from .symfunc import (
     p_,
     plethysm,
 )
-from .witt import WittVector, delta_m, witt_add, witt_mul
+from .witt import WittVector, delta_m
 
 __version__ = "0.1.0"
 

@@ -57,7 +57,7 @@ class AdamsTable:
 
     def element(self, spec) -> BElement:
         k = self.catalog.class_index(spec)
-        return BElement({(self.n, h): c for h, c in enumerate(self.psi[k]) if c})
+        return BElement({((self.n,), h): c for h, c in enumerate(self.psi[k]) if c})
 
     def to_json(self):
         return {

@@ -1,14 +1,17 @@
-"""The graded ring of symmetric-group Burnside classes and its bigraded
-companion: products, the restriction diagonal, composition, and the
+"""The graded ring of symmetric-group Burnside classes and its tensor
+powers: products, the restriction diagonal, composition, and the
 evaluation homomorphisms into A(G) and the integers.
 
-Basis elements are subgroup classes beta_H, H <= S_n, indexed by
-(degree, catalog index).  The product embeds H x K block-diagonally; the
-diagonal restricts coset spaces along S_p x S_q by double cosets; the
-composition sends (beta_H, beta_K) to the class of the wreath product
-with H permuting deg(H) blocks and K acting inside each block, extended
-to sums by splitting H over the summands and to virtual arguments by
-Newton extrapolation in each degree.
+Basis elements are subgroup classes beta_H, H <= S_{n_1} x ... x S_{n_r},
+indexed by (degrees, catalog index); r = 1 is the graded ring and the
+diagonal lands in r = 2.  The product embeds H x K block-diagonally, one
+factor at a time; the diagonal restricts coset spaces along S_p x S_q by
+double cosets; the composition sends (beta_H, beta_K) to the class of the
+wreath product with H permuting deg(H) blocks and K acting inside each
+block, extended to sums by splitting H over the summands and to virtual
+arguments by Newton extrapolation in each degree.  The diagonal,
+composition and evaluations take one-factor classes: unpacking
+`(n,) = degrees` raises ValueError for any other arity.
 """
 
 from __future__ import annotations
@@ -16,15 +19,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .burnside import BurnsideElement, beta_virtual
+from .burnside import BurnsideElement, beta_virtual, extrapolate_to_minus_one
 from .catalog import Ambient, Catalog, get_catalog
 from .config import get_config
 from .errors import DegreeCap, IntegralityViolation, NotEffective
-from .perms import PermGroup, direct_embed, mixed_wreath, wreath
+from .perms import PermGroup, Permutation, direct_embed, mixed_wreath, wreath
 
 
 def sym_catalog(n: int) -> Catalog:
     return get_catalog(Ambient.sym(n))
+
+
+def _catalog(degrees) -> Catalog:
+    return get_catalog(Ambient.prod(degrees))
 
 
 def _check_degree(n: int):
@@ -38,16 +45,23 @@ def _norm_coeff(c):
 
 
 class BElement:
-    """A finitely supported combination of classes (degree, class index)."""
+    """A finitely supported combination of classes (degrees, class index).
+
+    `degrees` is a composition (n_1, ..., n_r) and the index points into
+    the Ambient.prod(degrees) catalog of subgroup classes of
+    S_{n_1} x ... x S_{n_r}.  Arity r = 1 is the graded ring itself;
+    the diagonal lands in arity 2.  Sums may mix arities (a vector of
+    the direct sum over r); products need equal arities.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
-        for key, c in (terms or {}).items():
+        for (degrees, idx), c in (terms or {}).items():
             c = _norm_coeff(c)
             if c:
-                clean[tuple(key)] = c
+                clean[(tuple(degrees), idx)] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -59,12 +73,23 @@ class BElement:
 
     @classmethod
     def one(cls) -> BElement:
-        return cls({(0, 0): 1})
+        return cls({((0,), 0): 1})
 
     @classmethod
-    def basis(cls, n: int, spec) -> BElement:
-        _check_degree(n)
-        return cls({(n, sym_catalog(n).class_index(spec)): 1})
+    def basis(cls, n, spec) -> BElement:
+        """The class `spec` (index, label or alias) of S_n, or of
+        S_{n_1} x ... x S_{n_r} when n is the tuple of degrees."""
+        degrees = (n,) if isinstance(n, int) else tuple(n)
+        _check_degree(sum(degrees))
+        return cls({(degrees, _catalog(degrees).class_index(spec)): 1})
+
+    @property
+    def arity(self) -> int:
+        """The number of factors shared by every term (1 for zero)."""
+        arities = {len(degrees) for degrees, _ in self.terms}
+        if len(arities) > 1:
+            raise ValueError(f"terms of arities {sorted(arities)} have no common arity")
+        return arities.pop() if arities else 1
 
     def __add__(self, other: BElement) -> BElement:
         out = dict(self.terms)
@@ -100,19 +125,20 @@ class BElement:
         return all(isinstance(c, int) for c in self.terms.values())
 
     def degrees(self) -> set[int]:
-        return {n for (n, _) in self.terms}
+        """Total degrees n_1 + ... + n_r of the terms."""
+        return {sum(degrees) for degrees, _ in self.terms}
 
     def max_degree(self) -> int:
-        return max((n for (n, _) in self.terms), default=0)
+        return max(self.degrees(), default=0)
 
     def component(self, n: int) -> BElement:
-        return BElement({k: c for k, c in self.terms.items() if k[0] == n})
+        return BElement({k: c for k, c in self.terms.items() if sum(k[0]) == n})
 
     def label_of(self, key) -> str:
-        n, idx = key
-        cls = sym_catalog(n).classes[idx]
+        degrees, idx = key
+        cls = _catalog(degrees).classes[idx]
         name = cls.aliases[0] if cls.aliases else cls.label
-        return f"S{n}:{name}"
+        return f"{cls.ambient.descriptor()}:{name}"
 
     def __repr__(self):
         if not self.terms:
@@ -120,7 +146,7 @@ class BElement:
         bits = []
         for key in sorted(self.terms):
             c = self.terms[key]
-            if key == (0, 0):
+            if not sum(key[0]):
                 bits.append(f"{c}")
             elif c == 1:
                 bits.append(f"b[{self.label_of(key)}]")
@@ -130,10 +156,10 @@ class BElement:
 
     def to_json(self):
         out = []
-        for (n, idx) in sorted(self.terms):
-            c = self.terms[(n, idx)]
-            cls = sym_catalog(n).classes[idx]
-            entry = {"degree": n, "class_index": idx, "class_label": cls.label}
+        for (degrees, idx) in sorted(self.terms):
+            c = self.terms[(degrees, idx)]
+            cls = _catalog(degrees).classes[idx]
+            entry = {"degrees": list(degrees), "class_index": idx, "class_label": cls.label}
             if isinstance(c, Fraction):
                 entry["coeff"] = [c.numerator, c.denominator]
             else:
@@ -148,7 +174,7 @@ class BElement:
             c = entry["coeff"]
             if isinstance(c, list):
                 c = Fraction(c[0], c[1])
-            terms[(entry["degree"], entry["class_index"])] = c
+            terms[(tuple(entry["degrees"]), entry["class_index"])] = c
         return cls(terms)
 
 
@@ -156,7 +182,7 @@ def beta_upper(n: int) -> BElement:
     """beta^n: the class of the full group S_n (the trivial S_n-set)."""
     _check_degree(n)
     cat = sym_catalog(n)
-    return BElement({(n, len(cat.classes) - 1): 1})
+    return BElement({((n,), len(cat.classes) - 1): 1})
 
 
 def beta_regular(n: int) -> BElement:
@@ -164,151 +190,42 @@ def beta_regular(n: int) -> BElement:
     return BElement.basis(n, "e")
 
 
-class B2Element:
-    """A combination of classes of subgroups of S_p x S_q, keyed by
-    ((p, q), class index)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = _norm_coeff(c)
-            if c:
-                (p, q), idx = key
-                clean[((p, q), idx)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("B2Element is immutable")
-
-    @classmethod
-    def zero(cls) -> B2Element:
-        return cls()
-
-    @classmethod
-    def basis(cls, p: int, q: int, spec) -> B2Element:
-        _check_degree(p + q)
-        cat = get_catalog(Ambient.pair(p, q))
-        return cls({((p, q), cat.class_index(spec)): 1})
-
-    def __add__(self, other: B2Element) -> B2Element:
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return B2Element(out)
-
-    def __sub__(self, other: B2Element) -> B2Element:
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return B2Element(out)
-
-    def scale(self, scalar) -> B2Element:
-        return B2Element({k: c * Fraction(scalar) for k, c in self.terms.items()})
-
-    def __mul__(self, other: B2Element) -> B2Element:
-        out = {}
-        for ((p, q), i), c1 in self.terms.items():
-            for ((r, s), j), c2 in other.terms.items():
-                key = _b2_basis_product(p, q, i, r, s, j)
-                out[key] = out.get(key, 0) + c1 * c2
-        return B2Element(out)
-
-    def __eq__(self, other):
-        return isinstance(other, B2Element) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            (p, q), idx = key
-            c = self.terms[key]
-            cls = get_catalog(Ambient.pair(p, q)).classes[idx]
-            name = cls.aliases[0] if cls.aliases else cls.label
-            coeff = "" if c == 1 else f"{c}*"
-            bits.append(f"{coeff}b2[S{p}xS{q}:{name}]")
-        return " + ".join(bits).replace("+ -", "- ")
-
-    def to_json(self):
-        out = []
-        for ((p, q), idx) in sorted(self.terms):
-            c = self.terms[((p, q), idx)]
-            cls = get_catalog(Ambient.pair(p, q)).classes[idx]
-            entry = {
-                "bidegree": [p, q],
-                "class_index": idx,
-                "class_label": cls.label,
-                "coeff": [c.numerator, c.denominator] if isinstance(c, Fraction) else c,
-            }
-            out.append(entry)
-        return out
-
-
-@lru_cache(maxsize=None)
-def _basis_product(n: int, i: int, m: int, j: int) -> tuple[int, int]:
-    _check_degree(n + m)
-    h = sym_catalog(n).classes[i].rep
-    k = sym_catalog(m).classes[j].rep
-    embedded = direct_embed(h, k)
-    return (n + m, sym_catalog(n + m).identify(embedded))
-
-
 def product(a: BElement, b: BElement) -> BElement:
-    """Bilinear extension of beta_H * beta_K = beta_{H x K}."""
+    """Bilinear extension of beta_H * beta_K = beta_{H x K}, factor by factor."""
     out = {}
-    for (n, i), ca in a.terms.items():
-        for (m, j), cb in b.terms.items():
-            key = _basis_product(n, i, m, j)
+    for (da, i), ca in a.terms.items():
+        for (db, j), cb in b.terms.items():
+            key = _basis_product(da, i, db, j)
             out[key] = out.get(key, 0) + ca * cb
     return BElement(out)
 
 
-def _permute_points(group: PermGroup, mapping: list[int], degree: int) -> PermGroup:
-    """Relabel the points of a group through an injective point map."""
-    gens = []
-    for g in group.generators:
-        images = list(range(degree))
-        for i, j in enumerate(g.images):
-            images[mapping[i]] = mapping[j]
-        gens.append(images)
-    elements = set()
-    for e in group.elements:
-        images = list(range(degree))
-        for i, j in enumerate(e):
-            images[mapping[i]] = mapping[j]
-        elements.add(tuple(images))
-    from .perms import Permutation
-
-    return PermGroup(degree, [Permutation(g) for g in gens], elements)
-
-
 @lru_cache(maxsize=None)
-def _b2_basis_product(p: int, q: int, i: int, r: int, s: int, jj: int):
-    """(p,q)-class times (r,s)-class lands in bidegree (p+r, q+s)."""
-    _check_degree(p + q + r + s)
-    left = get_catalog(Ambient.pair(p, q)).classes[i].rep
-    right = get_catalog(Ambient.pair(r, s)).classes[jj].rep
-    degree = p + q + r + s
-    lmap = [x if x < p else (p + r) + (x - p) for x in range(p + q)]
-    rmap = [p + x if x < r else (p + r + q) + (x - r) for x in range(r + s)]
-    lg = _permute_points(left, lmap, degree)
-    rg = _permute_points(right, rmap, degree)
-    combined = PermGroup.from_elements(
-        degree,
-        {_compose_tuples(e, f) for e in lg.elements for f in rg.elements},
-        generators=list(lg.generators) + list(rg.generators),
-    )
-    cat = get_catalog(Ambient.pair(p + r, q + s))
-    return ((p + r, q + s), cat.identify(combined))
+def _basis_product(da: tuple, i: int, db: tuple, j: int) -> tuple[tuple, int]:
+    """H x K with factor k of H next to factor k of K, in prod(a_k + b_k)."""
+    if len(da) != len(db):
+        raise ValueError(
+            f"cannot multiply classes of {Ambient.prod(da).descriptor()}"
+            f" and {Ambient.prod(db).descriptor()}"
+        )
+    degrees = tuple(a + b for a, b in zip(da, db))
+    _check_degree(sum(degrees))
+    h = _catalog(da).classes[i].rep
+    k = _catalog(db).classes[j].rep
+    embedded = direct_embed(h, k).conjugate(_interleave(da, db))
+    return (degrees, _catalog(degrees).identify(embedded))
 
 
-def _compose_tuples(a: tuple, b: tuple) -> tuple:
-    return tuple(a[i] for i in b)
+def _interleave(da: tuple, db: tuple) -> Permutation:
+    """Send the points of direct_embed(H, K) (H's blocks, then K's) to
+    prod(a_k + b_k), whose block k holds H's block k followed by K's.
+    For one factor this is the identity."""
+    left, right, start = [], [], 0
+    for a, b in zip(da, db):
+        left += range(start, start + a)
+        right += range(start + a, start + a + b)
+        start += a + b
+    return Permutation(left + right)
 
 
 @lru_cache(maxsize=None)
@@ -362,32 +279,16 @@ def _refine_terms(ambient: Ambient, idx: int, flat_parts: tuple[int, ...]):
     return tuple(sorted(out.items()))
 
 
-def diagonal(a: BElement) -> B2Element:
-    """Restriction along all S_p x S_q <= S_n, by double cosets."""
+def diagonal(a: BElement) -> BElement:
+    """Restriction along all S_p x S_q <= S_n, by double cosets: arity 2."""
     out = {}
-    for (n, i), c in a.terms.items():
+    for (degrees, i), c in a.terms.items():
+        (n,) = degrees
         for p in range(n + 1):
-            q = n - p
-            for cidx, mult in _refine_terms(Ambient.sym(n), i, (p, q)):
-                key = ((p, q), cidx)
+            for cidx, mult in _refine_terms(Ambient.sym(n), i, (p, n - p)):
+                key = ((p, n - p), cidx)
                 out[key] = out.get(key, 0) + c * mult
-    return B2Element(out)
-
-
-def diagonal_multi(a: BElement, r: int) -> dict:
-    """r-fold diagonal: terms over compositions of each degree into r parts.
-
-    Returns {(composition, class index in the prod catalog): coefficient}.
-    """
-    if r < 1:
-        raise ValueError("need at least one part")
-    out: dict = {}
-    for (n, i), c in a.terms.items():
-        for comp in _compositions(n, r):
-            for cidx, mult in _refine_terms(Ambient.sym(n), i, comp):
-                key = (comp, cidx)
-                out[key] = out.get(key, 0) + c * mult
-    return out
+    return BElement(out)
 
 
 def _compositions(n: int, r: int):
@@ -401,12 +302,12 @@ def _compositions(n: int, r: int):
 
 
 @lru_cache(maxsize=None)
-def _star_basis_key(m: int, i: int, n: int, j: int) -> tuple[int, int]:
+def _star_basis_key(m: int, i: int, n: int, j: int) -> tuple[tuple[int], int]:
     _check_degree(m * n)
     h = sym_catalog(m).classes[i].rep
     k = sym_catalog(n).classes[j].rep
     w = wreath(k, h)  # h permutes m blocks, k acts inside each block of size n
-    return (w.degree, sym_catalog(w.degree).identify(w))
+    return ((w.degree,), sym_catalog(w.degree).identify(w))
 
 
 def star_basis(h_spec, k_spec) -> BElement:
@@ -417,13 +318,15 @@ def star_basis(h_spec, k_spec) -> BElement:
 
 
 def _as_key(spec) -> tuple[int, int]:
+    """(n, class index) of a coefficient-one basis class of S_n, given as a
+    BElement or as (n, index/label/alias)."""
     if isinstance(spec, BElement):
         if len(spec.terms) != 1:
             raise ValueError("expected a single basis class")
-        key, c = next(iter(spec.terms.items()))
+        ((n,), idx), c = next(iter(spec.terms.items()))
         if c != 1:
             raise ValueError("expected a coefficient-one basis class")
-        return key
+        return (n, idx)
     n, rest = spec
     return (n, sym_catalog(n).class_index(rest))
 
@@ -440,10 +343,11 @@ def star_effective(a: BElement, b: BElement) -> BElement:
         raise NotEffective("second argument must have nonnegative integer coefficients")
     summands = []
     for key in sorted(b.terms):
-        summands.extend([key] * b.terms[key])
+        ((m,), j) = key
+        summands.extend([(m, j)] * b.terms[key])
     r = len(summands)
     out = BElement.zero()
-    for (n, i), c in a.terms.items():
+    for ((n,), i), c in a.terms.items():
         if r == 0:
             if n == 0:
                 out = out + BElement.one().scale(c)
@@ -457,9 +361,9 @@ def star_effective(a: BElement, b: BElement) -> BElement:
                     out = out + BElement.one().scale(c)
                 continue
             for cidx, mult in _refine_terms(Ambient.sym(n), i, sub_parts):
-                l_rep = get_catalog(Ambient.prod(sub_parts)).classes[cidx].rep
+                l_rep = _catalog(sub_parts).classes[cidx].rep
                 grown = mixed_wreath(l_rep, sub_parts, inners)
-                key = (grown.degree, sym_catalog(grown.degree).identify(grown))
+                key = ((grown.degree,), sym_catalog(grown.degree).identify(grown))
                 out = out + BElement({key: c * mult})
     return out
 
@@ -473,17 +377,11 @@ def star(a: BElement, b: BElement) -> BElement:
     plus = BElement({k: c for k, c in b.terms.items() if c > 0})
     minus = BElement({k: -c for k, c in b.terms.items() if c < 0})
     out = BElement.zero()
-    for (n, i), c in a.terms.items():
-        basis = BElement({(n, i): 1})
+    for key, c in a.terms.items():
+        ((n,), _) = key
+        basis = BElement({key: 1})
         values = [star_effective(basis, plus + minus.scale(k)) for k in range(n + 1)]
-        acc = values[0]
-        diffs = values
-        sign = -1
-        for _ in range(n):
-            diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-            acc = acc + diffs[0].scale(sign)
-            sign = -sign
-        out = out + acc.scale(c)
+        out = out + extrapolate_to_minus_one(values).scale(c)
     return out
 
 
@@ -501,7 +399,7 @@ def _cycle_count_census(n: int, i: int) -> tuple[tuple[int, int], ...]:
 def eval_z(a: BElement, r: int):
     """The ring map to Z: beta_H(r) = (1/|H|) sum_k c_k r^k."""
     total = Fraction(0)
-    for (n, i), c in a.terms.items():
+    for ((n,), i), c in a.terms.items():
         order = sym_catalog(n).classes[i].order
         census = _cycle_count_census(n, i)
         total += Fraction(c) * Fraction(sum(ck * r**k for k, ck in census), order)
@@ -515,7 +413,7 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
     if not a.is_integral():
         raise IntegralityViolation("eval on A(G) needs integer coefficients")
     out = BurnsideElement.zero(x.group)
-    for (n, i), c in a.terms.items():
+    for ((n,), i), c in a.terms.items():
         cls = sym_catalog(n).classes[i]
         out = out + beta_virtual(cls, x).scale(c)
     return out

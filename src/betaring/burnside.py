@@ -381,10 +381,6 @@ def orbit_decompose(x: GSet) -> BurnsideElement:
     return BurnsideElement(cat, coords)
 
 
-def multiply(x: BurnsideElement, y: BurnsideElement) -> BurnsideElement:
-    return x * y
-
-
 def _acting_group(h) -> PermGroup:
     if isinstance(h, SubgroupClass):
         return h.rep
@@ -482,10 +478,19 @@ def beta_virtual(h, x: BurnsideElement) -> BurnsideElement:
     plus = BurnsideElement(x.catalog, [max(c, 0) for c in x.coords])
     minus = BurnsideElement(x.catalog, [max(-c, 0) for c in x.coords])
     values = [beta_on_element(w, plus + minus.scale(k)) for k in range(n + 1)]
+    return extrapolate_to_minus_one(values)
+
+
+def extrapolate_to_minus_one(values):
+    """g(-1) for the polynomial g of degree < len(values) with g(k) = values[k].
+
+    Newton forward differences: g(-1) = sum_j (-1)^j (Delta^j g)(0).  The
+    values may be any elements with +, - and an integer scale().
+    """
     result = values[0]
     diffs = values
     sign = -1
-    for _ in range(n):
+    for _ in range(len(values) - 1):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         result = result + diffs[0].scale(sign)
         sign = -sign

@@ -16,6 +16,7 @@ from . import config
 from .adams import check_gcd, check_prop_adams, psi_upper, solve_psi_K
 from .bring import (
     BElement,
+    _compositions,
     _refine_terms,
     beta_regular,
     beta_upper,
@@ -41,7 +42,6 @@ from .catalog import Ambient, build_catalog, get_catalog, subgroup_count_from_cl
 from .perms import PermGroup, all_subgroups, are_conjugate, direct_embed, partitions
 from .symfunc import (
     SymFunc,
-    SymFunc2,
     coproduct,
     cycle_index,
     e_,
@@ -152,7 +152,7 @@ def _addition_axiom(group: PermGroup, n: int, class_idx: int, x: GSet, y: GSet) 
 
 def _composition_axiom(group: PermGroup, hkey, kkey, x: GSet) -> bool:
     composed = star_basis(hkey, kkey)
-    ((deg, widx), coeff), = composed.terms.items()
+    (((deg,), widx), coeff), = composed.terms.items()
     assert coeff == 1
     wreath_cls = sym_catalog(deg).classes[widx]
     lhs = orbit_decompose(beta_on_gset(wreath_cls, x))
@@ -300,7 +300,7 @@ def check_operator_ring() -> list[dict]:
     for n in range(1, 5):
         for idx in range(len(sym_catalog(n).classes)):
             direct: dict = {}
-            for comp in _three_compositions(n):
+            for comp in _compositions(n, 3):
                 for cidx, mult in _refine_terms(Ambient.sym(n), idx, comp):
                     key = (comp, cidx)
                     direct[key] = direct.get(key, 0) + mult
@@ -335,12 +335,6 @@ def check_operator_ring() -> list[dict]:
                 ok = False
     reports.append(_report("eval on A(C3) is a composition action", ok))
     return reports
-
-
-def _three_compositions(n: int):
-    for p1 in range(n + 1):
-        for p2 in range(n - p1 + 1):
-            yield (p1, p2, n - p1 - p2)
 
 
 # ---------------------------------------------------------------- adams
@@ -565,11 +559,11 @@ def check_lambda_structure(nmax: int = 6) -> list[dict]:
         )
     ok = True
     for n in range(nmax + 1):
-        expect_h = SymFunc2("p")
-        expect_e = SymFunc2("p")
+        expect_h = SymFunc.zero("p", arity=2)
+        expect_e = SymFunc.zero("p", arity=2)
         for p in range(n + 1):
-            expect_h = expect_h + SymFunc2.tensor(h_(p), h_(n - p))
-            expect_e = expect_e + SymFunc2.tensor(e_(p), e_(n - p))
+            expect_h = expect_h + SymFunc.tensor(h_(p), h_(n - p))
+            expect_e = expect_e + SymFunc.tensor(e_(p), e_(n - p))
         if coproduct(h_(n)) != expect_h or coproduct(e_(n)) != expect_e:
             ok = False
     reports.append(_report(f"diagonal of h_n and e_n is the full convolution (n <= {nmax})", ok))
@@ -644,8 +638,8 @@ def check_witt(samples: int = 100, seed: int = 2024) -> list[dict]:
     return reports
 
 
-def _delta_m_of_monomial(pi) -> SymFunc2:
-    acc = SymFunc2("e", {((), ()): 1})
+def _delta_m_of_monomial(pi) -> SymFunc:
+    acc = SymFunc("e", {((), ()): 1}, arity=2)
     for part in pi.parts:
         acc = acc * delta_m(part)
     return acc

@@ -269,8 +269,6 @@ def main(argv=None) -> int:
         overrides["max_degree"] = args.max_degree
     if args.catalog_dir is not None:
         overrides["catalog_dir"] = args.catalog_dir
-    if args.long:
-        overrides["long_running"] = True
     if overrides:
         set_config(**overrides)
     if args.command == "psi" and args.k is None and args.partition is None:

@@ -25,7 +25,6 @@ class Config:
     catalog_dir: str | None = None
     gset_cap: int = 20_000
     group_cap: int = math.factorial(10)
-    long_running: bool = False
 
     def __post_init__(self):
         if not (1 <= self.max_degree <= MAX_SUPPORTED_DEGREE):

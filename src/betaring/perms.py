@@ -240,6 +240,7 @@ class PermGroup:
 
     @classmethod
     def generate(cls, degree: int, generators, cap: int | None = None) -> PermGroup:
+        """Closure of the generators under composition; errors past the cap."""
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
         for g in gens:
             if g.degree != degree:
@@ -347,11 +348,6 @@ def _small_generating_set(degree: int, elements: set[tuple]) -> list[Permutation
             if len(have) == len(elements):
                 break
     return [Permutation(g) for g in gens]
-
-
-def generate(degree: int, generators, cap: int | None = None) -> PermGroup:
-    """Closure of the generators under composition; errors past the cap."""
-    return PermGroup.generate(degree, generators, cap)
 
 
 def _shift(images: tuple, offset: int, degree: int) -> list[int]:

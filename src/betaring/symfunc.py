@@ -1,9 +1,12 @@
-"""Symmetric functions over exact rationals in the e / h / p bases.
+"""Symmetric functions over exact rationals in the e / h / p bases, and
+their tensor powers.
 
 An element is a finitely supported map from partitions to Fractions,
-tagged with its basis; the basis elements b_pi = prod_i b_{pi_i} are
-multiplicative, so products just merge partitions.  Conversions run
-through the Newton identities and round-trip exactly.
+tagged with its basis and its arity r: an arity-1 key is a Partition, an
+arity-r key an r-tuple of Partitions (one per tensor factor, all in the
+same basis).  The basis elements b_pi = prod_i b_{pi_i} are
+multiplicative, so products just merge partitions, factor by factor.
+Conversions run through the Newton identities and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .catalog import Ambient, get_catalog
 from .errors import IntegralityViolation
 from .perms import Partition, PermGroup, partitions
 
@@ -31,16 +35,28 @@ def _poly_add(acc: dict, other: dict, scale=1):
     return acc
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
+def _merge_factors(a: tuple, b: tuple) -> tuple:
+    return tuple(Partition(x.parts + y.parts) for x, y in zip(a, b))
+
+
+def _poly_mul(a: dict, b: dict, merge=_merge) -> dict:
     out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            key = _merge(ka, kb)
+            key = merge(ka, kb)
             v = out.get(key, 0) + ca * cb
             if v:
                 out[key] = v
             else:
                 out.pop(key, None)
+    return out
+
+
+def _tensor(factors) -> dict:
+    """The tuple-keyed product of coefficient maps, one map per factor."""
+    out = {(): Fraction(1)}
+    for coeffs in factors:
+        out = {key + (pi,): c * w for key, c in out.items() for pi, w in coeffs.items()}
     return out
 
 
@@ -86,29 +102,35 @@ def _single_cached(n: int, basis_from: str, basis_to: str):
 
 
 class SymFunc:
-    """A symmetric function committed to one of the e / h / p bases."""
+    """A symmetric function, or an element of the r-th tensor power for
+    arity r, committed to one of the e / h / p bases."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("basis", "coeffs", "arity")
 
-    def __init__(self, basis: str, coeffs=None):
+    def __init__(self, basis: str, coeffs=None, arity: int = 1):
         if basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}")
         clean = {}
         for key, c in (coeffs or {}).items():
-            if not isinstance(key, Partition):
-                key = Partition(key)
+            if arity == 1:
+                key = key if isinstance(key, Partition) else Partition(key)
+            elif len(key) == arity:
+                key = tuple(pi if isinstance(pi, Partition) else Partition(pi) for pi in key)
+            else:
+                raise ValueError(f"key {key!r} does not have {arity} factors")
             c = Fraction(c)
             if c:
                 clean[key] = c
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "arity", arity)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymFunc is immutable")
 
     @classmethod
-    def zero(cls, basis: str = "p") -> SymFunc:
-        return cls(basis)
+    def zero(cls, basis: str = "p", arity: int = 1) -> SymFunc:
+        return cls(basis, arity=arity)
 
     @classmethod
     def one(cls, basis: str = "p") -> SymFunc:
@@ -124,40 +146,54 @@ class SymFunc:
     def monomial(cls, basis: str, pi, coeff=1) -> SymFunc:
         return cls(basis, {Partition(pi): coeff})
 
+    @classmethod
+    def tensor(cls, *factors: SymFunc) -> SymFunc:
+        """f_1 (x) ... (x) f_r of r >= 2 arity-1 functions, in the p basis."""
+        return cls("p", _tensor(f.convert("p").coeffs for f in factors), arity=len(factors))
+
+    def _same_arity(self, other: SymFunc) -> SymFunc:
+        """other in this basis; ValueError when the arities differ."""
+        if other.arity != self.arity:
+            raise ValueError(f"arity {self.arity} and arity {other.arity} do not combine")
+        return other.convert(self.basis)
+
     def __add__(self, other: SymFunc) -> SymFunc:
-        other = other.convert(self.basis)
-        return SymFunc(self.basis, _poly_add(dict(self.coeffs), other.coeffs))
+        other = self._same_arity(other)
+        return SymFunc(self.basis, _poly_add(dict(self.coeffs), other.coeffs), self.arity)
 
     def __sub__(self, other: SymFunc) -> SymFunc:
-        other = other.convert(self.basis)
-        return SymFunc(self.basis, _poly_add(dict(self.coeffs), other.coeffs, scale=-1))
+        other = self._same_arity(other)
+        return SymFunc(self.basis, _poly_add(dict(self.coeffs), other.coeffs, scale=-1), self.arity)
 
     def __neg__(self) -> SymFunc:
-        return SymFunc(self.basis, {k: -c for k, c in self.coeffs.items()})
+        return SymFunc(self.basis, {k: -c for k, c in self.coeffs.items()}, self.arity)
 
     def scale(self, scalar) -> SymFunc:
-        return SymFunc(self.basis, {k: c * Fraction(scalar) for k, c in self.coeffs.items()})
+        return SymFunc(self.basis, {k: c * Fraction(scalar) for k, c in self.coeffs.items()}, self.arity)
 
     def __mul__(self, other: SymFunc) -> SymFunc:
-        other = other.convert(self.basis)
-        return SymFunc(self.basis, _poly_mul(self.coeffs, other.coeffs))
+        other = self._same_arity(other)
+        merge = _merge if self.arity == 1 else _merge_factors
+        return SymFunc(self.basis, _poly_mul(self.coeffs, other.coeffs, merge), self.arity)
 
     def convert(self, target: str) -> SymFunc:
-        """Rewrite in the target basis; exact, and a round trip is identity."""
+        """Rewrite in the target basis, factor by factor; exact, and a round
+        trip is the identity."""
         if target == self.basis:
             return self
         out: dict = {}
-        for pi, c in self.coeffs.items():
-            term = {_EMPTY: Fraction(1)}
-            for part in pi.parts:
-                term = _poly_mul(term, _single(part, self.basis, target))
+        for key, c in self.coeffs.items():
+            if self.arity == 1:
+                term = _expand(key, self.basis, target)
+            else:
+                term = _tensor(_expand(pi, self.basis, target) for pi in key)
             _poly_add(out, term, scale=c)
-        return SymFunc(target, out)
+        return SymFunc(target, out, self.arity)
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return self.convert("p").coeffs == other.convert("p").coeffs
+        return self.arity == other.arity and self.convert("p").coeffs == other.convert("p").coeffs
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -177,9 +213,18 @@ class SymFunc:
     def __repr__(self):
         if not self.coeffs:
             return "0"
+
+        def factors(key):
+            return (key,) if self.arity == 1 else key
+
         bits = []
-        for pi, c in sorted(self.coeffs.items(), key=lambda kv: (kv[0].n, kv[0].parts)):
-            name = f"{self.basis}[{','.join(map(str, pi.parts))}]" if pi.parts else "1"
+        for key, c in sorted(
+            self.coeffs.items(), key=lambda kv: tuple((pi.n, pi.parts) for pi in factors(kv[0]))
+        ):
+            name = "(x)".join(
+                f"{self.basis}[{','.join(map(str, pi.parts))}]" if pi.parts else "1"
+                for pi in factors(key)
+            )
             bits.append(f"({c})*{name}" if c != 1 else name)
         return " + ".join(bits)
 
@@ -201,6 +246,14 @@ class SymFunc:
         return cls(data["basis"], coeffs)
 
 
+def _expand(pi: Partition, basis_from: str, basis_to: str) -> dict:
+    """b_pi = prod_i b_{pi_i} of one basis, written in another."""
+    term = {_EMPTY: Fraction(1)}
+    for part in pi.parts:
+        term = _poly_mul(term, _single(part, basis_from, basis_to))
+    return term
+
+
 def e_(n: int) -> SymFunc:
     return SymFunc.generator("e", n)
 
@@ -213,119 +266,14 @@ def p_(n: int) -> SymFunc:
     return SymFunc.generator("p", n)
 
 
-def convert(f: SymFunc, target: str) -> SymFunc:
-    return f.convert(target)
-
-
-def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    return f * g
-
-
-class SymFunc2:
-    """An element of the tensor square, supported on pairs of partitions."""
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis: str, coeffs=None):
-        if basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}")
-        clean = {}
-        for (a, b), c in (coeffs or {}).items():
-            a = a if isinstance(a, Partition) else Partition(a)
-            b = b if isinstance(b, Partition) else Partition(b)
-            c = Fraction(c)
-            if c:
-                clean[(a, b)] = c
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymFunc2 is immutable")
-
-    @classmethod
-    def tensor(cls, f: SymFunc, g: SymFunc) -> SymFunc2:
-        f = f.convert("p")
-        g = g.convert("p")
-        return cls(
-            "p",
-            {
-                (a, b): ca * cb
-                for a, ca in f.coeffs.items()
-                for b, cb in g.coeffs.items()
-            },
-        )
-
-    def __add__(self, other: SymFunc2) -> SymFunc2:
-        other = other.convert(self.basis)
-        return SymFunc2(self.basis, _poly_add(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other: SymFunc2) -> SymFunc2:
-        other = other.convert(self.basis)
-        return SymFunc2(self.basis, _poly_add(dict(self.coeffs), other.coeffs, scale=-1))
-
-    def scale(self, scalar) -> SymFunc2:
-        return SymFunc2(self.basis, {k: c * Fraction(scalar) for k, c in self.coeffs.items()})
-
-    def __mul__(self, other: SymFunc2) -> SymFunc2:
-        other = other.convert(self.basis)
-        out: dict = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                key = (_merge(a1, a2), _merge(b1, b2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return SymFunc2(self.basis, out)
-
-    def convert(self, target: str) -> SymFunc2:
-        if target == self.basis:
-            return self
-        out: dict = {}
-        for (a, b), c in self.coeffs.items():
-            left = SymFunc(self.basis, {a: 1}).convert(target)
-            right = SymFunc(self.basis, {b: 1}).convert(target)
-            for ka, ca in left.coeffs.items():
-                for kb, cb in right.coeffs.items():
-                    key = (ka, kb)
-                    v = out.get(key, 0) + c * ca * cb
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
-        return SymFunc2(target, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymFunc2):
-            return NotImplemented
-        return self.convert("p").coeffs == other.convert("p").coeffs
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs.values())
-
-    def swap(self) -> SymFunc2:
-        return SymFunc2(self.basis, {(b, a): c for (a, b), c in self.coeffs.items()})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (a, b), c in sorted(self.coeffs.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts)):
-            na = f"{self.basis}[{','.join(map(str, a.parts))}]" if a.parts else "1"
-            nb = f"{self.basis}[{','.join(map(str, b.parts))}]" if b.parts else "1"
-            bits.append(f"({c})*{na}(x){nb}")
-        return " + ".join(bits)
-
-
 def _binomial(n: int, k: int) -> int:
     from math import comb
 
     return comb(n, k)
 
 
-def coproduct(f: SymFunc) -> SymFunc2:
-    """The diagonal with every p_k primitive; result in f's basis."""
+def coproduct(f: SymFunc) -> SymFunc:
+    """The diagonal with every p_k primitive: arity 2, in f's basis."""
     fp = f.convert("p")
     out: dict = {}
     for pi, c in fp.coeffs.items():
@@ -346,7 +294,7 @@ def coproduct(f: SymFunc) -> SymFunc2:
                 out[key] = v
             else:
                 out.pop(key, None)
-    return SymFunc2("p", out).convert(f.basis)
+    return SymFunc("p", out, arity=2).convert(f.basis)
 
 
 def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -363,59 +311,55 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     return SymFunc("p", out)
 
 
-def cycle_index(group: PermGroup) -> SymFunc:
-    """(1/|H|) sum of p_{cycle type} over the group, in the p basis."""
+def cycle_index(group: PermGroup, degrees=None) -> SymFunc:
+    """(1/|H|) sum of p_{cycle type} over the group, in the p basis.
+
+    For H <= S_{n_1} x ... x S_{n_r} given by `degrees`, each cycle is
+    counted in the variable family of the block holding it: an arity-r
+    function.  The default is the single block S_{deg H}.
+    """
+    degrees = (group.degree,) if degrees is None else tuple(degrees)
+    block = [b for b, d in enumerate(degrees) for _ in range(d)]
     out: dict = {}
     weight = Fraction(1, group.order)
     for g in group:
-        pi = g.cycle_type()
-        out[pi] = out.get(pi, 0) + weight
-    return SymFunc("p", out)
-
-
-def cycle_index_pair(group: PermGroup, p: int, q: int) -> SymFunc2:
-    """Two-family cycle index of a subgroup of S_p x S_q, split at point p."""
-    out: dict = {}
-    weight = Fraction(1, group.order)
-    for g in group:
-        left = []
-        right = []
+        lengths = [[] for _ in degrees]
         for cyc in g.cycles():
-            (left if cyc[0] < p else right).append(len(cyc))
-        key = (Partition(left), Partition(right))
+            lengths[block[cyc[0]]].append(len(cyc))
+        key = tuple(map(Partition, lengths))
         out[key] = out.get(key, 0) + weight
-    return SymFunc2("p", out)
+    if len(degrees) == 1:
+        out = {key[0]: c for key, c in out.items()}
+    return SymFunc("p", out, arity=len(degrees))
 
 
 _LIN_CACHE: dict = {}
 
 
-def lin(a) -> SymFunc:
-    """The linearization map from the graded Burnside-class ring: each basis
-    class goes to the cycle index of a representative subgroup."""
-    from . import bring
-
-    out = SymFunc.zero("p")
-    for (n, idx), coeff in a.terms.items():
-        key = (n, idx)
+def _lin(a, arity: int) -> SymFunc:
+    out = SymFunc.zero("p", arity)
+    for key, coeff in a.terms.items():
         if key not in _LIN_CACHE:
-            cls = bring.sym_catalog(n).classes[idx]
-            _LIN_CACHE[key] = cycle_index(cls.rep)
+            degrees, idx = key
+            rep = get_catalog(Ambient.prod(degrees)).classes[idx].rep
+            _LIN_CACHE[key] = cycle_index(rep, degrees)
         out = out + _LIN_CACHE[key].scale(coeff)
     return out
 
 
-def lin2(b) -> SymFunc2:
-    """Linearization of a bigraded element, one variable family per factor."""
-    from . import bring
+def lin(a) -> SymFunc:
+    """The linearization map from the Burnside-class ring and its tensor
+    powers: each class goes to the cycle index of a representative
+    subgroup, one variable family per factor."""
+    return _lin(a, a.arity)
 
-    out = SymFunc2("p")
-    for ((p, q), idx), coeff in b.terms.items():
-        from .catalog import Ambient, get_catalog
 
-        cls = get_catalog(Ambient.pair(p, q)).classes[idx]
-        out = out + cycle_index_pair(cls.rep, p, q).scale(coeff)
-    return out
+def lin2(b) -> SymFunc:
+    """lin of an arity-2 element, such as a diagonal; ValueError for any
+    other arity."""
+    if any(len(degrees) != 2 for degrees, _ in b.terms):
+        raise ValueError("lin2 needs an element whose terms all have two factors")
+    return _lin(b, 2)
 
 
 def _det(rows) -> Fraction:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import IntegralityViolation, PrecisionMismatch
-from .symfunc import SymFunc, SymFunc2
+from .symfunc import SymFunc
 
 DEFAULT_PRECISION = 8
 
@@ -128,14 +128,6 @@ class WittVector:
         return cls([Fraction(n, d) for n, d in data["coeffs"]], data["precision"])
 
 
-def witt_add(a: WittVector, b: WittVector) -> WittVector:
-    return a + b
-
-
-def witt_mul(a: WittVector, b: WittVector) -> WittVector:
-    return a * b
-
-
 def eps_ghost(coeffs) -> list:
     """Power sums of the alphabet with a_i = e_i (the prod(1 + x_i t) reading).
 
@@ -176,7 +168,7 @@ from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
-def delta_m(n: int) -> SymFunc2:
+def delta_m(n: int) -> SymFunc:
     """The multiplicative diagonal on the degree-n elementary generator.
 
     Computed by the primitive route p_k -> p_k (x) p_k and converted to
@@ -184,7 +176,7 @@ def delta_m(n: int) -> SymFunc2:
     integrality of the universal product polynomial P_n).
     """
     expansion = SymFunc.generator("e", n).convert("p")
-    tensor = SymFunc2("p", {(pi, pi): c for pi, c in expansion.coeffs.items()})
+    tensor = SymFunc("p", {(pi, pi): c for pi, c in expansion.coeffs.items()}, arity=2)
     out = tensor.convert("e")
     if not out.is_integral():
         raise IntegralityViolation(f"delta_m({n}) has non-integer coefficients")

@@ -3,12 +3,10 @@ import random
 import pytest
 
 from betaring.bring import (
-    B2Element,
     BElement,
     beta_regular,
     beta_upper,
     diagonal,
-    diagonal_multi,
     eval_burnside,
     eval_z,
     product,
@@ -20,7 +18,8 @@ from betaring.bring import (
 from betaring.burnside import BurnsideElement, GSet, orbit_decompose
 from betaring.catalog import Ambient, get_catalog
 from betaring.errors import DegreeCap, NotEffective
-from betaring.perms import PermGroup, Permutation, generate
+from betaring.perms import PermGroup, Permutation
+from betaring.symfunc import lin
 
 
 def multiset_count(r, n):
@@ -35,8 +34,8 @@ def test_product_basis_examples():
     assert product(b1, b1) == beta_regular(2)
     b2 = BElement.basis(2, "S2")
     assert product(b2, BElement.one()) == b2
-    klein = generate(4, [Permutation.parse(4, "(0 1)"), Permutation.parse(4, "(2 3)")])
-    expected = (4, sym_catalog(4).identify(klein))
+    klein = PermGroup.generate(4, [Permutation.parse(4, "(0 1)"), Permutation.parse(4, "(2 3)")])
+    expected = ((4,), sym_catalog(4).identify(klein))
     assert product(b2, b2) == BElement({expected: 1})
 
 
@@ -58,10 +57,10 @@ def test_product_degree_cap():
 
 def test_diagonal_of_full_classes():
     for n in range(6):
-        expect = B2Element.zero()
+        expect = BElement.zero()
         for p in range(n + 1):
             cat = get_catalog(Ambient.pair(p, n - p))
-            expect = expect + B2Element({((p, n - p), len(cat.classes) - 1): 1})
+            expect = expect + BElement({((p, n - p), len(cat.classes) - 1): 1})
         assert diagonal(beta_upper(n)) == expect
 
 
@@ -74,7 +73,7 @@ def test_diagonal_of_regular_class():
 
 
 def test_diagonal_of_unit():
-    assert diagonal(BElement.one()) == B2Element({((0, 0), 0): 1})
+    assert diagonal(BElement.one()) == BElement({((0, 0), 0): 1})
 
 
 def test_diagonal_is_ring_homomorphism():
@@ -82,13 +81,6 @@ def test_diagonal_is_ring_homomorphism():
     for ka, kb in pairs:
         a, b = BElement.basis(*ka), BElement.basis(*kb)
         assert diagonal(product(a, b)) == diagonal(a) * diagonal(b)
-
-
-def test_diagonal_multi_matches_diagonal():
-    a = BElement.basis(3, "C3")
-    two = diagonal_multi(a, 2)
-    as_b2 = B2Element({((p, q), idx): c for ((p, q), idx), c in two.items()})
-    assert as_b2 == diagonal(a)
 
 
 def test_star_basis_unit_laws():
@@ -100,7 +92,7 @@ def test_star_basis_unit_laws():
 
 def test_star_basis_dihedral_example():
     result = star_basis((2, "S2"), (2, "S2"))
-    ((deg, idx), coeff), = result.terms.items()
+    (((deg,), idx), coeff), = result.terms.items()
     assert coeff == 1 and deg == 4
     assert sym_catalog(4).classes[idx].order == 8
 
@@ -117,7 +109,7 @@ def test_star_basis_orientation_frozen_by_evaluation():
         return r * (r + 1) * (r + 2) // 6
 
     result = star_basis((2, "S2"), (3, "S3"))
-    ((deg, idx), _), = result.terms.items()
+    (((deg,), idx), _), = result.terms.items()
     assert deg == 6
     assert sym_catalog(6).classes[idx].order == 72
     for r in range(6):
@@ -225,17 +217,46 @@ def test_belement_json_roundtrip():
     assert BElement.from_json(y.to_json()) == y
 
 
+def test_arity_two_json_roundtrip():
+    x = diagonal(BElement.basis(3, "C3")).scale("1/2") - BElement.basis((1, 1), "e")
+    data = x.to_json()
+    assert all(len(entry["degrees"]) == 2 for entry in data)
+    assert BElement.from_json(data) == x
+    assert [entry["degrees"] for entry in beta_upper(2).to_json()] == [[2]]
+
+
 def test_b2_element_product_bidegrees():
-    a = B2Element.basis(1, 0, 0)
-    b = B2Element.basis(0, 1, 0)
+    a = BElement.basis((1, 0), 0)
+    b = BElement.basis((0, 1), 0)
     ab = a * b
     (((p, q), _), coeff), = ab.terms.items()
     assert (p, q) == (1, 1) and coeff == 1
+    assert repr(ab) == "b[S1xS1:e]"
+
+
+def test_products_across_arities_raise():
+    one_factor = beta_upper(1)
+    two_factors = diagonal(beta_upper(1))
+    with pytest.raises(ValueError):
+        one_factor * two_factors
+    with pytest.raises(ValueError):
+        product(two_factors, BElement.basis((1, 1, 0), 0))
+
+
+def test_arity_three_ring_axioms():
+    a = BElement.basis((2, 0, 0), "e") + BElement.basis((2, 0, 0), "S2xS0xS0").scale(2)
+    b = BElement.basis((0, 1, 1), 0) - BElement.basis((0, 2, 0), "e")
+    c = BElement.basis((1, 0, 1), 0) + BElement.basis((0, 0, 2), "S0xS0xS2")
+    assert a.arity == b.arity == c.arity == 3
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert lin(a * b) == lin(a) * lin(b)
+    assert lin((a * b) * c) == lin(a) * lin(b) * lin(c)
 
 
 def test_graded_ring_axioms_on_random_elements():
     rng = random.Random(3)
-    keys = [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]
+    keys = [((0,), 0), ((1,), 0), ((2,), 0), ((2,), 1), ((3,), 1)]
 
     def rand_elt():
         return BElement(

@@ -11,7 +11,6 @@ from betaring.burnside import (
     beta_virtual,
     group_catalog,
     induce,
-    multiply,
     orbit_decompose,
 )
 from betaring.catalog import Ambient, get_catalog
@@ -63,13 +62,13 @@ def test_orbit_decompose_sizes_and_marks():
 def test_multiply_unit_and_examples():
     g = c3()
     x = orbit_decompose(GSet.regular(g))
-    assert multiply(x, BurnsideElement.unit(g)) == x
-    assert multiply(x, x) == x.scale(3)
+    assert x * BurnsideElement.unit(g) == x
+    assert x * x == x.scale(3)
 
     h = s3()
     xc2 = BurnsideElement.basis(h, "C2")
     xe = BurnsideElement.basis(h, "e")
-    assert multiply(xc2, xc2) == xc2 + xe
+    assert xc2 * xc2 == xc2 + xe
 
 
 def test_product_oracle_against_gsets():

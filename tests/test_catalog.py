@@ -6,7 +6,7 @@ from betaring import catalog as cat
 from betaring import config
 from betaring.catalog import Ambient, build_catalog, get_catalog, subgroup_count_from_classes
 from betaring.errors import DegreeCap, NotASubgroup
-from betaring.perms import PermGroup, Permutation, are_conjugate, direct_embed, generate, wreath
+from betaring.perms import PermGroup, Permutation, are_conjugate, direct_embed, wreath
 
 
 def sym(n):
@@ -124,8 +124,8 @@ def test_burnside_lemma_across_the_marks_table():
 
 def test_identify_distinguishes_klein_copies():
     c = sym(4)
-    normal = generate(4, [Permutation.parse(4, "(0 1)(2 3)"), Permutation.parse(4, "(0 2)(1 3)")])
-    split = generate(4, [Permutation.parse(4, "(0 1)"), Permutation.parse(4, "(2 3)")])
+    normal = PermGroup.generate(4, [Permutation.parse(4, "(0 1)(2 3)"), Permutation.parse(4, "(0 2)(1 3)")])
+    split = PermGroup.generate(4, [Permutation.parse(4, "(0 1)"), Permutation.parse(4, "(2 3)")])
     i, j = c.identify(normal), c.identify(split)
     assert i != j
     assert c.classes[i].order == c.classes[j].order == 4

@@ -81,6 +81,17 @@ def test_check_adams_n1(capsys):
     assert code == 0
 
 
+def test_long_flag_reaches_check_adams(capsys, monkeypatch):
+    from betaring import checks
+
+    seen = []
+    monkeypatch.setattr(checks, "check_adams", lambda n, long_running: seen.append(long_running) or [])
+    code, _, _ = run(capsys, "--long", "check", "adams")
+    assert code == 0 and seen == [True]
+    code, _, _ = run(capsys, "check", "adams")
+    assert code == 0 and seen == [True, False]
+
+
 def test_unknown_class_is_a_computation_error(capsys):
     code, out, err = run(capsys, "evalz", "--class", "S2:bogus", "--r", "1")
     assert code == 1

@@ -13,7 +13,6 @@ from betaring.perms import (
     cycle_type,
     direct_embed,
     double_cosets,
-    generate,
     mixed_wreath,
     normalizer_order,
     orbit_partition,
@@ -63,15 +62,15 @@ def test_permutation_json_roundtrip():
 
 
 def test_generate_small_groups():
-    assert generate(2, [perm(2, "(0 1)")]).order == 2
-    assert generate(3, [perm(3, "(0 1)"), perm(3, "(0 1 2)")]).order == 6
-    dihedral = generate(4, [perm(4, "(0 1)"), perm(4, "(2 3)"), perm(4, "(0 2)(1 3)")])
+    assert PermGroup.generate(2, [perm(2, "(0 1)")]).order == 2
+    assert PermGroup.generate(3, [perm(3, "(0 1)"), perm(3, "(0 1 2)")]).order == 6
+    dihedral = PermGroup.generate(4, [perm(4, "(0 1)"), perm(4, "(2 3)"), perm(4, "(0 2)(1 3)")])
     assert dihedral.order == 8
 
 
 def test_generate_cap():
     with pytest.raises(CapExceeded):
-        generate(5, PermGroup.symmetric(5).generators, cap=10)
+        PermGroup.generate(5, PermGroup.symmetric(5).generators, cap=10)
 
 
 def test_direct_embed():
@@ -97,8 +96,8 @@ def test_wreath_orders():
     s3 = PermGroup.symmetric(3)
     w = wreath(s2, s2)
     assert (w.degree, w.order) == (4, 8)
-    assert w == generate(4, [perm(4, "(0 1)"), perm(4, "(2 3)"), perm(4, "(0 2)(1 3)")])
-    sylow = generate(4, [perm(4, "(0 1 2 3)"), perm(4, "(0 2)")])
+    assert w == PermGroup.generate(4, [perm(4, "(0 1)"), perm(4, "(2 3)"), perm(4, "(0 2)(1 3)")])
+    sylow = PermGroup.generate(4, [perm(4, "(0 1 2 3)"), perm(4, "(0 2)")])
     assert are_conjugate(PermGroup.symmetric(4), w, sylow)
     assert (wreath(s2, s3).degree, wreath(s2, s3).order) == (6, 48)
     assert wreath(s3, s2).order == 72
@@ -147,16 +146,16 @@ def test_double_cosets_trivial_cases():
 
 def test_double_cosets_s3_example():
     s3 = PermGroup.symmetric(3)
-    a = generate(3, [perm(3, "(0 1)")])
-    b = generate(3, [perm(3, "(0 1 2)")])
+    a = PermGroup.generate(3, [perm(3, "(0 1)")])
+    b = PermGroup.generate(3, [perm(3, "(0 1 2)")])
     reps = double_cosets(s3, a, b)
     assert len(reps) == 1  # |A sigma B| = 6 covers all of S3
 
 
 def test_double_coset_size_formula():
     g = PermGroup.symmetric(4)
-    a = generate(4, [perm(4, "(0 1)"), perm(4, "(0 1 2)")])
-    b = generate(4, [perm(4, "(0 1 2 3)")])
+    a = PermGroup.generate(4, [perm(4, "(0 1)"), perm(4, "(0 1 2)")])
+    b = PermGroup.generate(4, [perm(4, "(0 1 2 3)")])
     reps = double_cosets(g, a, b)
     total = 0
     for sigma in reps:
@@ -169,8 +168,8 @@ def test_double_coset_size_formula():
 
 def test_normalizer_and_orbit_partition():
     s3 = PermGroup.symmetric(3)
-    c2 = generate(3, [perm(3, "(0 1)")])
-    c3 = generate(3, [perm(3, "(0 1 2)")])
+    c2 = PermGroup.generate(3, [perm(3, "(0 1)")])
+    c3 = PermGroup.generate(3, [perm(3, "(0 1 2)")])
     assert normalizer_order(s3, s3) == 6
     assert normalizer_order(s3, c2) == 2
     assert normalizer_order(s3, c3) == 6
@@ -182,7 +181,7 @@ def test_normalizer_and_orbit_partition():
 
 def test_normalizer_divisibility():
     g = PermGroup.symmetric(4)
-    for sub in [generate(4, [perm(4, "(0 1)")]), generate(4, [perm(4, "(0 1 2 3)")])]:
+    for sub in [PermGroup.generate(4, [perm(4, "(0 1)")]), PermGroup.generate(4, [perm(4, "(0 1 2 3)")])]:
         norm = normalizer_order(g, sub)
         assert norm % sub.order == 0
         assert g.order % norm == 0
@@ -205,14 +204,14 @@ def test_all_subgroups_counts():
 
 def test_are_conjugate():
     g = PermGroup.symmetric(4)
-    a = generate(4, [perm(4, "(0 1)")])
-    b = generate(4, [perm(4, "(2 3)")])
-    c = generate(4, [perm(4, "(0 1)(2 3)")])
+    a = PermGroup.generate(4, [perm(4, "(0 1)")])
+    b = PermGroup.generate(4, [perm(4, "(2 3)")])
+    c = PermGroup.generate(4, [perm(4, "(0 1)(2 3)")])
     assert are_conjugate(g, a, b)
     assert not are_conjugate(g, a, c)
 
 
 def test_group_json_roundtrip():
-    g = generate(4, [perm(4, "(0 1 2 3)"), perm(4, "(0 2)")])
+    g = PermGroup.generate(4, [perm(4, "(0 1 2 3)"), perm(4, "(0 2)")])
     again = PermGroup.from_json(g.to_json())
     assert again == g

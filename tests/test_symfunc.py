@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from betaring.bring import BElement, beta_regular, beta_upper, diagonal, product, star_basis
 from betaring.perms import Partition, PermGroup, partitions
 from betaring.symfunc import (
     SymFunc,
-    SymFunc2,
     coproduct,
     cycle_index,
-    cycle_index_pair,
     e_,
     generator_check,
     h_,
@@ -48,12 +48,12 @@ def test_multiplication_merges_partitions():
 
 def test_coproduct_examples():
     expected = (
-        SymFunc2.tensor(h_(2), SymFunc.one())
-        + SymFunc2.tensor(h_(1), h_(1))
-        + SymFunc2.tensor(SymFunc.one(), h_(2))
+        SymFunc.tensor(h_(2), SymFunc.one())
+        + SymFunc.tensor(h_(1), h_(1))
+        + SymFunc.tensor(SymFunc.one(), h_(2))
     )
     assert coproduct(h_(2)) == expected
-    primitive = SymFunc2.tensor(p_(3), SymFunc.one()) + SymFunc2.tensor(SymFunc.one(), p_(3))
+    primitive = SymFunc.tensor(p_(3), SymFunc.one()) + SymFunc.tensor(SymFunc.one(), p_(3))
     assert coproduct(p_(3)) == primitive
 
 
@@ -138,7 +138,7 @@ def test_lin_intertwines_diagonals():
 
 def test_lin_effective_elements_are_integral_in_h():
     rng = random.Random(9)
-    keys = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2), (4, 5)]
+    keys = [((1,), 0), ((2,), 0), ((2,), 1), ((3,), 0), ((3,), 2), ((4,), 5)]
     for _ in range(10):
         terms = {k: rng.randint(0, 3) for k in rng.sample(keys, 3)}
         image = lin(BElement(terms)).convert("h")
@@ -150,8 +150,28 @@ def test_cycle_index_pair_split():
 
     cat = get_catalog(Ambient.pair(2, 1))
     full = cat.classes[-1]
-    z = cycle_index_pair(full.rep, 2, 1)
-    assert z == SymFunc2.tensor(h_(2), h_(1))
+    z = cycle_index(full.rep, (2, 1))
+    assert z == SymFunc.tensor(h_(2), h_(1))
+
+
+def test_operations_across_arities_raise():
+    square = coproduct(h_(2))
+    for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g):
+        with pytest.raises(ValueError):
+            op(h_(2), square)
+    assert h_(2) != square and SymFunc.zero() != SymFunc.zero(arity=2)
+
+
+def test_lin2_rejects_other_arities():
+    b = BElement.basis(2, "S2")
+    with pytest.raises(ValueError):
+        lin2(b)
+    mixed = diagonal(b) + beta_upper(1)
+    with pytest.raises(ValueError):
+        lin2(mixed)
+    with pytest.raises(ValueError):
+        lin(mixed)
+    assert lin2(BElement.zero()) == SymFunc.zero(arity=2)
 
 
 def test_generator_check_unimodular():
