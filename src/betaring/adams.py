@@ -74,49 +74,61 @@ def solve_psi_K(n: int) -> AdamsTable:
 
     The coefficient matrix A[H][K] = mark(H, K)/||K|| is triangular with
     nonzero diagonal, so the solution exists and is unique over the
-    rationals; integrality of every Psi_K is asserted, not rounded.
+    rationals; integrality of every Psi_K is asserted, not rounded.  The
+    solve runs in integers: with L the lcm of the ||K||, the row of A for
+    H is (1/L) times the integers mark(H, K) * (L/||K||), and every
+    division must leave no remainder.
     """
     cat = sym_catalog(n)
     size = len(cat.classes)
-    a = [
-        [Fraction(cat.matrix[h][k], cat.classes[k].norm_order) for k in range(size)]
-        for h in range(size)
-    ]
-    inv = [[Fraction(0)] * size for _ in range(size)]
+    lcm, rows = _scaled_marks(cat)
+    lower = [[(j, w) for j, w in row_w if j < row] for row, row_w in enumerate(rows)]
+    diag = [cat.matrix[k][k] * (lcm // cls.norm_order) for k, cls in enumerate(cat.classes)]
+    inv = [[0] * size for _ in range(size)]
     for col in range(size):
-        # forward substitution on the lower-triangular system A x = e_col
-        x = [Fraction(0)] * size
-        for row in range(size):
-            acc = Fraction(1 if row == col else 0)
-            for j in range(row):
-                acc -= a[row][j] * x[j]
-            x[row] = acc / a[row][row]
+        # forward substitution on the lower-triangular system L A x = L e_col;
+        # rows above col have x = 0
+        x = [0] * size
+        for row in range(col, size):
+            acc = lcm if row == col else 0
+            for j, w in lower[row]:
+                acc -= w * x[j]
+            quotient, remainder = divmod(acc, diag[row])
+            if remainder:
+                raise IntegralityViolation(f"Psi_{cat.classes[row].label} is not integral")
+            x[row] = quotient
         for row in range(size):
             inv[row][col] = x[row]
     # Psi_K = sum_H inv[K][H] beta_H comes from transposing the solve
-    psi_rows = []
-    for k in range(size):
-        row = [inv[k][h] for h in range(size)]
-        if any(c.denominator != 1 for c in row):
-            raise IntegralityViolation(f"Psi_{cat.classes[k].label} is not integral")
-        psi_rows.append(tuple(int(c) for c in row))
-    table = AdamsTable(n, cat, tuple(psi_rows))
+    table = AdamsTable(n, cat, tuple(tuple(row) for row in inv))
     _verify_substitution(table)
     return table
 
 
+def _scaled_marks(cat: Catalog):
+    """L = lcm of the normalizer orders, and for each row H the nonzero
+    integers mark(H, K) * (L/||K||) as (K, value) pairs: L times A."""
+    lcm = math.lcm(*(cls.norm_order for cls in cat.classes))
+    rows = [
+        [(k, m * (lcm // cat.classes[k].norm_order)) for k, m in enumerate(row) if m]
+        for row in cat.matrix
+    ]
+    return lcm, rows
+
+
 def _verify_substitution(table: AdamsTable):
-    """Substituting the solutions back must reproduce every beta_H exactly."""
+    """Substituting the solutions back must reproduce every beta_H exactly:
+    sum_K mark(H, K) (L/||K||) Psi_K = L beta_H, in integers."""
     cat = table.catalog
     size = len(cat.classes)
+    lcm, rows = _scaled_marks(cat)
     for h in range(size):
-        recovered = [Fraction(0)] * size
-        for k in range(size):
-            w = Fraction(cat.matrix[h][k], cat.classes[k].norm_order)
-            if w:
-                for j in range(size):
-                    recovered[j] += w * table.psi[k][j]
-        expect = [Fraction(1 if j == h else 0) for j in range(size)]
+        recovered = [0] * size
+        for k, w in rows[h]:
+            for j, c in enumerate(table.psi[k]):
+                if c:
+                    recovered[j] += w * c
+        expect = [lcm if j == h else 0 for j in range(size)]
         if recovered != expect:
             raise IntegralityViolation("back substitution failed; catalog inconsistent")
 

@@ -5,17 +5,20 @@ evaluation homomorphisms into A(G) and the integers.
 Basis elements are subgroup classes beta_H, H <= S_{n_1} x ... x S_{n_r},
 indexed by (degrees, catalog index); r = 1 is the graded ring and the
 diagonal lands in r = 2.  The product embeds H x K block-diagonally, one
-factor at a time; the diagonal restricts coset spaces along S_p x S_q by
-double cosets; the composition sends (beta_H, beta_K) to the class of the
-wreath product with H permuting deg(H) blocks and K acting inside each
-block, extended to sums by splitting H over the summands and to virtual
-arguments by Newton extrapolation in each degree.  The diagonal,
-composition and evaluations take one-factor classes: unpacking
+factor at a time.  The diagonal restricts coset spaces along S_p x S_q by
+the Mackey formula, reading the double cosets S_p x S_q \\ S_n / H off as
+the orbits of H on ordered set partitions of type (p, q), so no Cayley
+table of S_n is built.  The composition sends (beta_H, beta_K) to the
+class of the wreath product with H permuting deg(H) blocks and K acting
+inside each block, extended to sums by splitting H over the summands and
+to virtual arguments by Newton extrapolation in each degree.  The
+diagonal, composition and evaluations take one-factor classes: unpacking
 `(n,) = degrees` raises ValueError for any other arity.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -230,12 +233,17 @@ def _interleave(da: tuple, db: tuple) -> Permutation:
 
 @lru_cache(maxsize=None)
 def _refine_terms(ambient: Ambient, idx: int, flat_parts: tuple[int, ...]):
-    """Restrict a subgroup class along a block-product subgroup.
+    """Restrict a subgroup class H of G = prod(degrees) along the Young
+    subgroup P = prod(flat_parts), by the Mackey formula.
 
     flat_parts must refine the ambient's factor degrees consecutively.
-    Returns ((class index in the prod(flat_parts) catalog, multiplicity), ...)
-    computed over double cosets P \\ G / H with the stabilizer rule
-    P meet sigma H sigma^{-1}.
+    Returns ((class index in the prod(flat_parts) catalog, multiplicity), ...).
+    A double coset P g H is an H-orbit on the labelings l = block o g, where
+    block sends each point to its part of flat_parts: the ordered set
+    partitions of type flat_parts that refine the factors of G, with h in H
+    acting by l -> l o h.  The class of P meet g H g^-1 is that of the
+    stabilizer of l in H, conjugated into P by the order-preserving g with
+    block o g = l.
     """
     cat = get_catalog(ambient)
     cuts = set()
@@ -244,39 +252,49 @@ def _refine_terms(ambient: Ambient, idx: int, flat_parts: tuple[int, ...]):
         acc += d
         cuts.add(acc)
     running = {0}
+    starts = []
     total = 0
     for part in flat_parts:
+        starts.append(total)
         total += part
         running.add(total)
     if total != cat.group.degree or not cuts <= running:
         raise ValueError(f"refinement {flat_parts} does not respect {cat.ambient.degrees}")
-    table = cat.table
-    h_set = frozenset(table.index[e] for e in cat.classes[idx].rep.elements)
-    sub_ambient = Ambient.prod(flat_parts)
-    p_group = sub_ambient.build_group()
-    p_set = frozenset(table.index[e] for e in p_group.elements)
-    mul = table.mul
-    inv = table.inv
-    covered = bytearray(table.order)
+    rep = cat.classes[idx].rep
+    sub_cat = get_catalog(Ambient.prod(flat_parts))
+    seen = set()
     out: dict[int, int] = {}
-    sub_cat = get_catalog(sub_ambient)
-    p_sorted = sorted(p_set)
-    h_sorted = sorted(h_set)
-    for g in range(table.order):
-        if covered[g]:
+    for labeling in _labelings(cat.ambient.blocks(), flat_parts, starts):
+        if labeling in seen:
             continue
-        for x in p_sorted:
-            m = mul[x][g]
-            row = mul[m]
-            for y in h_sorted:
-                covered[row[y]] = 1
-        gi = inv[g]
-        conj = frozenset(mul[mul[g][h]][gi] for h in h_sorted)
-        inter = conj & p_set
-        sub = PermGroup.from_elements(table.group.degree, [table.elements[e] for e in inter])
-        cidx = sub_cat.identify(sub)
+        place = []  # the order-preserving g, sending part j's points to block j
+        free = list(starts)
+        for part in labeling:
+            place.append(free[part])
+            free[part] += 1
+        conj = set()
+        for h in rep.elements:
+            moved = tuple(labeling[x] for x in h)
+            seen.add(moved)
+            if moved == labeling:
+                image = [0] * total
+                for x, y in enumerate(h):
+                    image[place[x]] = place[y]
+                conj.add(tuple(image))
+        cidx = sub_cat.identify(PermGroup.from_elements(total, conj))
         out[cidx] = out.get(cidx, 0) + 1
     return tuple(sorted(out.items()))
+
+
+def _labelings(blocks, flat_parts, starts):
+    """Every point -> part map of type flat_parts that keeps each part inside
+    the block of G holding its points, as a tuple over the points."""
+    per_block = []
+    for block in blocks:
+        word = [j for j, size in enumerate(flat_parts) if starts[j] in block for _ in range(size)]
+        per_block.append(sorted(set(itertools.permutations(word))))
+    for pieces in itertools.product(*per_block):
+        yield sum(pieces, ())
 
 
 def diagonal(a: BElement) -> BElement:

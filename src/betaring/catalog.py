@@ -4,19 +4,27 @@ Ambients are the symmetric groups S_n, products S_p x S_q (and longer
 products, needed to split elements over several summands), or an
 arbitrary small permutation group G (the basis data for A(G)).
 
-Enumeration is breadth-first cyclic extension: seed one cyclic subgroup
+Enumeration (`build_catalog`, the cold path) is breadth-first cyclic
+extension over an integer Cayley table of G: seed one cyclic subgroup
 per conjugacy class of elements, then repeatedly adjoin double-coset
 representatives to each class representative and reduce modulo
 conjugacy.  Every subgroup K = <g_1,...,g_s> is reached through the
 chain <g_1> <= <g_1,g_2> <= ..., so the scan is exhaustive.  All the
 conjugates of every class are materialized, which makes deduplication a
-set lookup and yields normalizer orders for free.
+set lookup and yields normalizer orders for free.  The Cayley table
+lives only while a catalog is enumerated.
+
+Queries on a built or loaded catalog never build that table.  `identify`
+narrows the candidates by conjugacy invariants (order, orbit partition,
+census of per-factor cycle types) and, only when candidates still tie,
+computes single marks by composing permutation tuples directly.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from array import array
 from dataclasses import dataclass
 from functools import reduce
@@ -73,6 +81,17 @@ class Ambient:
             return self.group
         groups = [symmetric(d) for d in self.degrees]
         return reduce(direct_embed, groups) if groups else PermGroup.trivial(0)
+
+    def blocks(self) -> tuple[range, ...]:
+        """The point blocks every element preserves: one per factor, or all
+        points of a concrete group."""
+        if self.degrees is None:
+            return (range(self.group.degree),)
+        out, start = [], 0
+        for d in self.degrees:
+            out.append(range(start, start + d))
+            start += d
+        return tuple(out)
 
 
 class _GroupTable:
@@ -313,18 +332,15 @@ class Catalog:
         self.classes = list(classes)
         self.matrix = [tuple(row) for row in matrix]
         self.subgroup_count = subgroup_count
-        self._table = None
+        self._blocks = ambient.blocks()
+        self._censuses: dict[int, frozenset] = {}
+        self._by_order: dict[int, list[int]] = {}
         self._by_label = {}
         for cls in self.classes:
+            self._by_order.setdefault(cls.order, []).append(cls.index)
             self._by_label[cls.label] = cls.index
             for alias in cls.aliases:
                 self._by_label.setdefault(alias, cls.index)
-
-    @property
-    def table(self) -> _GroupTable:
-        if self._table is None:
-            self._table = _GroupTable(self.group)
-        return self._table
 
     def __len__(self):
         return len(self.classes)
@@ -347,25 +363,51 @@ class Catalog:
     def mark(self, h, k) -> int:
         return self.matrix[self.class_index(h)][self.class_index(k)]
 
-    def marks_row_of_subgroup(self, h: PermGroup) -> tuple[int, ...]:
+    def identify(self, h: PermGroup) -> int:
+        """The class of the subgroup h: conjugacy invariants, then marks on ties.
+
+        Candidates are narrowed by order, orbit partition and the census of
+        per-factor cycle types, cheapest first; classes that still tie are
+        separated by the marks of h in columns where their rows differ.
+        """
         if h.degree != self.group.degree or not h.elements <= self.group.elements:
             raise NotASubgroup(f"not a subgroup of {self.ambient.descriptor()}")
-        table = self.table
-        sub_sorted = sorted(table.index[e] for e in h.elements)
-        cosets, reps = table.coset_map(sub_sorted)
-        row = []
-        for cls in self.classes:
-            gens = tuple(table.index[g.images] for g in cls.rep.generators)
-            row.append(_count_fixed_cosets(table, cosets, reps, gens))
-        return tuple(row)
+        found = self._by_order.get(h.order, [])
+        if len(found) > 1:
+            ptype = orbit_partition(h)
+            found = [i for i in found if self.classes[i].ptype == ptype]
+        if len(found) > 1:
+            census = _census(h.elements, self._blocks)
+            found = [i for i in found if self._class_census(i) == census]
+        while len(found) > 1:
+            columns = zip(*(self.matrix[i] for i in found))
+            j = next((j for j, column in enumerate(columns) if len(set(column)) > 1), None)
+            if j is None:
+                raise NotASubgroup("classes with equal mark rows; inconsistent catalog")
+            m = self._mark_of_subgroup(h, j)
+            found = [i for i in found if self.matrix[i][j] == m]
+        if not found:
+            raise NotASubgroup("invariants match no class; inconsistent catalog")
+        return found[0]
 
-    def identify(self, h: PermGroup) -> int:
-        """The unique class whose mark row matches that of h."""
-        row = self.marks_row_of_subgroup(h)
-        for i, cls in enumerate(self.classes):
-            if cls.marks == row:
-                return i
-        raise NotASubgroup("mark row matches no class; inconsistent catalog")
+    def _class_census(self, i: int) -> frozenset:
+        if i not in self._censuses:
+            self._censuses[i] = _census(self.classes[i].rep.elements, self._blocks)
+        return self._censuses[i]
+
+    def _mark_of_subgroup(self, h: PermGroup, j: int) -> int:
+        """Fixed points of class j's representative K on G/h:
+        #{g in G : g^-1 k g in h for every generator k of K} / |h|."""
+        gens = [k.images for k in self.classes[j].rep.generators]
+        members = h.elements
+        count = 0
+        for g in self.group.elements:
+            ginv = [0] * len(g)
+            for x, y in enumerate(g):
+                ginv[y] = x
+            if all(_compose(_compose(ginv, k), g) in members for k in gens):
+                count += 1
+        return count // h.order
 
     def to_json(self):
         return {
@@ -404,6 +446,36 @@ class Catalog:
                 )
             )
         return cls(ambient, group, classes, data["marks_matrix"], data["subgroup_count"])
+
+
+def _cycle_types(images: tuple, blocks) -> tuple:
+    """The cycle type of a permutation on each block it preserves."""
+    seen = [False] * len(images)
+    out = []
+    for block in blocks:
+        lengths = []
+        for start in block:
+            if seen[start]:
+                continue
+            length = 0
+            pt = start
+            while not seen[pt]:
+                seen[pt] = True
+                pt = images[pt]
+                length += 1
+            lengths.append(length)
+        out.append(tuple(sorted(lengths)))
+    return tuple(out)
+
+
+def _census(elements, blocks) -> frozenset:
+    """How many elements have each tuple of per-block cycle types; a
+    conjugacy invariant of subgroups of a group preserving the blocks."""
+    counts: dict[tuple, int] = {}
+    for e in elements:
+        key = _cycle_types(e, blocks)
+        counts[key] = counts.get(key, 0) + 1
+    return frozenset(counts.items())
 
 
 def _is_even(images: tuple) -> bool:
@@ -514,9 +586,7 @@ def build_catalog(ambient: Ambient) -> Catalog:
                 aliases=aliases[new_idx],
             )
         )
-    cat = Catalog(ambient, group, classes, matrix, subgroup_count)
-    cat._table = table
-    return cat
+    return Catalog(ambient, group, classes, matrix, subgroup_count)
 
 
 _CATALOGS: dict[Ambient, Catalog] = {}
@@ -544,16 +614,29 @@ def get_catalog(ambient: Ambient) -> Catalog:
     if cat is None:
         cat = build_catalog(ambient)
         if ambient.cacheable:
-            path = _cache_path(ambient)
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(".tmp")
-                tmp.write_text(json.dumps(cat.to_json()))
-                os.replace(tmp, path)
-            except OSError:
-                pass
+            _write_cache(_cache_path(ambient), cat)
     _CATALOGS[ambient] = cat
     return cat
+
+
+def _write_cache(path, cat: Catalog):
+    """Write through a temporary file of this writer's own, then rename it
+    into place, so concurrent writers never share or clobber a partial file.
+    A cache that cannot be written is skipped."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
+        os.fchmod(fd, 0o644)  # mkstemp makes 0600; the cache stays readable as before
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(cat.to_json()))
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def clear_memo():
@@ -571,7 +654,7 @@ def mark(ambient: Ambient, h, k) -> int:
 
 
 def identify(ambient: Ambient, h: PermGroup) -> int:
-    """Index of the class whose mark row equals that of h."""
+    """Index of the class of h: conjugacy invariants, then marks on ties."""
     return get_catalog(ambient).identify(h)
 
 

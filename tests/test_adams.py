@@ -32,6 +32,32 @@ def _p_monomial(pi):
     return SymFunc.monomial("p", pi)
 
 
+def _psi_by_fraction_solve(cat):
+    """psi[K][H]: the inverse of A[H][K] = mark(H, K)/||K|| by forward
+    substitution in exact rationals, one column at a time."""
+    size = len(cat.classes)
+    a = [
+        [Fraction(cat.matrix[h][k], cat.classes[k].norm_order) for k in range(size)]
+        for h in range(size)
+    ]
+    inv = [[Fraction(0)] * size for _ in range(size)]
+    for col in range(size):
+        x = [Fraction(0)] * size
+        for row in range(size):
+            acc = Fraction(int(row == col)) - sum(a[row][j] * x[j] for j in range(row))
+            x[row] = acc / a[row][row]
+        for row in range(size):
+            inv[row][col] = x[row]
+    return inv
+
+
+def test_integer_solve_matches_fraction_solve():
+    for n in range(7):
+        table = solve_psi_K(n)
+        assert [list(row) for row in table.psi] == _psi_by_fraction_solve(table.catalog)
+        assert all(type(c) is int for row in table.psi for c in row)
+
+
 def test_solve_n2_closed_values():
     table = solve_psi_K(2)
     assert table.element("e") == beta_regular(2)

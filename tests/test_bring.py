@@ -4,6 +4,8 @@ import pytest
 
 from betaring.bring import (
     BElement,
+    _compositions,
+    _refine_terms,
     beta_regular,
     beta_upper,
     diagonal,
@@ -18,7 +20,7 @@ from betaring.bring import (
 from betaring.burnside import BurnsideElement, GSet, orbit_decompose
 from betaring.catalog import Ambient, get_catalog
 from betaring.errors import DegreeCap, NotEffective
-from betaring.perms import PermGroup, Permutation
+from betaring.perms import PermGroup, Permutation, are_conjugate, double_cosets
 from betaring.symfunc import lin
 
 
@@ -81,6 +83,63 @@ def test_diagonal_is_ring_homomorphism():
     for ka, kb in pairs:
         a, b = BElement.basis(*ka), BElement.basis(*kb)
         assert diagonal(product(a, b)) == diagonal(a) * diagonal(b)
+
+
+def _double_coset_terms(ambient, idx, flat_parts):
+    """_refine_terms recomputed over perms.double_cosets: the stabilizer
+    P meet x H x^-1 of each double coset P x H, matched to a class of P by
+    an exhaustive conjugacy test."""
+    group = get_catalog(ambient).group
+    h = get_catalog(ambient).classes[idx].rep
+    sub_cat = get_catalog(Ambient.prod(flat_parts))
+    p = sub_cat.group
+    out = {}
+    for x in double_cosets(group, p, h):
+        stab = PermGroup.from_elements(group.degree, h.conjugate(x).elements & p.elements)
+        (cidx,) = [
+            cls.index
+            for cls in sub_cat.classes
+            if cls.order == stab.order and are_conjugate(p, stab, cls.rep)
+        ]
+        out[cidx] = out.get(cidx, 0) + 1
+    return tuple(sorted(out.items()))
+
+
+def test_refine_terms_matches_double_cosets():
+    cases = [
+        (Ambient.sym(n), i, comp)
+        for n in range(6)
+        for i in range(len(sym_catalog(n).classes))
+        for comp in _compositions(n, 2)
+    ]
+    cases += [
+        (Ambient.pair(2, 3), i, parts)
+        for i in range(len(get_catalog(Ambient.pair(2, 3)).classes))
+        for parts in ((1, 1, 3), (2, 1, 2))
+    ]
+    for ambient, i, parts in cases:
+        assert _refine_terms(ambient, i, parts) == _double_coset_terms(ambient, i, parts), (
+            ambient, i, parts,
+        )
+
+
+def test_refine_terms_counts_every_double_coset_in_degree_six():
+    """|P x H| = |P| |H| / |P meet x H x^-1|, and the double cosets cover G."""
+    cat = sym_catalog(6)
+    for cls in cat.classes:
+        for parts in _compositions(6, 2):
+            sub_cat = get_catalog(Ambient.prod(parts))
+            terms = _refine_terms(Ambient.sym(6), cls.index, parts)
+            covered = sum(
+                mult * sub_cat.group.order * cls.order // sub_cat.classes[j].order
+                for j, mult in terms
+            )
+            assert covered == cat.group.order, (cls.label, parts)
+
+
+def test_refine_terms_rejects_refinements_across_factors():
+    with pytest.raises(ValueError):
+        _refine_terms(Ambient.pair(2, 3), 0, (1, 3, 1))
 
 
 def test_star_basis_unit_laws():

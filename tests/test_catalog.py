@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -6,7 +7,21 @@ from betaring import catalog as cat
 from betaring import config
 from betaring.catalog import Ambient, build_catalog, get_catalog, subgroup_count_from_classes
 from betaring.errors import DegreeCap, NotASubgroup
-from betaring.perms import PermGroup, Permutation, are_conjugate, direct_embed, wreath
+from betaring.checks import klein_group
+from betaring.perms import (
+    PermGroup,
+    Permutation,
+    _compose,
+    all_subgroups,
+    are_conjugate,
+    direct_embed,
+    wreath,
+)
+
+# Every ambient a degree <= 6 operation reads: S1..S6 and S_p x S_q, p + q <= 6.
+COLD_AMBIENTS = [Ambient.sym(n) for n in range(1, 7)] + [
+    Ambient.pair(p, q) for p in range(7) for q in range(7) if p + q <= 6
+]
 
 
 def sym(n):
@@ -122,6 +137,56 @@ def test_burnside_lemma_across_the_marks_table():
             assert total == order
 
 
+def test_identify_round_trips_random_conjugates():
+    rng = random.Random(20061217)
+    for ambient in COLD_AMBIENTS:
+        c = get_catalog(ambient)
+        elements = sorted(c.group.elements)
+        for cls in c.classes:
+            g = Permutation(rng.choice(elements))
+            assert c.identify(cls.rep.conjugate(g)) == cls.index, (ambient, cls.label)
+
+
+def _brute_force_marks_row(group, h, classes):
+    """Fixed points of each class representative on the left cosets gh,
+    enumerated as element sets."""
+    cosets = {frozenset(_compose(g, x) for x in h.elements) for g in group.elements}
+    row = []
+    for cls in classes:
+        gens = [k.images for k in cls.rep.generators]
+        row.append(
+            sum(
+                all(_compose(k, next(iter(coset))) in coset for k in gens)
+                for coset in cosets
+            )
+        )
+    return tuple(row)
+
+
+@pytest.mark.parametrize(
+    "ambient",
+    [Ambient.sym(4), Ambient.sym(5), Ambient.pair(2, 2), Ambient.pair(2, 3),
+     Ambient.pair(3, 3), Ambient.of_group(klein_group())],
+    ids=lambda a: a.descriptor(),
+)
+def test_identify_matches_brute_force_marks(ambient):
+    """identify agrees with matching the full marks row of every subgroup
+    (for S5 and S3xS3, of a random conjugate of every class representative).
+    In the Klein group <(0 1)> and <(2 3)> share order, orbit partition and
+    cycle types, so only their marks tell them apart."""
+    c = get_catalog(ambient)
+    if c.group.order <= 24:
+        subgroups = [PermGroup.from_elements(c.group.degree, s) for s in all_subgroups(c.group)]
+    else:
+        rng = random.Random(5)
+        elements = sorted(c.group.elements)
+        subgroups = [cls.rep.conjugate(Permutation(rng.choice(elements))) for cls in c.classes]
+    for h in subgroups:
+        row = _brute_force_marks_row(c.group, h, c.classes)
+        (expected,) = [cls.index for cls in c.classes if cls.marks == row]
+        assert c.identify(h) == expected
+
+
 def test_identify_distinguishes_klein_copies():
     c = sym(4)
     normal = PermGroup.generate(4, [Permutation.parse(4, "(0 1)(2 3)"), Permutation.parse(4, "(0 2)(1 3)")])
@@ -143,6 +208,13 @@ def test_identify_wreath_is_the_order_eight_class():
 def test_identify_rejects_non_subgroups():
     with pytest.raises(NotASubgroup):
         sym(3).identify(PermGroup.symmetric(4))
+    swap_across_blocks = PermGroup.generate(4, [Permutation.parse(4, "(1 2)")])
+    with pytest.raises(NotASubgroup):
+        get_catalog(Ambient.pair(2, 2)).identify(swap_across_blocks)
+    with pytest.raises(NotASubgroup):
+        get_catalog(Ambient.of_group(klein_group())).identify(
+            PermGroup.generate(4, [Permutation.parse(4, "(0 2)")])
+        )
 
 
 def test_trivial_class_identification():
@@ -199,6 +271,34 @@ def test_json_roundtrip_and_disk_cache(tmp_path):
         assert loaded.subgroup_count == built.subgroup_count
         assert [c.rep for c in loaded.classes] == [c.rep for c in built.classes]
     cat.clear_memo()
+
+
+def test_cache_write_leaves_other_writers_files_alone(tmp_path):
+    """A temporary file another writer is still filling is neither read
+    nor overwritten, and a build leaves no temporary file of its own."""
+    stale = tmp_path / "S3_v1.tmp"
+    stale.write_text("partial write of another process")
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        built = get_catalog(Ambient.sym(3))
+    cat.clear_memo()
+    assert len(built.classes) == 4
+    assert stale.read_text() == "partial write of another process"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["S3_v1.json", "S3_v1.tmp"]
+    assert (tmp_path / "S3_v1.json").stat().st_mode & 0o777 == 0o644
+
+
+def test_failed_cache_write_removes_its_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cat.os, "replace", refuse)
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        built = get_catalog(Ambient.sym(3))
+    cat.clear_memo()
+    assert len(built.classes) == 4
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deterministic_rebuild():
