@@ -9,10 +9,19 @@ extension over an integer Cayley table of G: seed one cyclic subgroup
 per conjugacy class of elements, then repeatedly adjoin double-coset
 representatives to each class representative and reduce modulo
 conjugacy.  Every subgroup K = <g_1,...,g_s> is reached through the
-chain <g_1> <= <g_1,g_2> <= ..., so the scan is exhaustive.  All the
-conjugates of every class are materialized, which makes deduplication a
-set lookup and yields normalizer orders for free.  The Cayley table
-lives only while a catalog is enumerated.
+chain <g_1> <= <g_1,g_2> <= ..., so the scan is exhaustive.  The table
+composes permutation tuples only for the rows of G's generators and
+reaches every other row by breadth-first search, one index gather per
+row.  Each new class records all its conjugates, found as its orbit
+under conjugation by the generators of G (2|H|[G:N(H)] lookups instead
+of |G||H|), which makes deduplication a set lookup and yields normalizer
+orders for free.  Each extension <H, g> is closed coset by coset over
+the larger of H and <g> (Dimino's algorithm).  Marks come from
+containment: mark(H, K) = #{conjugates of H containing K} * |N(H)|/|H|.
+The Cayley table lives only while a catalog is enumerated.
+
+A catalog read from the JSON cache is checked against invariants every
+table of marks satisfies (`_is_consistent`) and rebuilt if it fails.
 
 Queries on a built or loaded catalog never build that table.  `identify`
 narrows the candidates by conjugacy invariants (order, orbit partition,
@@ -28,6 +37,7 @@ import tempfile
 from array import array
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 
 from .config import get_config
 from .errors import DegreeCap, NotASubgroup
@@ -95,31 +105,54 @@ class Ambient:
 
 
 class _GroupTable:
-    """Integer-indexed Cayley table of a materialized group."""
+    """Integer-indexed Cayley table of a materialized group, mul[a][b] = a*b.
+
+    Only the rows of the group's generators are composed from permutation
+    tuples.  Every other row is reached by breadth-first search from the
+    identity: row(s*a)[b] = row(s)[row(a)[b]], one C-level gather per row
+    (an `itemgetter` over row(a); rows have at least two entries whenever
+    there is a generator, so it returns a tuple).
+    """
 
     def __init__(self, group: PermGroup):
         self.group = group
         self.elements = sorted(group.elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.order = len(self.elements)
-        self.e = self.index[tuple(range(group.degree))]
-        index = self.index
-        self.mul = [
-            array("H", (index[_compose(a, b)] for b in self.elements)) for a in self.elements
+        self.index = index = {e: i for i, e in enumerate(self.elements)}
+        self.order = order = len(self.elements)
+        self.e = e = index[tuple(range(group.degree))]
+        self.gens = sorted({index[g.images] for g in group.generators} - {e})
+        gen_rows = [
+            array("H", (index[_compose(self.elements[a], b)] for b in self.elements))
+            for a in self.gens
         ]
-        inv = array("H", bytes(2 * self.order))
-        for i, a in enumerate(self.elements):
-            out = [0] * len(a)
-            for x, y in enumerate(a):
-                out[y] = x
-            inv[i] = index[tuple(out)]
-        self.inv = inv
+        gathers = [(a, itemgetter(*row_a)) for a, row_a in zip(self.gens, gen_rows)]
+        mul = [None] * order
+        mul[e] = array("H", range(order))
+        frontier = [e]
+        filled = 1
+        while frontier:
+            new = []
+            for s in frontier:
+                row_s = mul[s]
+                for a, gather in gathers:
+                    sa = row_s[a]
+                    if mul[sa] is None:
+                        mul[sa] = array("H", gather(row_s))
+                        new.append(sa)
+            filled += len(new)
+            frontier = new
+        if filled != order:
+            raise ValueError(
+                f"the generators of the ambient {group!r} reach {filled} of its {order} elements"
+            )
+        self.mul = mul
+        self.inv = array("H", (row.index(e) for row in mul))
+        self.whole = frozenset(range(order))
 
-    def conj_set(self, g: int, sub) -> frozenset[int]:
-        mg = self.mul[g]
-        gi = self.inv[g]
-        mul = self.mul
-        return frozenset(mul[mg[h]][gi] for h in sub)
+    def conjugation(self, g: int) -> array:
+        """The action h -> g h g^-1 on element indices."""
+        column = self.inv[g]
+        return array("H", (row[column] for row in map(self.mul.__getitem__, self.mul[g])))
 
     def close(self, gens) -> frozenset[int]:
         mul = self.mul
@@ -136,60 +169,73 @@ class _GroupTable:
             frontier = new
         return frozenset(els)
 
-    def coset_map(self, sub_sorted) -> tuple[array, list[int]]:
-        """Left cosets gH: element -> coset id, plus one representative each."""
-        cosets = array("i", [-1] * self.order)
-        reps = []
+    def extend(self, sub: frozenset[int], gens) -> frozenset[int]:
+        """<gens>, for a subgroup sub of <gens>, by Dimino's coset-wise
+        closure: a union of left cosets t*sub, closed under left
+        multiplication by gens.  A union of more than |G|/2 elements can
+        only grow to G, so the closure stops there."""
         mul = self.mul
-        for g in range(self.order):
-            if cosets[g] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(g)
-            mg = mul[g]
-            for h in sub_sorted:
-                cosets[mg[h]] = cid
-        return cosets, reps
+        members = tuple(sub)
+        els = set(sub)
+        half = self.order // 2
+        reps = [self.e]
+        for t in reps:
+            for g in gens:
+                y = mul[g][t]
+                if y not in els:
+                    els.update(map(mul[y].__getitem__, members))
+                    if len(els) > half:
+                        return self.whole
+                    reps.append(y)
+        return frozenset(els)
 
     def double_coset_reps(self, sub_sorted) -> list[int]:
-        covered = bytearray(self.order)
+        covered = set()
         reps = []
         mul = self.mul
         for g in range(self.order):
-            if covered[g]:
+            if g in covered:
                 continue
             reps.append(g)
-            for h1 in sub_sorted:
-                t = mul[h1][g]
-                mt = mul[t]
-                for h2 in sub_sorted:
-                    covered[mt[h2]] = 1
+            coset = tuple(map(mul[g].__getitem__, sub_sorted))
+            for h in sub_sorted:
+                covered.update(map(mul[h].__getitem__, coset))
         return reps
 
 
 class _RawClass:
-    __slots__ = ("rep", "gens", "order", "n_conj")
+    __slots__ = ("rep", "gens", "order", "conjugates")
 
-    def __init__(self, rep, gens, order, n_conj):
+    def __init__(self, rep, gens, order, conjugates):
         self.rep = rep
         self.gens = gens
         self.order = order
-        self.n_conj = n_conj
+        self.conjugates = conjugates
+
+    @property
+    def n_conj(self) -> int:
+        return len(self.conjugates)
 
 
 def _enumerate_raw(table: _GroupTable):
     """All conjugacy classes of subgroups; returns (classes, total subgroup count)."""
     seen: dict[frozenset, int] = {}
     classes: list[_RawClass] = []
+    actions = [table.conjugation(g).__getitem__ for g in table.gens]
 
     def register(sub: frozenset, gens) -> int:
+        """Record the class of sub with all its conjugates, found as the
+        orbit of sub under conjugation by the generators of G."""
         cid = len(classes)
-        conjugates = {sub}
-        for g in range(table.order):
-            conjugates.add(table.conj_set(g, sub))
+        seen[sub] = cid
+        conjugates = [sub]
         for c in conjugates:
-            seen[c] = cid
-        classes.append(_RawClass(sub, tuple(gens), len(sub), len(conjugates)))
+            for act in actions:
+                d = frozenset(map(act, c))
+                if d not in seen:
+                    seen[d] = cid
+                    conjugates.append(d)
+        classes.append(_RawClass(sub, tuple(gens), len(sub), conjugates))
         return cid
 
     register(frozenset([table.e]), ())
@@ -210,43 +256,32 @@ def _enumerate_raw(table: _GroupTable):
         for g in table.double_coset_reps(sub_sorted):
             if g in cls.rep:
                 continue
-            grown = table.close(cls.gens + (g,))
+            cyclic = table.close((g,))
+            base = cyclic if len(cyclic) > cls.order else cls.rep
+            grown = table.extend(base, cls.gens + (g,))
             if grown not in seen:
                 queue.append(register(grown, cls.gens + (g,)))
     return classes, len(seen)
 
 
-def _count_fixed_cosets(table, cosets, reps, gens) -> int:
-    if not gens:
-        return len(reps)
-    mul = table.mul
-    count = 0
-    for r in reps:
-        c = cosets[r]
-        if all(cosets[mul[k][r]] == c for k in gens):
-            count += 1
-    return count
-
-
 class _MarkEngine:
-    """Lazy pairwise marks over raw classes."""
+    """Lazy pairwise marks over raw classes, by containment: K fixes the
+    coset gH iff K <= gHg^-1, and each conjugate gHg^-1 arises from
+    |N(H)|/|H| cosets, so mark(H, K) = #{conjugates of H containing K}
+    * |N(H)|/|H|."""
 
     def __init__(self, table, raw):
         self.table = table
         self.raw = raw
-        self._cosets = {}
         self._memo = {}
-
-    def cosets(self, i):
-        if i not in self._cosets:
-            self._cosets[i] = self.table.coset_map(sorted(self.raw[i].rep))
-        return self._cosets[i]
 
     def mark(self, i, j) -> int:
         key = (i, j)
         if key not in self._memo:
-            cosets, reps = self.cosets(i)
-            self._memo[key] = _count_fixed_cosets(self.table, cosets, reps, self.raw[j].gens)
+            h = self.raw[i]
+            gens = frozenset(self.raw[j].gens)
+            count = sum(map(gens.issubset, h.conjugates))
+            self._memo[key] = count * (self.table.order // h.n_conj) // h.order
         return self._memo[key]
 
 
@@ -598,7 +633,9 @@ def _cache_path(ambient: Ambient):
 
 
 def get_catalog(ambient: Ambient) -> Catalog:
-    """Memoized catalog, backed by the JSON cache for symmetric ambients."""
+    """Memoized catalog, backed by the JSON cache for symmetric ambients.
+
+    A cached catalog that fails `_is_consistent` is rebuilt and rewritten."""
     if ambient in _CATALOGS:
         return _CATALOGS[ambient]
     cat = None
@@ -609,7 +646,9 @@ def get_catalog(ambient: Ambient) -> Catalog:
                 data = json.loads(path.read_text())
                 if data.get("version") == CATALOG_VERSION:
                     cat = Catalog.from_json(data)
-            except (OSError, ValueError, KeyError):
+                    if not _is_consistent(cat):
+                        cat = None
+            except (OSError, ValueError, KeyError, TypeError):
                 cat = None
     if cat is None:
         cat = build_catalog(ambient)
@@ -617,6 +656,27 @@ def get_catalog(ambient: Ambient) -> Catalog:
             _write_cache(_cache_path(ambient), cat)
     _CATALOGS[ambient] = cat
     return cat
+
+
+def _is_consistent(cat: Catalog) -> bool:
+    """Invariants of every table of marks, checked without a rebuild: the
+    matrix is square and lower-triangular in catalog order, each class row
+    equals its matrix row, the diagonal is [N(H):H], column 0 is [G:H], and
+    sum [G:N(H)] is the subgroup count."""
+    size = len(cat.classes)
+    if len(cat.matrix) != size:
+        return False
+    for i, (cls, row) in enumerate(zip(cat.classes, cat.matrix)):
+        if (
+            cls.index != i
+            or len(row) != size
+            or any(row[i + 1 :])
+            or cls.marks != row
+            or row[i] != cls.norm_order // cls.order
+            or row[0] != cat.group.order // cls.order
+        ):
+            return False
+    return subgroup_count_from_classes(cat) == cat.subgroup_count
 
 
 def _write_cache(path, cat: Catalog):

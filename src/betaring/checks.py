@@ -648,6 +648,9 @@ def _delta_m_of_monomial(pi) -> SymFunc:
 # ---------------------------------------------------------------- registry
 
 SUITES = {
+    "catalog": lambda n=None, long_running=False: check_catalog(),
+    "beta-z": lambda n=None, long_running=False: check_beta_z(),
+    "lambda": lambda n=None, long_running=False: check_lambda_structure(n or 6),
     "axioms-AG": lambda n=None, long_running=False: check_ag_axioms(n or 3),
     "operator-ring": lambda n=None, long_running=False: check_operator_ring(),
     "adams": lambda n=None, long_running=False: check_adams(n or 5, long_running),

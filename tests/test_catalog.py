@@ -1,11 +1,22 @@
+import hashlib
+import itertools
+import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
 from betaring import catalog as cat
 from betaring import config
-from betaring.catalog import Ambient, build_catalog, get_catalog, subgroup_count_from_classes
+from betaring.catalog import (
+    Ambient,
+    _GroupTable,
+    _is_consistent,
+    build_catalog,
+    get_catalog,
+    subgroup_count_from_classes,
+)
 from betaring.errors import DegreeCap, NotASubgroup
 from betaring.checks import klein_group
 from betaring.perms import (
@@ -22,6 +33,9 @@ from betaring.perms import (
 COLD_AMBIENTS = [Ambient.sym(n) for n in range(1, 7)] + [
     Ambient.pair(p, q) for p in range(7) for q in range(7) if p + q <= 6
 ]
+
+
+PINNED_MARKS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned_marks.json"
 
 
 def sym(n):
@@ -301,6 +315,107 @@ def test_failed_cache_write_removes_its_temporary_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "group",
+    [PermGroup.symmetric(4), Ambient.pair(2, 3).build_group(), Ambient.pair(0, 3).build_group(),
+     klein_group(), PermGroup.cyclic(4), PermGroup.symmetric(0), PermGroup.symmetric(1)],
+    ids=["S4", "S2xS3", "S0xS3", "V4", "C4", "S0", "S1"],
+)
+def test_group_table_rows_match_direct_composition(group):
+    """Rows reached from the generators' rows agree with composing the
+    permutation tuples of every pair, and inv with the inverse tuple."""
+    table = _GroupTable(group)
+    elements = table.elements
+    assert elements == sorted(group.elements)
+    for a, p in enumerate(elements):
+        inverse = [0] * len(p)
+        for x, y in enumerate(p):
+            inverse[y] = x
+        assert table.inv[a] == table.index[tuple(inverse)]
+        for b, q in enumerate(elements):
+            assert table.mul[a][b] == table.index[tuple(p[i] for i in q)]
+
+
+def test_group_table_rejects_generators_that_miss_elements():
+    transposition = Permutation.parse(4, "(0 1)")
+    group = PermGroup(4, [transposition], set(itertools.permutations(range(4))))
+    with pytest.raises(ValueError, match=r"PermGroup\(degree=4, order=24, gens=<\(0 1\)>\)"):
+        _GroupTable(group)
+
+
+def _tom_digest(catalog):
+    labels = [cls.label for cls in catalog.classes]
+    matrix = [list(row) for row in catalog.matrix]
+    return hashlib.sha256(json.dumps([labels, matrix]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("ambient", COLD_AMBIENTS, ids=lambda a: a.descriptor())
+def test_cold_build_is_unchanged(ambient):
+    """A fresh build gives the pinned labels and tables of marks; where
+    |G| <= 120 every marks row also equals fixed cosets counted directly."""
+    pinned = json.loads(PINNED_MARKS.read_text())
+    built = build_catalog(ambient)
+    assert _tom_digest(built) == pinned[ambient.descriptor()]
+    assert _is_consistent(built)
+    if ambient == Ambient.sym(6):
+        assert (len(built.classes), built.subgroup_count) == (56, 1455)
+    if built.group.order <= 120:
+        for cls, row in zip(built.classes, built.matrix):
+            assert _brute_force_marks_row(built.group, cls.rep, built.classes) == row, cls.label
+
+
+def _set_mark(data, i, j, value):
+    data["marks_matrix"][i][j] = value
+    data["classes"][i]["marks"][j] = value
+
+
+CORRUPTIONS = {
+    "diagonal": lambda data: _set_mark(data, 5, 5, data["marks_matrix"][5][5] + 1),
+    "above-diagonal": lambda data: _set_mark(data, 2, 5, 1),
+    "column-0": lambda data: _set_mark(data, 3, 0, data["marks_matrix"][3][0] + 2),
+    "class-row": lambda data: data["classes"][4]["marks"].__setitem__(1, 7),
+    "subgroup-count": lambda data: data.__setitem__("subgroup_count", data["subgroup_count"] + 1),
+    "missing-row": lambda data: data["marks_matrix"].pop(),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_corrupt_cache_is_rebuilt_and_repaired(tmp_path, corrupt):
+    fresh = build_catalog(Ambient.sym(4))
+    path = tmp_path / "S4_v1.json"
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        get_catalog(Ambient.sym(4))
+        clean = path.read_text()
+        data = json.loads(clean)
+        corrupt(data)
+        path.write_text(json.dumps(data))
+        cat.clear_memo()
+        loaded = get_catalog(Ambient.sym(4))
+    cat.clear_memo()
+    assert [c.label for c in loaded.classes] == [c.label for c in fresh.classes]
+    assert [c.rep for c in loaded.classes] == [c.rep for c in fresh.classes]
+    assert [c.marks for c in loaded.classes] == [c.marks for c in fresh.classes]
+    assert loaded.matrix == fresh.matrix
+    assert loaded.subgroup_count == fresh.subgroup_count
+    assert path.read_text() == clean
+
+
+def test_valid_cache_loads_without_a_rebuild(tmp_path, monkeypatch):
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        built = [get_catalog(a) for a in COLD_AMBIENTS]
+
+        def refuse(ambient):
+            raise AssertionError(f"{ambient.descriptor()} was rebuilt")
+
+        monkeypatch.setattr(cat, "build_catalog", refuse)
+        cat.clear_memo()
+        loaded = [get_catalog(a) for a in COLD_AMBIENTS]
+    cat.clear_memo()
+    assert [c.matrix for c in loaded] == [c.matrix for c in built]
+
+
 def test_deterministic_rebuild():
     a = build_catalog(Ambient.sym(4))
     b = build_catalog(Ambient.sym(4))
@@ -318,7 +433,7 @@ def test_group_kind_ambient():
 
 @pytest.mark.skipif(
     not os.environ.get("BETARING_LONG_TESTS"),
-    reason="about a minute; set BETARING_LONG_TESTS=1 to run",
+    reason="about 15 seconds; set BETARING_LONG_TESTS=1 to run",
 )
 def test_degree_seven_catalog():
     with config.override(max_degree=7):

@@ -76,6 +76,15 @@ def test_check_suite_exit_codes(capsys):
     assert "PASS" in out and "FAIL" not in out.replace("0 failing", "")
 
 
+def test_check_catalog_suite(capsys):
+    from betaring import checks
+
+    assert {"catalog", "beta-z", "lambda"} <= set(checks.SUITES)
+    code, out, _ = run(capsys, "check", "catalog")
+    assert code == 0
+    assert "Sym(6) class count = 56" in out and "FAIL" not in out
+
+
 def test_check_adams_n1(capsys):
     code, out, _ = run(capsys, "check", "adams", "--n", "1")
     assert code == 0
