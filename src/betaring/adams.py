@@ -161,7 +161,8 @@ def check_prop_adams(n: int) -> list[dict]:
         )
     for cls in cat.classes:
         image = lin(table.element(cls.index))
-        if cls.rep.is_cyclic():
+        cyclic = cls.rep.is_cyclic()
+        if cyclic:
             znorm = cls.ptype.centralizer_order()
             target = SymFunc.monomial("p", cls.ptype, Fraction(cls.norm_order, znorm))
             status = image == target
@@ -169,7 +170,7 @@ def check_prop_adams(n: int) -> list[dict]:
             status = image.is_zero()
         reports.append(
             {
-                "identity": f"part2 n={n} K={cls.label}" + (" (cyclic)" if cls.rep.is_cyclic() else ""),
+                "identity": f"part2 n={n} K={cls.label}" + (" (cyclic)" if cyclic else ""),
                 "status": "pass" if status else "fail",
                 "witness": repr(image) if not status else "",
             }

@@ -363,21 +363,15 @@ def star_effective(a: BElement, b: BElement) -> BElement:
     for key in sorted(b.terms):
         ((m,), j) = key
         summands.extend([(m, j)] * b.terms[key])
-    r = len(summands)
     out = BElement.zero()
     for ((n,), i), c in a.terms.items():
-        if r == 0:
-            if n == 0:
-                out = out + BElement.one().scale(c)
-            continue
-        for comp in _compositions(n, r):
+        for comp in _compositions(n, len(summands)):
             positions = [t for t, p in enumerate(comp) if p > 0]
+            if not positions:  # n == 0: beta_{S_0} is the unit
+                out = out + BElement.one().scale(c)
+                continue
             sub_parts = tuple(comp[t] for t in positions)
             inners = [sym_catalog(summands[t][0]).classes[summands[t][1]].rep for t in positions]
-            if not positions:
-                if n == 0:
-                    out = out + BElement.one().scale(c)
-                continue
             for cidx, mult in _refine_terms(Ambient.sym(n), i, sub_parts):
                 l_rep = _catalog(sub_parts).classes[cidx].rep
                 grown = mixed_wreath(l_rep, sub_parts, inners)
@@ -403,24 +397,14 @@ def star(a: BElement, b: BElement) -> BElement:
     return out
 
 
-@lru_cache(maxsize=None)
-def _cycle_count_census(n: int, i: int) -> tuple[tuple[int, int], ...]:
-    """((k, c_k), ...): c_k elements of the class representative have k cycles."""
-    rep = sym_catalog(n).classes[i].rep
-    census: dict[int, int] = {}
-    for g in rep:
-        k = len(g.cycles())
-        census[k] = census.get(k, 0) + 1
-    return tuple(sorted(census.items()))
-
-
 def eval_z(a: BElement, r: int):
-    """The ring map to Z: beta_H(r) = (1/|H|) sum_k c_k r^k."""
+    """The ring map to Z: beta_H(r) = (1/|H|) sum over h in H of r^(cycles of h),
+    read off the class's cycle census."""
     total = Fraction(0)
     for ((n,), i), c in a.terms.items():
-        order = sym_catalog(n).classes[i].order
-        census = _cycle_count_census(n, i)
-        total += Fraction(c) * Fraction(sum(ck * r**k for k, ck in census), order)
+        cat = sym_catalog(n)
+        count = sum(k * r ** len(lengths) for (lengths,), k in cat.census(i))
+        total += Fraction(c) * Fraction(count, cat.classes[i].order)
     if total.denominator != 1:
         raise IntegralityViolation(f"eval_z produced {total}")
     return int(total)

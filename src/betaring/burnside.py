@@ -74,33 +74,14 @@ class GSet:
 
     @classmethod
     def regular(cls, group: PermGroup) -> GSet:
-        """G acting on itself by left multiplication."""
-        elems = sorted(group.elements)
-        index = {e: i for i, e in enumerate(elems)}
-        rows = [
-            tuple(index[_compose(g.images, e)] for e in elems) for g in group.generators
-        ]
-        return cls(group, len(elems), rows)
+        """G acting on itself by left multiplication: G/e."""
+        return cls.coset_space(group, PermGroup.trivial(group.degree))
 
     @classmethod
     def coset_space(cls, group: PermGroup, sub: PermGroup) -> GSet:
-        """Left cosets gH with the left translation action."""
-        if not sub.is_subgroup_of(group):
-            raise NotASubgroup("coset space needs H <= G")
-        elems = sorted(group.elements)
-        coset_of = {}
-        reps = []
-        for e in elems:
-            if e in coset_of:
-                continue
-            cid = len(reps)
-            reps.append(e)
-            for h in sub.elements:
-                coset_of[_compose(e, h)] = cid
-        rows = [
-            tuple(coset_of[_compose(g.images, r)] for r in reps) for g in group.generators
-        ]
-        return cls(group, len(reps), rows)
+        """Left cosets gH with the left translation action: the point
+        induced from H to G."""
+        return induce(group, sub, cls.point(sub))
 
     def act(self, elem, point: int) -> int:
         images = elem.images if isinstance(elem, Permutation) else tuple(elem)
@@ -109,11 +90,7 @@ class GSet:
     def __add__(self, other: GSet) -> GSet:
         if other.group != self.group:
             raise ValueError("disjoint union needs a common group")
-        rows = [
-            row + tuple(x + self.size for x in orow)
-            for row, orow in zip(self.gen_action, other.gen_action)
-        ]
-        return GSet(self.group, self.size + other.size, rows)
+        return _disjoint_union(self.group, [self, other])
 
     def __mul__(self, other: GSet) -> GSet:
         """Cartesian product with the diagonal action."""
@@ -130,12 +107,6 @@ class GSet:
                 )
             )
         return GSet(self.group, size, rows)
-
-    def repeat(self, count: int) -> GSet:
-        out = GSet.empty(self.group)
-        for _ in range(count):
-            out = out + self
-        return out
 
     def restrict(self, sub: PermGroup) -> GSet:
         """The same points viewed as a U-set for U <= G."""
@@ -195,6 +166,18 @@ class GSet:
     @classmethod
     def from_json(cls, data) -> GSet:
         return cls(PermGroup.from_json(data["group"]), data["size"], data["action"])
+
+
+def _disjoint_union(group: PermGroup, parts) -> GSet:
+    """The disjoint union of G-sets over one group, closed once: the points
+    of each part follow those of the parts before it."""
+    rows = [[] for _ in group.generators]
+    size = 0
+    for x in parts:
+        for row, xrow in zip(rows, x.gen_action):
+            row.extend(p + size for p in xrow)
+        size += x.size
+    return GSet(group, size, rows)
 
 
 def induce(group: PermGroup, sub: PermGroup, x: GSet) -> GSet:
@@ -346,11 +329,11 @@ class BurnsideElement:
     def to_gset(self) -> GSet:
         if not self.is_effective():
             raise NotEffective("only effective elements are realizable")
-        out = GSet.empty(self.group)
+        parts = []
         for c, cls in zip(self.coords, self.catalog.classes):
             if c:
-                out = out + GSet.coset_space(self.group, cls.rep).repeat(c)
-        return out
+                parts += [GSet.coset_space(self.group, cls.rep)] * c
+        return _disjoint_union(self.group, parts)
 
     def __repr__(self):
         if not any(self.coords):

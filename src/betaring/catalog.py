@@ -25,8 +25,10 @@ table of marks satisfies (`_is_consistent`) and rebuilt if it fails.
 
 Queries on a built or loaded catalog never build that table.  `identify`
 narrows the candidates by conjugacy invariants (order, orbit partition,
-census of per-factor cycle types) and, only when candidates still tie,
-computes single marks by composing permutation tuples directly.
+census of per-factor cycle types, read from `Catalog.census`) and, only
+when candidates still tie, computes single marks by composing
+permutation tuples directly.  `lin` and `eval_z` read `Catalog.census`
+too; it is computed on first use.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .perms import (
     PermGroup,
     Permutation,
     _compose,
+    cycle_census,
     direct_embed,
     orbit_partition,
     symmetric,
@@ -285,8 +288,9 @@ class _MarkEngine:
         return self._memo[key]
 
 
-def _order_raw_classes(engine) -> list[int]:
-    """Sort: subgroup order ascending, ties by the lexicographic mark row."""
+def _order_raw_classes(engine, ptypes) -> list[int]:
+    """Sort: subgroup order ascending, ties by the lexicographic mark row,
+    then by the diagonal and the orbit partition."""
     raw = engine.raw
     ordered: list[int] = []
     by_order: dict[int, list[int]] = {}
@@ -300,19 +304,11 @@ def _order_raw_classes(engine) -> list[int]:
             def key(i):
                 diag = raw[i].n_conj  # |G| / ||H||, fixes the diagonal entry
                 row = tuple(engine.mark(i, j) for j in prefix)
-                ptype = orbit_partition_of_raw(engine.table, raw[i])
-                return (row, diag, ptype.parts, i)
+                return (row, diag, ptypes[i].parts, i)
 
             batch = sorted(batch, key=key)
         ordered.extend(batch)
     return ordered
-
-
-def orbit_partition_of_raw(table, cls) -> Partition:
-    degree = table.group.degree
-    gens = [table.elements[g] for g in cls.gens]
-    group = PermGroup(degree, [Permutation(g) for g in gens], {table.elements[i] for i in cls.rep})
-    return orbit_partition(group, degree)
 
 
 @dataclass(frozen=True)
@@ -412,8 +408,8 @@ class Catalog:
             ptype = orbit_partition(h)
             found = [i for i in found if self.classes[i].ptype == ptype]
         if len(found) > 1:
-            census = _census(h.elements, self._blocks)
-            found = [i for i in found if self._class_census(i) == census]
+            census = cycle_census(h.elements, self._blocks)
+            found = [i for i in found if self.census(i) == census]
         while len(found) > 1:
             columns = zip(*(self.matrix[i] for i in found))
             j = next((j for j, column in enumerate(columns) if len(set(column)) > 1), None)
@@ -425,9 +421,11 @@ class Catalog:
             raise NotASubgroup("invariants match no class; inconsistent catalog")
         return found[0]
 
-    def _class_census(self, i: int) -> frozenset:
+    def census(self, i: int) -> frozenset:
+        """`perms.cycle_census` of class i's representative over the
+        ambient's blocks, computed on first use."""
         if i not in self._censuses:
-            self._censuses[i] = _census(self.classes[i].rep.elements, self._blocks)
+            self._censuses[i] = cycle_census(self.classes[i].rep.elements, self._blocks)
         return self._censuses[i]
 
     def _mark_of_subgroup(self, h: PermGroup, j: int) -> int:
@@ -483,53 +481,7 @@ class Catalog:
         return cls(ambient, group, classes, data["marks_matrix"], data["subgroup_count"])
 
 
-def _cycle_types(images: tuple, blocks) -> tuple:
-    """The cycle type of a permutation on each block it preserves."""
-    seen = [False] * len(images)
-    out = []
-    for block in blocks:
-        lengths = []
-        for start in block:
-            if seen[start]:
-                continue
-            length = 0
-            pt = start
-            while not seen[pt]:
-                seen[pt] = True
-                pt = images[pt]
-                length += 1
-            lengths.append(length)
-        out.append(tuple(sorted(lengths)))
-    return tuple(out)
-
-
-def _census(elements, blocks) -> frozenset:
-    """How many elements have each tuple of per-block cycle types; a
-    conjugacy invariant of subgroups of a group preserving the blocks."""
-    counts: dict[tuple, int] = {}
-    for e in elements:
-        key = _cycle_types(e, blocks)
-        counts[key] = counts.get(key, 0) + 1
-    return frozenset(counts.items())
-
-
-def _is_even(images: tuple) -> bool:
-    seen = [False] * len(images)
-    parity = 0
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        pt = start
-        while not seen[pt]:
-            seen[pt] = True
-            pt = images[pt]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity == 0
-
-
-def _assign_labels(ambient, group, entries):
+def _assign_labels(entries):
     """Systematic labels o<order>-<ptype> plus -a/-b disambiguators and aliases."""
     counts = {}
     for order, ptype in entries:
@@ -546,24 +498,28 @@ def _assign_labels(ambient, group, entries):
     return labels
 
 
-def _assign_aliases(ambient, group, classes_info):
-    """e / full-group / An / unique-cyclic aliases."""
+def _assign_aliases(ambient, group, reps):
+    """e / full-group / An / unique-cyclic aliases of the classes with
+    these representatives."""
     n = group.degree
-    aliases = [[] for _ in classes_info]
+    aliases = [[] for _ in reps]
     cyclic_orders = {}
-    for i, info in enumerate(classes_info):
-        if info["order"] == 1:
+    for i, rep in enumerate(reps):
+        if rep.order == 1:
             aliases[i].append("e")
-        if info["order"] == group.order:
+        if rep.order == group.order:
             aliases[i].append(ambient.descriptor() if ambient.degrees is not None else "G")
-        if info["is_cyclic"]:
-            cyclic_orders.setdefault(info["order"], []).append(i)
+        if rep.is_cyclic():
+            cyclic_orders.setdefault(rep.order, []).append(i)
         if (
             ambient.degrees is not None
             and len(ambient.degrees) == 1
             and group.order > 2
-            and info["order"] * 2 == group.order
-            and info["all_even"]
+            and rep.order * 2 == group.order
+            and all(  # even: n minus the number of cycles is even
+                (n - len(lengths)) % 2 == 0
+                for (lengths,), _ in cycle_census(rep.elements, (range(n),))
+            )
         ):
             aliases[i].append(f"A{n}")
     for order, idxs in cyclic_orders.items():
@@ -582,40 +538,33 @@ def build_catalog(ambient: Ambient) -> Catalog:
             )
     table = _GroupTable(group)
     raw, subgroup_count = _enumerate_raw(table)
+    reps = [
+        PermGroup(
+            group.degree,
+            [Permutation(table.elements[g]) for g in cls.gens],
+            {table.elements[e] for e in cls.rep},
+        )
+        for cls in raw
+    ]
+    ptypes = [orbit_partition(rep) for rep in reps]
     engine = _MarkEngine(table, raw)
-    order_map = _order_raw_classes(engine)
+    order_map = _order_raw_classes(engine, ptypes)
     matrix = [
         [engine.mark(i, j) for j in order_map]
         for i in order_map
     ]
-    entries = []
-    infos = []
-    for i in order_map:
-        cls = raw[i]
-        ptype = orbit_partition_of_raw(table, cls)
-        entries.append((cls.order, ptype))
-        infos.append(
-            {
-                "order": cls.order,
-                "is_cyclic": any(len(table.close((g,))) == cls.order for g in cls.rep),
-                "all_even": all(_is_even(table.elements[e]) for e in cls.rep),
-            }
-        )
-    labels = _assign_labels(ambient, group, entries)
-    aliases = _assign_aliases(ambient, group, infos)
+    labels = _assign_labels([(raw[i].order, ptypes[i]) for i in order_map])
+    aliases = _assign_aliases(ambient, group, [reps[i] for i in order_map])
     classes = []
     for new_idx, i in enumerate(order_map):
-        cls = raw[i]
-        gens = [Permutation(table.elements[g]) for g in cls.gens]
-        rep = PermGroup(group.degree, gens, {table.elements[e] for e in cls.rep})
         classes.append(
             SubgroupClass(
                 ambient=ambient,
                 index=new_idx,
-                rep=rep,
-                order=cls.order,
-                norm_order=group.order // cls.n_conj,
-                ptype=entries[new_idx][1],
+                rep=reps[i],
+                order=raw[i].order,
+                norm_order=group.order // raw[i].n_conj,
+                ptype=ptypes[i],
                 marks=tuple(matrix[new_idx]),
                 label=labels[new_idx],
                 aliases=aliases[new_idx],

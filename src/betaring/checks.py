@@ -65,10 +65,6 @@ def _info(identity: str, witness: str) -> dict:
     return {"identity": identity, "status": "info", "witness": witness}
 
 
-def all_pass(reports) -> bool:
-    return all(r["status"] != "fail" for r in reports)
-
-
 def standard_groups() -> list[tuple[str, PermGroup]]:
     return [
         ("C2", PermGroup.cyclic(2)),
@@ -340,10 +336,9 @@ def check_operator_ring() -> list[dict]:
 # ---------------------------------------------------------------- adams
 
 
-def check_adams(nmax: int = 5, long_running: bool = False) -> list[dict]:
+def check_adams(nmax: int = 5) -> list[dict]:
     reports = []
-    top = 6 if long_running else nmax
-    for n in range(1, top + 1):
+    for n in range(1, nmax + 1):
         try:
             table = solve_psi_K(n)
             reports.append(_report(f"Psi_K system solves integrally for n={n}", True))
@@ -355,7 +350,7 @@ def check_adams(nmax: int = 5, long_running: bool = False) -> list[dict]:
             reports.append(
                 _report("n=2 closed values Psi_e = b_e, Psi_S2 = 2 b_S2 - b_e", ok)
             )
-    for n in range(1, min(top, 5) + 1):
+    for n in range(1, min(nmax, 5) + 1):
         sub = check_prop_adams(n)
         bad = [r for r in sub if r["status"] == "fail"]
         reports.append(
@@ -648,23 +643,23 @@ def _delta_m_of_monomial(pi) -> SymFunc:
 # ---------------------------------------------------------------- registry
 
 SUITES = {
-    "catalog": lambda n=None, long_running=False: check_catalog(),
-    "beta-z": lambda n=None, long_running=False: check_beta_z(),
-    "lambda": lambda n=None, long_running=False: check_lambda_structure(n or 6),
-    "axioms-AG": lambda n=None, long_running=False: check_ag_axioms(n or 3),
-    "operator-ring": lambda n=None, long_running=False: check_operator_ring(),
-    "adams": lambda n=None, long_running=False: check_adams(n or 5, long_running),
-    "polya": lambda n=None, long_running=False: check_polya(n or 6),
-    "witt": lambda n=None, long_running=False: check_witt(),
-    "mod2": lambda n=None, long_running=False: check_mod2(),
-    "gcd": lambda n=None, long_running=False: check_gcd_suite(n or 6),
+    "catalog": lambda n=None: check_catalog(),
+    "beta-z": lambda n=None: check_beta_z(),
+    "lambda": lambda n=None: check_lambda_structure(n or 6),
+    "axioms-AG": lambda n=None: check_ag_axioms(n or 3),
+    "operator-ring": lambda n=None: check_operator_ring(),
+    "adams": lambda n=None: check_adams(n or 5),
+    "polya": lambda n=None: check_polya(n or 6),
+    "witt": lambda n=None: check_witt(),
+    "mod2": lambda n=None: check_mod2(),
+    "gcd": lambda n=None: check_gcd_suite(n or 6),
 }
 
 
-def run_suites(names, n=None, long_running=False) -> dict[str, list[dict]]:
+def run_suites(names, n=None) -> dict[str, list[dict]]:
     out = {}
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-        out[name] = SUITES[name](n, long_running)
+        out[name] = SUITES[name](n)
     return out

@@ -168,7 +168,7 @@ def _cmd_witt(args):
 
 def _cmd_check(args):
     names = args.suites or sorted(checks.SUITES)
-    results = checks.run_suites(names, n=args.n, long_running=args.long)
+    results = checks.run_suites(names, n=args.n)
     failed = 0
     if args.json:
         print(json.dumps(results, indent=2, default=str))
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-degree", type=int, default=None, help="degree cap (<= 7)")
     parser.add_argument("--catalog-dir", default=None, help="catalog cache directory")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--long", action="store_true", help="enable long-running checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="dump the subgroup-class catalog of an ambient")

@@ -317,8 +317,9 @@ class PermGroup:
         return PermGroup(self.degree, gens, elements)
 
     def is_cyclic(self) -> bool:
-        orders = {_element_order(e) for e in self.elements}
-        return max(orders) == self.order
+        """Some element's order, the lcm of its cycle lengths, is |H|."""
+        census = cycle_census(self.elements, (range(self.degree),))
+        return any(math.lcm(*lengths) == self.order for (lengths,), _ in census)
 
     def to_json(self):
         return {"degree": self.degree, "generators": [list(g.images) for g in self.generators]}
@@ -328,14 +329,31 @@ class PermGroup:
         return cls.generate(data["degree"], [Permutation(im) for im in data["generators"]])
 
 
-def _element_order(images: tuple) -> int:
-    n = 1
-    identity = tuple(range(len(images)))
-    acc = images
-    while acc != identity:
-        acc = _compose(acc, images)
-        n += 1
-    return n
+def cycle_census(elements, blocks) -> frozenset:
+    """How many of the elements (image tuples) have each tuple of per-block
+    cycle types, one sorted tuple of cycle lengths per block, as a frozenset
+    of (key, count) pairs.  For a group preserving the blocks it is a
+    conjugacy invariant of its subgroups."""
+    counts: dict[tuple, int] = {}
+    for images in elements:
+        seen = [False] * len(images)
+        key = []
+        for block in blocks:
+            lengths = []
+            for start in block:
+                if seen[start]:
+                    continue
+                length = 0
+                pt = start
+                while not seen[pt]:
+                    seen[pt] = True
+                    pt = images[pt]
+                    length += 1
+                lengths.append(length)
+            key.append(tuple(sorted(lengths)))
+        key = tuple(key)
+        counts[key] = counts.get(key, 0) + 1
+    return frozenset(counts.items())
 
 
 def _small_generating_set(degree: int, elements: set[tuple]) -> list[Permutation]:
@@ -381,34 +399,7 @@ def wreath(h: PermGroup, k: PermGroup) -> PermGroup:
     Block j covers points [j*a, (j+1)*a); the element (h_0..h_{b-1}; k)
     maps (j, i) to (k(j), h_j(i)).  Order is |H|^b * |K|.
     """
-    a, b = h.degree, k.degree
-    degree = a * b
-    if degree > get_config().max_degree:
-        raise DegreeCap(f"wreath degree {degree} exceeds max {get_config().max_degree}")
-    elements = set()
-    for base in itertools.product(sorted(h.elements), repeat=b):
-        for top in k.elements:
-            images = [0] * degree
-            for j in range(b):
-                tj = top[j]
-                hj = base[j]
-                for i in range(a):
-                    images[j * a + i] = tj * a + hj[i]
-            elements.add(tuple(images))
-    gens = []
-    for j in range(b):
-        for g in h.generators:
-            images = list(range(degree))
-            for i in range(a):
-                images[j * a + i] = j * a + g.images[i]
-            gens.append(Permutation(images))
-    for g in k.generators:
-        images = [0] * degree
-        for j in range(b):
-            for i in range(a):
-                images[j * a + i] = g.images[j] * a + i
-        gens.append(Permutation(images))
-    return PermGroup(degree, gens, elements)
+    return mixed_wreath(k, (k.degree,), [h])
 
 
 def mixed_wreath(l: PermGroup, parts: tuple[int, ...], inners) -> PermGroup:
@@ -426,7 +417,7 @@ def mixed_wreath(l: PermGroup, parts: tuple[int, ...], inners) -> PermGroup:
         raise ValueError("need one inner group per part")
     degree = sum(p * k.degree for p, k in zip(parts, inners))
     if degree > get_config().max_degree:
-        raise DegreeCap(f"mixed wreath degree {degree} exceeds max {get_config().max_degree}")
+        raise DegreeCap(f"wreath degree {degree} exceeds max {get_config().max_degree}")
     slot_family = []
     for fam, p in enumerate(parts):
         slot_family += [fam] * p
@@ -568,10 +559,6 @@ def all_subgroups(g: PermGroup) -> list[frozenset]:
 
 
 @lru_cache(maxsize=None)
-def _sym_group(n: int) -> PermGroup:
-    return PermGroup.symmetric(n)
-
-
 def symmetric(n: int) -> PermGroup:
     """Cached S_n."""
-    return _sym_group(n)
+    return PermGroup.symmetric(n)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .catalog import Ambient, get_catalog
 from .errors import IntegralityViolation
-from .perms import Partition, PermGroup, partitions
+from .perms import Partition, PermGroup, cycle_census, partitions
 
 BASES = ("e", "h", "p")
 
@@ -112,15 +113,9 @@ class SymFunc:
             raise ValueError(f"basis must be one of {BASES}")
         clean = {}
         for key, c in (coeffs or {}).items():
-            if arity == 1:
-                key = key if isinstance(key, Partition) else Partition(key)
-            elif len(key) == arity:
-                key = tuple(pi if isinstance(pi, Partition) else Partition(pi) for pi in key)
-            else:
-                raise ValueError(f"key {key!r} does not have {arity} factors")
             c = Fraction(c)
             if c:
-                clean[key] = c
+                clean[_as_key(key, arity)] = c
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "arity", arity)
@@ -201,49 +196,75 @@ class SymFunc:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
+    def _factors(self, key) -> tuple[Partition, ...]:
+        return (key,) if self.arity == 1 else key
+
+    def _degree(self, key) -> int:
+        """The total degree of a key over its factors."""
+        return sum(pi.n for pi in self._factors(key))
+
+    def _sort_key(self, key):
+        """Degree and parts, factor by factor: the repr and to_json order."""
+        return tuple((pi.n, pi.parts) for pi in self._factors(key))
+
     def degrees(self) -> set[int]:
-        return {pi.n for pi in self.coeffs}
+        return {self._degree(key) for key in self.coeffs}
 
     def component(self, n: int) -> SymFunc:
-        return SymFunc(self.basis, {pi: c for pi, c in self.coeffs.items() if pi.n == n})
+        """The terms of total degree n, with the same arity."""
+        terms = {key: c for key, c in self.coeffs.items() if self._degree(key) == n}
+        return SymFunc(self.basis, terms, self.arity)
 
-    def coefficient(self, pi) -> Fraction:
-        return self.coeffs.get(Partition(pi), Fraction(0))
+    def coefficient(self, key) -> Fraction:
+        """The coefficient of a partition, or of an r-tuple of partitions
+        for arity r."""
+        return self.coeffs.get(_as_key(key, self.arity), Fraction(0))
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
-
-        def factors(key):
-            return (key,) if self.arity == 1 else key
-
         bits = []
-        for key, c in sorted(
-            self.coeffs.items(), key=lambda kv: tuple((pi.n, pi.parts) for pi in factors(kv[0]))
-        ):
+        for key, c in sorted(self.coeffs.items(), key=lambda kv: self._sort_key(kv[0])):
             name = "(x)".join(
                 f"{self.basis}[{','.join(map(str, pi.parts))}]" if pi.parts else "1"
-                for pi in factors(key)
+                for pi in self._factors(key)
             )
             bits.append(f"({c})*{name}" if c != 1 else name)
         return " + ".join(bits)
 
     def to_json(self):
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"partition": list(pi.parts), "numerator": c.numerator, "denominator": c.denominator}
-                for pi, c in sorted(self.coeffs.items(), key=lambda kv: (kv[0].n, kv[0].parts))
-            ],
-        }
+        """Arity 1 writes a "partition" per term; arity r >= 2 writes
+        "arity" and a list of r "partitions" per term."""
+        terms = []
+        for key, c in sorted(self.coeffs.items(), key=lambda kv: self._sort_key(kv[0])):
+            if self.arity == 1:
+                term = {"partition": list(key.parts)}
+            else:
+                term = {"partitions": [list(pi.parts) for pi in key]}
+            terms.append({**term, "numerator": c.numerator, "denominator": c.denominator})
+        out = {"basis": self.basis, "terms": terms}
+        if self.arity != 1:
+            out["arity"] = self.arity
+        return out
 
     @classmethod
     def from_json(cls, data) -> SymFunc:
-        coeffs = {
-            Partition(t["partition"]): Fraction(t["numerator"], t["denominator"])
-            for t in data["terms"]
-        }
-        return cls(data["basis"], coeffs)
+        arity = data.get("arity", 1)
+        name = "partition" if arity == 1 else "partitions"
+        coeffs = {}
+        for t in data["terms"]:
+            coeffs[_as_key(t[name], arity)] = Fraction(t["numerator"], t["denominator"])
+        return cls(data["basis"], coeffs, arity)
+
+
+def _as_key(key, arity: int):
+    """A coefficient key: a Partition for arity 1, an r-tuple of Partitions
+    for arity r; ValueError when the factor count is wrong."""
+    if arity == 1:
+        return key if isinstance(key, Partition) else Partition(key)
+    if len(key) != arity:
+        raise ValueError(f"key {key!r} does not have {arity} factors")
+    return tuple(pi if isinstance(pi, Partition) else Partition(pi) for pi in key)
 
 
 def _expand(pi: Partition, basis_from: str, basis_to: str) -> dict:
@@ -266,12 +287,6 @@ def p_(n: int) -> SymFunc:
     return SymFunc.generator("p", n)
 
 
-def _binomial(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
-
-
 def coproduct(f: SymFunc) -> SymFunc:
     """The diagonal with every p_k primitive: arity 2, in f's basis."""
     fp = f.convert("p")
@@ -286,7 +301,7 @@ def coproduct(f: SymFunc) -> SymFunc:
                         Partition(left.parts + (part,) * j),
                         Partition(right.parts + (part,) * (m - j)),
                     )
-                    step[key] = step.get(key, 0) + w * _binomial(m, j)
+                    step[key] = step.get(key, 0) + w * comb(m, j)
             splits = step
         for key, w in splits.items():
             v = out.get(key, 0) + c * w
@@ -319,18 +334,17 @@ def cycle_index(group: PermGroup, degrees=None) -> SymFunc:
     function.  The default is the single block S_{deg H}.
     """
     degrees = (group.degree,) if degrees is None else tuple(degrees)
-    block = [b for b, d in enumerate(degrees) for _ in range(d)]
-    out: dict = {}
-    weight = Fraction(1, group.order)
-    for g in group:
-        lengths = [[] for _ in degrees]
-        for cyc in g.cycles():
-            lengths[block[cyc[0]]].append(len(cyc))
-        key = tuple(map(Partition, lengths))
-        out[key] = out.get(key, 0) + weight
-    if len(degrees) == 1:
-        out = {key[0]: c for key, c in out.items()}
-    return SymFunc("p", out, arity=len(degrees))
+    if sum(degrees) != group.degree:
+        raise ValueError(f"degrees {degrees} do not sum to the group degree {group.degree}")
+    census = cycle_census(group.elements, Ambient.prod(degrees).blocks())
+    return _index_from_census(census, group.order, len(degrees))
+
+
+def _index_from_census(census, order: int, arity: int) -> SymFunc:
+    """The cycle index read off a cycle census: each count over |H|, keys as
+    Partitions."""
+    out = {key if arity > 1 else key[0]: Fraction(count, order) for key, count in census}
+    return SymFunc("p", out, arity)
 
 
 _LIN_CACHE: dict = {}
@@ -341,8 +355,8 @@ def _lin(a, arity: int) -> SymFunc:
     for key, coeff in a.terms.items():
         if key not in _LIN_CACHE:
             degrees, idx = key
-            rep = get_catalog(Ambient.prod(degrees)).classes[idx].rep
-            _LIN_CACHE[key] = cycle_index(rep, degrees)
+            cat = get_catalog(Ambient.prod(degrees))
+            _LIN_CACHE[key] = _index_from_census(cat.census(idx), cat.classes[idx].order, len(degrees))
         out = out + _LIN_CACHE[key].scale(coeff)
     return out
 
@@ -407,10 +421,6 @@ def generator_check(n: int) -> dict:
         "det_h_in_e": det_he,
         "unimodular": abs(det_eh) == 1 and abs(det_he) == 1,
     }
-
-
-def integral_in_basis(f: SymFunc, basis: str) -> bool:
-    return f.convert(basis).is_integral()
 
 
 def power_sum_mod2_congruence(r: int) -> bool:

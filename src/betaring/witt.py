@@ -183,19 +183,6 @@ def delta_m(n: int) -> SymFunc:
     return out
 
 
-def delta_m_value(coeffs_a, coeffs_b, n: int) -> Fraction:
-    """Evaluate delta_m(n) as a bilinear-monomial polynomial at e-coordinates."""
-    total = Fraction(0)
-    for (mu, nu), c in delta_m(n).coeffs.items():
-        prod = c
-        for part in mu.parts:
-            prod *= coeffs_a[part - 1]
-        for part in nu.parts:
-            prod *= coeffs_b[part - 1]
-        total += prod
-    return total
-
-
 def delta_m_dual_route_agrees(n: int) -> bool:
     """Check delta_m(k), k <= n, against the product-polynomial route on a grid.
 

@@ -208,6 +208,43 @@ def test_to_gset_requires_effective():
         (-x).to_gset()
 
 
+def test_to_gset_joins_coset_spaces_in_class_order():
+    g = s3()
+    x = GSet.regular(g)
+    y = GSet.coset_space(g, group_catalog(g).class_of("C2").rep)
+    element = BurnsideElement.basis(g, "e").scale(2) + BurnsideElement.basis(g, "C2")
+    joined = element.to_gset()
+    assert joined == x + x + y
+    assert joined.gen_action == tuple(
+        xr + tuple(p + x.size for p in xr) + tuple(p + 2 * x.size for p in yr)
+        for xr, yr in zip(x.gen_action, y.gen_action)
+    )
+
+
+def _left_coset_rows(group, sub):
+    """Left translation on the cosets eH, numbered by their least element."""
+    elems = sorted(group.elements)
+    coset_of, reps = {}, []
+    for e in elems:
+        if e not in coset_of:
+            for h in sub.elements:
+                coset_of[tuple(e[i] for i in h)] = len(reps)
+            reps.append(e)
+    return tuple(
+        tuple(coset_of[tuple(g.images[i] for i in r)] for r in reps) for g in group.generators
+    )
+
+
+def test_coset_spaces_are_left_translations_of_cosets():
+    klein = PermGroup.generate(4, [[1, 0, 2, 3], [0, 1, 3, 2]])
+    c4, c6 = PermGroup.cyclic(4), PermGroup.cyclic(6)
+    for g in (c2(), c3(), c4, s3(), klein, PermGroup.symmetric(4), c6):
+        for cls in group_catalog(g).classes:
+            x = GSet.coset_space(g, cls.rep)
+            assert x.gen_action == _left_coset_rows(g, cls.rep), cls.label
+        assert GSet.regular(g).gen_action == _left_coset_rows(g, PermGroup.trivial(g.degree))
+
+
 def test_induce_of_point_is_coset_space():
     g = s3()
     u = PermGroup.generate(3, [Permutation.parse(3, "(0 1)")])

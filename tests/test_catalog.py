@@ -161,6 +161,58 @@ def test_identify_round_trips_random_conjugates():
             assert c.identify(cls.rep.conjugate(g)) == cls.index, (ambient, cls.label)
 
 
+def _census_by_cycles(rep, blocks):
+    """Per-block cycle types counted with Permutation.cycles(): each cycle
+    is counted in the block holding its first point."""
+    counts = {}
+    for g in rep:
+        lengths = [[] for _ in blocks]
+        for cyc in g.cycles():
+            lengths[next(b for b, block in enumerate(blocks) if cyc[0] in block)].append(len(cyc))
+        key = tuple(tuple(sorted(ls)) for ls in lengths)
+        counts[key] = counts.get(key, 0) + 1
+    return frozenset(counts.items())
+
+
+def _order_by_powers(g):
+    order, power = 1, g
+    while not power.is_identity():
+        order, power = order + 1, power * g
+    return order
+
+
+def _is_even_by_inversions(g):
+    images = g.images
+    pairs = itertools.combinations(range(len(images)), 2)
+    return sum(images[i] > images[j] for i, j in pairs) % 2 == 0
+
+
+@pytest.mark.parametrize(
+    "ambient",
+    COLD_AMBIENTS + [Ambient.of_group(klein_group())],
+    ids=lambda a: a.descriptor(),
+)
+def test_census_cyclicity_and_alternating_alias_match_oracles(ambient):
+    """Catalog.census, PermGroup.is_cyclic and the A<n> alias against
+    cycles, element powers and inversion parity computed here."""
+    c = get_catalog(ambient)
+    n = c.group.degree
+    alternating = []
+    for cls in c.classes:
+        assert c.census(cls.index) == _census_by_cycles(cls.rep, ambient.blocks()), cls.label
+        cyclic = any(_order_by_powers(g) == cls.order for g in cls.rep)
+        assert cls.rep.is_cyclic() == cyclic, cls.label
+        if (
+            ambient.degrees == (n,)
+            and n >= 3
+            and 2 * cls.order == c.group.order
+            and all(_is_even_by_inversions(g) for g in cls.rep)
+        ):
+            alternating.append(cls.index)
+    assert len(alternating) == (1 if ambient.degrees == (n,) and n >= 3 else 0)
+    assert [cls.index for cls in c.classes if f"A{n}" in cls.aliases] == alternating
+
+
 def _brute_force_marks_row(group, h, classes):
     """Fixed points of each class representative on the left cosets gh,
     enumerated as element sets."""

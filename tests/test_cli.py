@@ -90,15 +90,11 @@ def test_check_adams_n1(capsys):
     assert code == 0
 
 
-def test_long_flag_reaches_check_adams(capsys, monkeypatch):
-    from betaring import checks
-
-    seen = []
-    monkeypatch.setattr(checks, "check_adams", lambda n, long_running: seen.append(long_running) or [])
-    code, _, _ = run(capsys, "--long", "check", "adams")
-    assert code == 0 and seen == [True]
-    code, _, _ = run(capsys, "check", "adams")
-    assert code == 0 and seen == [True, False]
+def test_check_adams_n6_solves_degree_six(capsys):
+    code, out, _ = run(capsys, "--json", "check", "adams", "--n", "6")
+    assert code == 0
+    reports = {r["identity"]: r["status"] for r in json.loads(out)["adams"]}
+    assert reports["Psi_K system solves integrally for n=6"] == "pass"
 
 
 def test_unknown_class_is_a_computation_error(capsys):

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from betaring.catalog import Ambient, get_catalog
 from betaring.errors import CapExceeded, NotASubgroup
 from betaring.perms import (
     Partition,
@@ -109,6 +111,33 @@ def test_wreath_order_law():
         h = PermGroup.symmetric(a)
         k = PermGroup.symmetric(b)
         assert wreath(h, k).order == h.order**b * k.order
+
+
+def _wreath_by_blocks(h, k):
+    """Every (h_0..h_{b-1}; k) of H wr K, acting by (j, i) -> (k(j), h_j(i))
+    on b blocks of a points."""
+    a, b = h.degree, k.degree
+    elements = set()
+    for base in itertools.product(sorted(h.elements), repeat=b):
+        for top in k.elements:
+            images = [0] * (a * b)
+            for j in range(b):
+                for i in range(a):
+                    images[j * a + i] = top[j] * a + base[j][i]
+            elements.add(tuple(images))
+    return elements
+
+
+def test_wreath_has_the_elements_of_the_block_action():
+    """Every class pair of S_a and S_b with a*b <= 6, as star_basis composes them."""
+    groups = {d: [cls.rep for cls in get_catalog(Ambient.sym(d)).classes] for d in range(7)}
+    for a, b in itertools.product(range(7), repeat=2):
+        if a * b > 6:
+            continue
+        for h, k in itertools.product(groups[a], groups[b]):
+            w = wreath(h, k)
+            assert w.degree == a * b
+            assert w.elements == _wreath_by_blocks(h, k), (h, k)
 
 
 def test_mixed_wreath_reduces_to_wreath():

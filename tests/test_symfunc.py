@@ -18,6 +18,7 @@ from betaring.symfunc import (
     plethysm,
     power_sum_mod2_congruence,
 )
+from betaring.witt import delta_m
 
 
 def test_degree_one_generators_coincide():
@@ -212,3 +213,22 @@ def test_component_and_coefficient():
     assert f.coefficient((2,)) == 1
     assert f.coefficient((1, 1)) == 1
     assert f.coefficient((3,)) == 0
+
+
+def test_arity_two_json_degrees_component_and_coefficient():
+    for f in (coproduct(h_(3)), delta_m(3)):
+        data = f.to_json()
+        assert data["arity"] == 2 and all(len(t["partitions"]) == 2 for t in data["terms"])
+        again = SymFunc.from_json(data)
+        assert again == f and (again.basis, again.arity) == (f.basis, 2)
+    assert "arity" not in h_(3).to_json()
+    assert delta_m(2).degrees() == {4}
+    f = coproduct(h_(3)) + SymFunc.tensor(h_(1), SymFunc.one("h"))
+    assert f.degrees() == {1, 3}
+    assert f.component(3) == coproduct(h_(3)) and f.component(3).arity == 2
+    assert f.component(1) == SymFunc.tensor(h_(1), SymFunc.one("h"))
+    assert f.component(2).is_zero() and f.component(2).arity == 2
+    assert f.coefficient(((2,), (1,))) == 1 and f.coefficient(((), (3,))) == 1
+    assert f.coefficient(((1,), ())) == 1 and f.coefficient(((1,), (1,))) == 0
+    with pytest.raises(ValueError):
+        f.coefficient(((2, 1),))
