@@ -5,17 +5,35 @@ extension to virtual elements.
 G is any small materialized permutation group; its subgroup-class data
 comes from the catalog machinery applied to G itself, so A(G) shares one
 code path with the A(S_n) building blocks.
+
+GSet, beta_on_gset, beta2_on_gsets and orbit_decompose are the explicit
+route, an oracle for operations computed from marks, so none of them reads
+marks.  A G-set's points are 0..size-1 and each group generator acts by a
+tuple of images.  X^n/H (and (X^p x Y^q)/L) never builds a tuple of X^n: a
+point of a product of G-sets is its integer code in mixed radix (the
+itertools.product order), and coordinate permutations and the diagonal
+G-action are flat code-to-code lists, built one coordinate (digit) at a
+time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from .catalog import Ambient, SubgroupClass, get_catalog
 from .config import get_config
 from .errors import IntegralityViolation, NotASubgroup, NotEffective, SizeCap
 from .perms import PermGroup, Permutation, _compose
+
+
+def _gather(row: tuple, indices) -> tuple:
+    """The tuple of row[i] for i in indices, in one C-level call."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)(row)
+    return tuple(row[i] for i in indices)
 
 
 class GSet:
@@ -54,7 +72,7 @@ class GSet:
                 act = action[elem]
                 for gimg, grow in gens:
                     nelem = _compose(gimg, elem)
-                    nact = tuple(grow[x] for x in act)
+                    nact = _gather(grow, act)
                     known = action.get(nelem)
                     if known is None:
                         action[nelem] = nact
@@ -115,27 +133,16 @@ class GSet:
         rows = [self.elem_action[g.images] for g in sub.generators]
         return GSet(sub, self.size, rows)
 
+    def _least_in_orbit(self) -> list[int]:
+        """For each point, the least point of its orbit: its least image
+        under the elements of G."""
+        return list(map(min, zip(*self.elem_action.values())))
+
     def orbits(self) -> list[list[int]]:
-        seen = [False] * self.size
-        out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            frontier = [start]
-            while frontier:
-                new = []
-                for pt in frontier:
-                    for row in self.gen_action:
-                        q = row[pt]
-                        if not seen[q]:
-                            seen[q] = True
-                            orbit.append(q)
-                            new.append(q)
-                frontier = new
-            out.append(sorted(orbit))
-        return out
+        """The orbits as sorted lists, in the order of their least points."""
+        least = self._least_in_orbit()
+        order = sorted(range(self.size), key=least.__getitem__)
+        return [list(pts) for _, pts in itertools.groupby(order, key=least.__getitem__)]
 
     def stabilizer(self, point: int) -> PermGroup:
         elems = [e for e, act in self.elem_action.items() if act[point] == point]
@@ -194,6 +201,9 @@ def induce(group: PermGroup, sub: PermGroup, x: GSet) -> GSet:
         reps.append(e)
         for h in sub.elements:
             coset_of.setdefault(_compose(e, h), coset_of[e])
+    if x.size == 1:
+        rows = [tuple(coset_of[_compose(g.images, r)] for r in reps) for g in group.generators]
+        return GSet(group, len(reps), rows)
     rep_inv = []
     for r in reps:
         inv = [0] * len(r)
@@ -355,12 +365,24 @@ class BurnsideElement:
 
 
 def orbit_decompose(x: GSet) -> BurnsideElement:
-    """Write a G-set as a nonnegative sum of transitive classes [G/H]."""
+    """Write a G-set as a nonnegative sum of transitive classes [G/H].
+
+    Each orbit is represented by its least point.  A stabilizer is the set
+    of elements fixing that point, read as one mask over the elements of G;
+    orbits with equal masks share one identify.
+    """
     cat = group_catalog(x.group)
     coords = [0] * len(cat.classes)
-    for orbit in x.orbits():
-        stab = x.stabilizer(orbit[0])
-        coords[cat.identify(stab)] += 1
+    reps = [p for p, least in enumerate(x._least_in_orbit()) if p == least]
+    elems = list(x.elem_action)
+    fixes = [map(operator.eq, _gather(act, reps), reps) for act in x.elem_action.values()]
+    class_of = {}
+    for mask in zip(*fixes):
+        idx = class_of.get(mask)
+        if idx is None:
+            stab = PermGroup.from_elements(x.group.degree, itertools.compress(elems, mask))
+            idx = class_of[mask] = cat.identify(stab)
+        coords[idx] += 1
     return BurnsideElement(cat, coords)
 
 
@@ -372,46 +394,70 @@ def _acting_group(h) -> PermGroup:
     raise TypeError("expected a SubgroupClass or PermGroup")
 
 
+def _code_map(columns) -> list[int]:
+    """The code-to-code list of a map that sends digit d of coordinate j to
+    columns[j][d] (already scaled by its target stride), in code order."""
+    codes = [0]
+    for column in columns:
+        codes = [a + x for a in codes for x in column]
+    return codes
+
+
 def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
     """Orbits of the coordinate-permuting group w on prod factors, with the
-    diagonal action of the common G on orbit representatives."""
+    diagonal action of the common G on orbit representatives.
+
+    A tuple t is stored as its integer code sum_j t_j * stride_j, with
+    stride_j = prod_{i>j} |X_i|, so codes 0..|X_0 x ... x X_{n-1}| - 1 run in
+    itertools.product order.  A generator g of w sends coordinate j to
+    position g(j), i.e. digit d of coordinate j to d * stride_{g(j)}; a
+    generator of G sends it to row_j[d] * stride_j.  Each becomes one flat
+    code-to-code list.  The w-orbits are labelled in a flat list in code
+    order, so each orbit is numbered and represented by its least code,
+    the first tuple of the product order that it contains.
+    """
     if not factors:
         raise ValueError("empty factor list")
     group = factors[0].group
-    total = 1
-    for f in factors:
-        total *= f.size
+    sizes = [f.size for f in factors]
+    total = math.prod(sizes)
     cap = get_config().gset_cap
     if total > cap:
         raise SizeCap(f"tuple space has {total} points, cap is {cap}")
     n = len(factors)
     if w.degree != n:
         raise ValueError("coordinate group degree must match the factor count")
-    inv_gens = [g.inverse().images for g in w.generators]
-    orbit_of: dict = {}
-    reps: list[tuple] = []
-    for t in itertools.product(*[range(f.size) for f in factors]):
-        if t in orbit_of:
+    w_gens = [g.images for g in w.generators]
+    if any(sizes[g[j]] != sizes[j] for g in w_gens for j in range(n)):
+        raise ValueError("a coordinate permutation moves a factor onto one of another size")
+    strides = [1] * n
+    for j in range(n - 2, -1, -1):
+        strides[j] = strides[j + 1] * sizes[j + 1]
+    w_maps = [
+        _code_map([d * strides[g[j]] for d in range(sizes[j])] for j in range(n))
+        for g in w_gens
+    ]
+    orbit_of = [-1] * total
+    reps: list[int] = []
+    for start in range(total):
+        if orbit_of[start] >= 0:
             continue
         oid = len(reps)
-        reps.append(t)
-        orbit_of[t] = oid
-        frontier = [t]
-        while frontier:
-            new = []
-            for u in frontier:
-                for ginv in inv_gens:
-                    v = tuple(u[ginv[i]] for i in range(n))
-                    if v not in orbit_of:
-                        orbit_of[v] = oid
-                        new.append(v)
-            frontier = new
+        reps.append(start)
+        orbit_of[start] = oid
+        queue = [start]
+        for code in queue:
+            for m in w_maps:
+                image = m[code]
+                if orbit_of[image] < 0:
+                    orbit_of[image] = oid
+                    queue.append(image)
     rows = []
-    for gi, g in enumerate(group.generators):
-        fact_rows = [f.gen_action[gi] for f in factors]
-        rows.append(
-            tuple(orbit_of[tuple(row[x] for row, x in zip(fact_rows, t))] for t in reps)
+    for gi in range(len(group.generators)):
+        g_map = _code_map(
+            [d * stride for d in f.gen_action[gi]] for f, stride in zip(factors, strides)
         )
+        rows.append(_gather(orbit_of, _gather(g_map, reps)))
     return GSet(group, len(reps), rows)
 
 

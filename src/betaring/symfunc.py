@@ -259,11 +259,14 @@ class SymFunc:
 
 def _as_key(key, arity: int):
     """A coefficient key: a Partition for arity 1, an r-tuple of Partitions
-    for arity r; ValueError when the factor count is wrong."""
+    for arity r; ValueError when the factor count is wrong or a factor is
+    an integer rather than a partition."""
     if arity == 1:
         return key if isinstance(key, Partition) else Partition(key)
-    if len(key) != arity:
+    if not isinstance(key, (tuple, list)) or len(key) != arity:
         raise ValueError(f"key {key!r} does not have {arity} factors")
+    if any(isinstance(pi, int) for pi in key):
+        raise ValueError(f"key {key!r} has an integer factor, not a partition")
     return tuple(pi if isinstance(pi, Partition) else Partition(pi) for pi in key)
 
 

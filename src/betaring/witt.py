@@ -143,17 +143,23 @@ def eps_ghost(coeffs) -> list:
     return ghost
 
 
-def eps_from_ghost(ghost) -> list[Fraction]:
-    coeffs: list[Fraction] = []
+def eps_from_ghost(ghost) -> list:
+    """The inverse of eps_ghost.  Entries stay ints while the ghost is
+    integral and each division by n is exact; otherwise they are Fractions."""
+    coeffs: list = []
     for n in range(1, len(ghost) + 1):
         acc = (-1) ** (n - 1) * ghost[n - 1]
         for i in range(1, n):
             acc += (-1) ** (i - 1) * ghost[i - 1] * coeffs[n - i - 1]
-        coeffs.append(Fraction(acc, n) if not isinstance(acc, Fraction) else acc / n)
+        if isinstance(acc, int):
+            q, r = divmod(acc, n)
+            coeffs.append(q if r == 0 else Fraction(acc, n))
+        else:
+            coeffs.append(acc / n)
     return coeffs
 
 
-def eps_product(a, b) -> list[Fraction]:
+def eps_product(a, b) -> list:
     """Coefficient vector of prod_{i,j}(1 + X_i Y_j u) given e(X) = a, e(Y) = b.
 
     Evaluates the universal product polynomials P_n numerically: power

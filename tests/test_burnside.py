@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from betaring import config
 from betaring.burnside import (
     BurnsideElement,
     GSet,
+    _tuple_orbit_quotient,
     beta2_on_gsets,
     beta_on_gset,
     beta_virtual,
@@ -276,3 +278,105 @@ def test_burnside_element_json():
     data = x.to_json()
     assert data["coords"] == list(x.coords)
     assert len(data["basis"]) == len(x.coords)
+
+
+def _reference_quotient(factors, w):
+    """Orbits of w on the tuples of prod factors by BFS over the tuples
+    themselves (v_i = u_(g^-1 i)), numbered in itertools.product order of
+    their first tuple, with G acting on the representatives."""
+    group = factors[0].group
+    inv_gens = [g.inverse().images for g in w.generators]
+    orbit_of, reps = {}, []
+    for t in itertools.product(*[range(f.size) for f in factors]):
+        if t in orbit_of:
+            continue
+        orbit_of[t] = len(reps)
+        reps.append(t)
+        frontier = [t]
+        while frontier:
+            new = []
+            for u in frontier:
+                for ginv in inv_gens:
+                    v = tuple(u[i] for i in ginv)
+                    if v not in orbit_of:
+                        orbit_of[v] = orbit_of[t]
+                        new.append(v)
+            frontier = new
+    rows = tuple(
+        tuple(orbit_of[tuple(f.gen_action[gi][x] for f, x in zip(factors, t))] for t in reps)
+        for gi in range(len(group.generators))
+    )
+    return len(reps), rows
+
+
+def _oracle_groups():
+    klein = PermGroup.generate(4, [[1, 0, 2, 3], [0, 1, 3, 2]])
+    return [c2(), c3(), PermGroup.cyclic(4), s3(), klein]
+
+
+def test_beta_on_gset_matches_tuple_bfs_reference():
+    for g in _oracle_groups():
+        sets = [GSet.coset_space(g, cls.rep) for cls in group_catalog(g).classes]
+        for n in range(1, 5):
+            for cls in get_catalog(Ambient.sym(n)).classes:
+                for x in sets:
+                    quotient = beta_on_gset(cls, x)
+                    expected = _reference_quotient([x] * n, cls.rep)
+                    assert (quotient.size, quotient.gen_action) == expected, (n, cls.label, x.size)
+
+
+def test_beta2_on_gsets_matches_reference_with_unequal_factor_sizes():
+    checked = 0
+    for g in (c2(), s3(), PermGroup.cyclic(4)):
+        sets = [GSet.coset_space(g, cls.rep) for cls in group_catalog(g).classes]
+        pairs = [(x, y) for x in sets for y in sets if x.size != y.size]
+        for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
+            for cls in get_catalog(Ambient.pair(p, q)).classes:
+                for x, y in pairs:
+                    quotient = beta2_on_gsets(cls, x, y)
+                    expected = _reference_quotient([x] * p + [y] * q, cls.rep)
+                    assert (quotient.size, quotient.gen_action) == expected, (p, q, cls.label)
+                    checked += 1
+    assert checked > 100
+
+
+def test_size_cap_is_exact():
+    x = GSet.regular(c3())
+    s3_cls = sym_class(3, "S3")
+    with config.override(gset_cap=27):
+        assert beta_on_gset(s3_cls, x).size == 10
+    with config.override(gset_cap=26):
+        with pytest.raises(SizeCap):
+            beta_on_gset(s3_cls, x)
+
+
+def test_coordinate_group_mixing_factor_sizes_is_rejected():
+    g = c2()
+    x, y = GSet.regular(g), GSet.point(g)
+    with pytest.raises(ValueError):
+        _tuple_orbit_quotient([x, y], PermGroup.symmetric(2))
+    with pytest.raises(ValueError):
+        _tuple_orbit_quotient([x, x, y], PermGroup.cyclic(3))
+    assert _tuple_orbit_quotient([x, y, x], PermGroup.generate(3, [[2, 1, 0]])).size == 3
+    assert _tuple_orbit_quotient([x, GSet.empty(g)], PermGroup.trivial(2)) == GSet.empty(g)
+
+
+def test_orbits_and_orbit_decompose_match_a_per_point_count():
+    for g in _oracle_groups():
+        cat = group_catalog(g)
+        sets = [GSet.coset_space(g, cls.rep) for cls in cat.classes]
+        for x in sets:
+            for y in sets:
+                for z in (x * y, beta_on_gset(sym_class(2, "S2"), x + y)):
+                    expected = [0] * len(cat.classes)
+                    orbits = []
+                    seen = set()
+                    for point in range(z.size):
+                        if point in seen:
+                            continue
+                        orbit = {z.act(e, point) for e in z.elem_action}
+                        seen |= orbit
+                        orbits.append(sorted(orbit))
+                        expected[cat.identify(z.stabilizer(point))] += 1
+                    assert z.orbits() == orbits
+                    assert orbit_decompose(z).coords == tuple(expected)

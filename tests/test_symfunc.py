@@ -232,3 +232,16 @@ def test_arity_two_json_degrees_component_and_coefficient():
     assert f.coefficient(((1,), ())) == 1 and f.coefficient(((1,), (1,))) == 0
     with pytest.raises(ValueError):
         f.coefficient(((2, 1),))
+
+
+def test_arity_two_keys_with_integer_factors_raise_value_error():
+    f = coproduct(h_(3))
+    with pytest.raises(ValueError):
+        f.coefficient((2, 1))
+    with pytest.raises(ValueError):
+        SymFunc("h", {(2, 1): 1}, arity=2)
+    data = f.to_json()
+    data["terms"][0]["partitions"] = [2, 1]
+    with pytest.raises(ValueError):
+        SymFunc.from_json(data)
+    assert f.coefficient(((2,), (1,))) == 1

@@ -1,5 +1,6 @@
-"""The names the benchmark traces still exist, every demo runs, and the
-query path never builds a Cayley table."""
+"""The names the benchmark traces still exist, every demo runs, the
+query path never builds a Cayley table, and the explicit G-set route
+never reads marks."""
 
 import importlib
 import importlib.util
@@ -14,7 +15,7 @@ import betaring.checks  # noqa: F401  (spans.FUNCTIONS names functions in it)
 from betaring import bring, catalog
 from betaring.adams import solve_psi_K
 from betaring.bring import BElement, diagonal, product, star, star_basis
-from betaring.burnside import GSet, orbit_decompose
+from betaring.burnside import BurnsideElement, GSet, beta2_on_gsets, beta_on_gset, orbit_decompose
 from betaring.catalog import Ambient
 from betaring.checks import klein_group
 from betaring.config import get_config
@@ -110,3 +111,37 @@ def test_queries_build_no_cayley_table(monkeypatch):
     monkeypatch.setattr(catalog._GroupTable, "__init__", refuse)
     assert _query_results() == expected
     assert any(a.cacheable for a in catalog._CATALOGS)
+
+
+def _explicit_results():
+    klein = klein_group()
+    sets = [GSet.coset_space(klein, cls.rep) for cls in catalog.get_catalog(Ambient.of_group(klein)).classes]
+    c3 = PermGroup.cyclic(3)
+    x, y = GSet.regular(c3), GSet.coset_space(c3, c3)
+    pair = catalog.get_catalog(Ambient.pair(2, 1))
+    out = []
+    for cls in catalog.get_catalog(Ambient.sym(3)).classes:
+        for z in sets:
+            quotient = beta_on_gset(cls, z)
+            out.append((quotient.size, quotient.gen_action, orbit_decompose(quotient).coords))
+    for cls in pair.classes:
+        quotient = beta2_on_gsets(cls, x, y)
+        out.append((quotient.size, quotient.gen_action, orbit_decompose(quotient).coords))
+    built = (sets[0] * sets[1] + GSet.regular(klein), GSet(c3, 3, [(1, 2, 0)]))
+    out.append(tuple((z.size, z.gen_action, len(z.elem_action)) for z in built))
+    return out
+
+
+def test_explicit_gset_route_reads_no_marks(monkeypatch):
+    """beta_on_gset, beta2_on_gsets, G-set construction and orbit
+    decomposition are the oracle the mark-level operations are checked
+    against, so they must answer the same with the marks code disabled."""
+    expected = _explicit_results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the explicit G-set route called marks code")
+
+    monkeypatch.setattr(BurnsideElement, "marks", refuse)
+    monkeypatch.setattr(BurnsideElement, "from_marks", refuse)
+    monkeypatch.setattr(bring, "eval_burnside", refuse)
+    assert _explicit_results() == expected

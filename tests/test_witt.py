@@ -108,3 +108,29 @@ def test_delta_m_dual_route():
 def test_witt_json_roundtrip():
     a = WittVector([Fraction(1, 3), -2, 0, 5], 4)
     assert WittVector.from_json(a.to_json()) == a
+
+
+def _eps_from_ghost_in_fractions(ghost):
+    """eps_from_ghost with every entry a Fraction: the reference."""
+    coeffs = []
+    for n in range(1, len(ghost) + 1):
+        acc = Fraction((-1) ** (n - 1)) * ghost[n - 1]
+        for i in range(1, n):
+            acc += (-1) ** (i - 1) * Fraction(ghost[i - 1]) * coeffs[n - i - 1]
+        coeffs.append(acc / n)
+    return coeffs
+
+
+def test_eps_from_ghost_matches_a_fraction_reference():
+    import itertools
+
+    for a in itertools.product(range(-2, 3), repeat=4):
+        ghost = eps_ghost(a)
+        out = eps_from_ghost(ghost)
+        assert out == _eps_from_ghost_in_fractions(ghost) == list(a)
+        assert all(type(c) is int for c in out)
+    for ghost in ([1, 2, 3, 4], [Fraction(1, 2), 0, Fraction(-3, 4)], [Fraction(2), Fraction(4)], [3, 1]):
+        out = eps_from_ghost(ghost)
+        assert out == _eps_from_ghost_in_fractions(ghost)
+    assert eps_from_ghost([1, 2]) == [1, Fraction(-1, 2)]
+    assert all(isinstance(c, Fraction) for c in eps_from_ghost([Fraction(2), Fraction(4)]))
