@@ -26,6 +26,7 @@ from .burnside import BurnsideElement, beta_virtual, extrapolate_to_minus_one
 from .catalog import Ambient, Catalog, get_catalog
 from .config import get_config
 from .errors import DegreeCap, IntegralityViolation, NotEffective
+from .exact import norm_coeff
 from .perms import PermGroup, Permutation, direct_embed, mixed_wreath, wreath
 
 
@@ -40,11 +41,6 @@ def _catalog(degrees) -> Catalog:
 def _check_degree(n: int):
     if n > get_config().max_degree:
         raise DegreeCap(f"degree {n} exceeds max_degree {get_config().max_degree}")
-
-
-def _norm_coeff(c):
-    c = Fraction(c)
-    return int(c) if c.denominator == 1 else c
 
 
 class BElement:
@@ -62,7 +58,7 @@ class BElement:
     def __init__(self, terms=None):
         clean = {}
         for (degrees, idx), c in (terms or {}).items():
-            c = _norm_coeff(c)
+            c = norm_coeff(c)
             if c:
                 clean[(tuple(degrees), idx)] = c
         object.__setattr__(self, "terms", clean)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .catalog import Ambient, SubgroupClass, get_catalog
 from .config import get_config
@@ -298,18 +297,16 @@ class BurnsideElement:
 
     @classmethod
     def from_marks(cls, catalog, marks) -> BurnsideElement:
-        """Invert the (triangular) marks matrix; errors if non-integral."""
+        """Invert the (triangular) marks matrix in integers; errors if non-integral."""
         matrix = catalog.matrix
         n = len(catalog.classes)
-        coords = [Fraction(0)] * n
+        coords = [0] * n
         for k in range(n - 1, -1, -1):
-            acc = Fraction(marks[k])
-            for h in range(k + 1, n):
-                acc -= coords[h] * matrix[h][k]
-            coords[k] = acc / matrix[k][k]
-        if any(c.denominator != 1 for c in coords):
-            raise IntegralityViolation("marks vector is not in the image of A(G)")
-        return cls(catalog, [int(c) for c in coords])
+            acc = marks[k] - sum(coords[h] * matrix[h][k] for h in range(k + 1, n))
+            coords[k], remainder = divmod(acc, matrix[k][k])
+            if remainder:
+                raise IntegralityViolation("marks vector is not in the image of A(G)")
+        return cls(catalog, coords)
 
     def __mul__(self, other: BurnsideElement) -> BurnsideElement:
         self._same_ring(other)

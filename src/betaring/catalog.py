@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import reduce
@@ -631,7 +632,7 @@ def _is_consistent(cat: Catalog) -> bool:
 def _write_cache(path, cat: Catalog):
     """Write through a temporary file of this writer's own, then rename it
     into place, so concurrent writers never share or clobber a partial file.
-    A cache that cannot be written is skipped."""
+    A cache that cannot be written is skipped with a warning naming it."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -640,7 +641,8 @@ def _write_cache(path, cat: Catalog):
         with os.fdopen(fd, "w") as handle:
             handle.write(json.dumps(cat.to_json()))
         os.replace(tmp, path)
-    except OSError:
+    except OSError as exc:
+        warnings.warn(f"catalog cache {path} not written: {exc}", stacklevel=3)
         if tmp is not None:
             try:
                 os.unlink(tmp)

@@ -53,10 +53,6 @@ def _class_element(text: str) -> BElement:
     return BElement.basis(n, label)
 
 
-def _coeff_json(c):
-    return [c.numerator, c.denominator] if isinstance(c, Fraction) else c
-
-
 def _emit(args, payload, text: str):
     if args.json:
         print(json.dumps(payload, indent=2, default=str))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,26 +43,35 @@ class Config:
 
 
 _config = Config()
+# field overrides of the enclosing `override` blocks, per thread or task
+_overrides: ContextVar[tuple] = ContextVar("betaring_config_overrides", default=())
 
 
 def get_config() -> Config:
-    return _config
+    overrides = _overrides.get()
+    return replace(_config, **dict(overrides)) if overrides else _config
 
 
 def set_config(config: Config | None = None, **overrides) -> Config:
-    """Replace the active config (or tweak fields of the current one)."""
+    """Replace the process-wide config (or tweak fields of it).
+
+    Returns the active config: enclosing `override` blocks still apply.
+    """
     global _config
     _config = replace(config or _config, **overrides)
-    return _config
+    return get_config()
 
 
 @contextmanager
 def override(**overrides):
-    """Temporarily adjust config fields within a with-block."""
-    global _config
-    saved = _config
-    _config = replace(_config, **overrides)
+    """Temporarily adjust config fields within a with-block.
+
+    The adjustment is seen only by the thread or asyncio task that enters
+    the block, layered over the process-wide config, so interleaved blocks
+    in other threads neither see nor undo it.
+    """
+    token = _overrides.set(tuple({**dict(_overrides.get()), **overrides}.items()))
     try:
-        yield _config
+        yield get_config()
     finally:
-        _config = saved
+        _overrides.reset(token)

@@ -6,16 +6,29 @@ for series products and the ring multiplication is *defined* by ghost =
 pointwise product, inverted over the rationals.  Products of integer
 vectors are asserted integral, which is exactly the classical claim that
 the universal product polynomials have integer coefficients.
+
+log(1 + a1 t + ...) is one series whether the a_i are read as h's or e's,
+so one Newton recursion (`eps_ghost`, `eps_from_ghost`) serves both, up to
+the sign (-1)^(n-1).  Entries are ints, Fractions only after an inexact division.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .errors import IntegralityViolation, PrecisionMismatch
+from .exact import norm_coeff
 from .symfunc import SymFunc
 
 DEFAULT_PRECISION = 8
+
+
+def _twist(ghost) -> list:
+    """g_n -> (-1)^(n-1) g_n: between e-reading and h-reading power sums."""
+    return [-g if n % 2 == 0 else g for n, g in enumerate(ghost, start=1)]
 
 
 class WittVector:
@@ -24,13 +37,12 @@ class WittVector:
     __slots__ = ("precision", "coeffs")
 
     def __init__(self, coeffs, precision: int | None = None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [norm_coeff(c) for c in coeffs]
         if precision is None:
             precision = len(coeffs)
-        if len(coeffs) < precision:
-            coeffs += [Fraction(0)] * (precision - len(coeffs))
-        if len(coeffs) != precision:
-            raise ValueError("more coefficients than the precision allows")
+        if not 0 <= len(coeffs) <= precision:
+            raise ValueError(f"precision {precision} cannot hold {len(coeffs)} coefficients")
+        coeffs += [0] * (precision - len(coeffs))
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -49,23 +61,18 @@ class WittVector:
 
     @classmethod
     def from_ghost(cls, ghost, precision: int | None = None) -> WittVector:
-        ghost = [Fraction(g) for g in ghost]
+        """The vector whose first `precision` ghost components are `ghost`'s."""
+        ghost = [norm_coeff(g) for g in ghost]
         if precision is None:
             precision = len(ghost)
-        coeffs: list[Fraction] = []
-        for n in range(1, precision + 1):
-            acc = ghost[n - 1] + sum(ghost[i - 1] * coeffs[n - i - 1] for i in range(1, n))
-            coeffs.append(acc / n)
-        return cls(coeffs, precision)
+        n = len(ghost)
+        if not 0 <= precision <= n:
+            raise ValueError(f"precision {precision} is outside 0..{n} for {n} ghost components")
+        return cls(eps_from_ghost(_twist(ghost[:precision])), precision)
 
-    def ghost(self) -> tuple[Fraction, ...]:
-        """g_n = p_n of the alphabet with a_i = h_i, via Newton's recursion."""
-        a = self.coeffs
-        ghost: list[Fraction] = []
-        for n in range(1, self.precision + 1):
-            g = n * a[n - 1] - sum(ghost[i - 1] * a[n - i - 1] for i in range(1, n))
-            ghost.append(g)
-        return tuple(ghost)
+    def ghost(self) -> tuple:
+        """g_n = p_n of the alphabet with a_i = h_i."""
+        return tuple(_twist(eps_ghost(self.coeffs)))
 
     def _match(self, other: WittVector):
         if self.precision != other.precision:
@@ -75,18 +82,16 @@ class WittVector:
 
     def __add__(self, other: WittVector) -> WittVector:
         self._match(other)
-        a = (Fraction(1),) + self.coeffs
-        b = (Fraction(1),) + other.coeffs
+        a = (1,) + self.coeffs
+        b = (1,) + other.coeffs
         out = []
         for n in range(1, self.precision + 1):
             out.append(sum(a[i] * b[n - i] for i in range(n + 1)))
         return WittVector(out, self.precision)
 
     def __neg__(self) -> WittVector:
-        out: list[Fraction] = []
-        for n in range(1, self.precision + 1):
-            out.append(-self.coeffs[n - 1] - sum(self.coeffs[i - 1] * out[n - i - 1] for i in range(1, n)))
-        return WittVector(out, self.precision)
+        """The series inverse: the ghost map is additive."""
+        return WittVector.from_ghost([-g for g in self.ghost()])
 
     def __sub__(self, other: WittVector) -> WittVector:
         return self + (-other)
@@ -96,9 +101,7 @@ class WittVector:
 
     def __mul__(self, other: WittVector) -> WittVector:
         self._match(other)
-        ga = self.ghost()
-        gb = other.ghost()
-        product = WittVector.from_ghost([x * y for x, y in zip(ga, gb)], self.precision)
+        product = WittVector.from_ghost(_ghost_product(self.coeffs, other.coeffs))
         if self.is_integral() and other.is_integral() and not product.is_integral():
             raise IntegralityViolation("integer Witt vectors multiplied to a non-integer")
         return product
@@ -131,26 +134,23 @@ class WittVector:
 def eps_ghost(coeffs) -> list:
     """Power sums of the alphabet with a_i = e_i (the prod(1 + x_i t) reading).
 
+    Newton's recursion runs on the h-reading sums, then twists them.
     Integer inputs stay integers: the Newton expressions are integral.
     """
     a = list(coeffs)
-    ghost: list = []
+    h: list = []
     for n in range(1, len(a) + 1):
-        acc = n * a[n - 1]
-        for i in range(1, n):
-            acc -= (-1) ** (i - 1) * ghost[i - 1] * a[n - i - 1]
-        ghost.append((-1) ** (n - 1) * acc)
-    return ghost
+        h.append(n * a[n - 1] - sum(map(mul, h, reversed(a[: n - 1]))))
+    return _twist(h)
 
 
 def eps_from_ghost(ghost) -> list:
     """The inverse of eps_ghost.  Entries stay ints while the ghost is
     integral and each division by n is exact; otherwise they are Fractions."""
+    h = _twist(ghost)
     coeffs: list = []
-    for n in range(1, len(ghost) + 1):
-        acc = (-1) ** (n - 1) * ghost[n - 1]
-        for i in range(1, n):
-            acc += (-1) ** (i - 1) * ghost[i - 1] * coeffs[n - i - 1]
+    for n in range(1, len(h) + 1):
+        acc = sum(map(mul, h, reversed(coeffs)), h[n - 1])
         if isinstance(acc, int):
             q, r = divmod(acc, n)
             coeffs.append(q if r == 0 else Fraction(acc, n))
@@ -159,18 +159,18 @@ def eps_from_ghost(ghost) -> list:
     return coeffs
 
 
+def _ghost_product(a, b) -> list:
+    """Pointwise product of power sums; the e/h reading sign squares away."""
+    return [x * y for x, y in zip(eps_ghost(a), eps_ghost(b))]
+
+
 def eps_product(a, b) -> list:
     """Coefficient vector of prod_{i,j}(1 + X_i Y_j u) given e(X) = a, e(Y) = b.
 
     Evaluates the universal product polynomials P_n numerically: power
     sums multiply pointwise over the product alphabet {X_i Y_j}.
     """
-    ga = eps_ghost(a)
-    gb = eps_ghost(b)
-    return eps_from_ghost([x * y for x, y in zip(ga, gb)])
-
-
-from functools import lru_cache
+    return eps_from_ghost(_ghost_product(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +197,6 @@ def delta_m_dual_route_agrees(n: int) -> bool:
     evaluating both routes on the integer grid 0..floor(n/i) per variable,
     in each tensor slot, proves the polynomial identities exactly.
     """
-    import itertools
-
     tables = []
     for k in range(1, n + 1):
         tables.append(

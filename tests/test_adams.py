@@ -1,8 +1,18 @@
 from fractions import Fraction
 
 from betaring.adams import check_gcd, check_prop_adams, psi_partition, psi_upper, solve_psi_K
-from betaring.bring import BElement, beta_regular, beta_upper, eval_z, product, sym_catalog
-from betaring.perms import PermGroup, partitions
+from betaring.bring import (
+    BElement,
+    beta_regular,
+    beta_upper,
+    eval_burnside,
+    eval_z,
+    product,
+    sym_catalog,
+)
+from betaring.burnside import BurnsideElement, GSet, group_catalog
+from betaring.checks import klein_group
+from betaring.perms import PermGroup, Permutation, partitions
 from betaring.symfunc import lin, p_
 
 
@@ -115,3 +125,71 @@ def test_adams_table_json():
     data = table.to_json()
     assert data["n"] == 2
     assert data["entries"][1]["beta_coeffs"] == [-1, 2]
+
+
+def _adams_groups():
+    return [
+        PermGroup.cyclic(2),
+        PermGroup.cyclic(3),
+        PermGroup.cyclic(4),
+        PermGroup.symmetric(3),
+        klein_group(),
+    ]
+
+
+def _psi_marks(k, x):
+    return eval_burnside(psi_upper(k), x).marks()
+
+
+def test_psi_marks_count_points_whose_orbit_size_divides_k():
+    """phi_K(Psi^k X) = #{x in X : |K.x| divides k}, with the right side
+    counted from K-orbits on the explicit coset spaces."""
+    cases = 0
+    for group in _adams_groups():
+        cat = group_catalog(group)
+        for h in cat.classes:
+            gset = GSet.coset_space(group, h.rep)
+            x = BurnsideElement.basis(group, h.index)
+            for k in (2, 3):
+                marks = _psi_marks(k, x)
+                for kc in cat.classes:
+                    actions = [gset.elem_action[g] for g in kc.rep.elements]
+                    orbit_sizes = [len({act[p] for act in actions}) for p in range(gset.size)]
+                    assert marks[kc.index] == sum(1 for s in orbit_sizes if k % s == 0)
+                    cases += 1
+    assert cases == 116
+
+
+def test_psi_at_cyclic_marks_is_the_mark_at_the_kth_power():
+    """phi_<g>(Psi^k X) = phi_<g^k>(X): multiplicative at cyclic marks."""
+    cases = 0
+    for group in _adams_groups():
+        cat = group_catalog(group)
+
+        def cyclic_class(g):
+            return cat.identify(PermGroup.generate(group.degree, [g]))
+
+        for h in cat.classes:
+            x = BurnsideElement.basis(group, h.index)
+            for k in (2, 3):
+                psi, plain = _psi_marks(k, x), x.marks()
+                for g in group:
+                    gk = Permutation.identity(group.degree)
+                    for _ in range(k):
+                        gk = gk * g
+                    assert psi[cyclic_class(g.images)] == plain[cyclic_class(gk.images)]
+                    cases += 1
+    assert cases == 132
+
+
+def test_psi_is_not_multiplicative_on_a_burnside_ring():
+    """Psi^3(x^2) != Psi^3(x)^2 for x = [S3/C2], at the S3 mark (3 against 9)."""
+    s3 = PermGroup.symmetric(3)
+    cat = group_catalog(s3)
+    c2 = next(c for c in cat.classes if c.order == 2)
+    x = BurnsideElement.basis(s3, c2.index)
+    psi = psi_upper(3)
+    square_first = eval_burnside(psi, x * x).marks()[-1]
+    psi_first = eval_burnside(psi, x)
+    assert cat.classes[-1].order == 6
+    assert (square_first, (psi_first * psi_first).marks()[-1]) == (3, 9)

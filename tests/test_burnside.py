@@ -16,7 +16,7 @@ from betaring.burnside import (
     orbit_decompose,
 )
 from betaring.catalog import Ambient, get_catalog
-from betaring.errors import NotEffective, SizeCap
+from betaring.errors import IntegralityViolation, NotEffective, SizeCap
 from betaring.perms import PermGroup, Permutation, direct_embed
 
 
@@ -92,6 +92,16 @@ def test_marks_are_homomorphic_and_injective():
         assert (a + b).marks() == tuple(x + y for x, y in zip(a.marks(), b.marks()))
         assert (a * b).marks() == tuple(x * y for x, y in zip(a.marks(), b.marks()))
         assert BurnsideElement.from_marks(cat, a.marks()) == a
+
+
+def test_non_integral_marks_vector_raises():
+    cat = group_catalog(s3())
+    assert BurnsideElement.from_marks(cat, [6, 0, 0, 0]).coords == (1, 0, 0, 0)
+    for marks in ([1, 0, 0, 0], [3, 1, 1, 1], [2, 2, 0, 0]):
+        with pytest.raises(IntegralityViolation, match="not in the image"):
+            BurnsideElement.from_marks(cat, marks)
+    with pytest.raises(IntegralityViolation):
+        BurnsideElement.from_marks(group_catalog(c2()), [1, 0])
 
 
 def test_beta_identity_cases():

@@ -361,10 +361,30 @@ def test_failed_cache_write_removes_its_temporary_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cat.os, "replace", refuse)
     with config.override(catalog_dir=str(tmp_path)):
         cat.clear_memo()
-        built = get_catalog(Ambient.sym(3))
+        with pytest.warns(UserWarning, match="rename refused"):
+            built = get_catalog(Ambient.sym(3))
     cat.clear_memo()
     assert len(built.classes) == 4
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_cache_warns_and_still_builds(tmp_path):
+    """A cache directory beneath a regular file cannot be made (permission
+    bits would not stop a superuser); the build warns once and goes on."""
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("a regular file")
+    directory = blocker / "catalogs"
+    cat.clear_memo()
+    reference = [c.label for c in get_catalog(Ambient.sym(4)).classes]
+    with config.override(catalog_dir=str(directory)):
+        cat.clear_memo()
+        with pytest.warns(UserWarning) as record:
+            built = get_catalog(Ambient.sym(4))
+    cat.clear_memo()
+    assert [c.label for c in built.classes] == reference
+    assert len(record) == 1 and str(directory / "S4_v1.json") in str(record[0].message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["not_a_directory"]
+    assert blocker.read_text() == "a regular file"
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,39 @@ def test_witt_subcommand(capsys):
     assert data["result"]["coeffs"] == [[1, 1], [1, 1]]
 
 
+def test_witt_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "witt", "--op", "mul", "--a", "1,2,-3", "--b", "2,0,5")
+    assert code == 0
+    assert out == "1 + (2)t^1 + (-4)t^2 + (-118)t^3\n  ghost: ['2', '-12', '-322']\n"
+    code, out, _ = run(capsys, "--json", "witt", "--op", "mul", "--a", "1,2,-3", "--b", "2,0,5")
+    pinned = {
+        "op": "mul",
+        "result": {"precision": 3, "coeffs": [[2, 1], [-4, 1], [-118, 1]]},
+        "ghost": ["2", "-12", "-322"],
+    }
+    assert out == json.dumps(pinned, indent=2) + "\n"
+    code, out, _ = run(capsys, "witt", "--op", "mul", "--a", "1/2,3,-1", "--b", "2/3,1,4")
+    assert code == 0
+    assert out == (
+        "1 + (1/3)t^1 + (163/36)t^2 + (-643/27)t^3\n"
+        "  ghost: ['1/3', '161/18', '-8201/108']\n"
+    )
+    code, out, _ = run(capsys, "--json", "witt", "--op", "mul", "--a", "1/2,3,-1", "--b", "2/3,1,4")
+    pinned = {
+        "op": "mul",
+        "result": {"precision": 3, "coeffs": [[1, 3], [163, 36], [-643, 27]]},
+        "ghost": ["1/3", "161/18", "-8201/108"],
+    }
+    assert out == json.dumps(pinned, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("prec", ["-1", "2"])
+def test_witt_bad_precision_exits_one(capsys, prec):
+    code, _, err = run(capsys, "witt", "--op", "add", "--a", "1,2,3", "--b", "1", "--prec", prec)
+    assert code == 1
+    assert "precision" in err and "3 coefficients" in err
+
+
 def test_check_suite_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "mod2")
     assert code == 0

@@ -134,3 +134,51 @@ def test_eps_from_ghost_matches_a_fraction_reference():
         assert out == _eps_from_ghost_in_fractions(ghost)
     assert eps_from_ghost([1, 2]) == [1, Fraction(-1, 2)]
     assert all(isinstance(c, Fraction) for c in eps_from_ghost([Fraction(2), Fraction(4)]))
+
+
+def _h_ghost_in_fractions(coeffs):
+    """Newton's recursion on the h reading, in Fractions: the reference."""
+    ghost = []
+    for n in range(1, len(coeffs) + 1):
+        acc = n * Fraction(coeffs[n - 1])
+        ghost.append(acc - sum(ghost[i - 1] * coeffs[n - i - 1] for i in range(1, n)))
+    return tuple(ghost)
+
+
+def test_ghost_negation_and_product_match_the_h_recursion():
+    rng = random.Random(11)
+    for _ in range(30):
+        a = WittVector([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)], 6)
+        b = WittVector([rng.randint(-5, 5) for _ in range(6)], 6)
+        ga, gb = _h_ghost_in_fractions(a.coeffs), _h_ghost_in_fractions(b.coeffs)
+        assert a.ghost() == ga and b.ghost() == gb
+        assert (-a).ghost() == tuple(-g for g in ga)
+        assert -a + a == WittVector.zero(6)
+        assert _h_ghost_in_fractions((a * b).coeffs) == tuple(x * y for x, y in zip(ga, gb))
+        assert WittVector.from_ghost(ga) == a
+
+
+def test_integer_vectors_keep_int_entries():
+    rng = random.Random(8)
+    for _ in range(20):
+        a, b = (WittVector([rng.randint(-9, 9) for _ in range(8)], 8) for _ in range(2))
+        for v in (a + b, a - b, -a, a * b):
+            assert all(type(c) is int for c in v.coeffs)
+            assert all(type(g) is int for g in v.ghost())
+    assert all(type(c) is int for c in WittVector([Fraction(4, 2), "3", 1.0]).coeffs)
+    # a Fraction appears only where a division is inexact
+    assert WittVector.from_ghost([1, 2]).coeffs == (1, Fraction(3, 2))
+    assert type(WittVector.from_ghost([1, 3]).coeffs[1]) is int
+
+
+def test_precision_is_validated_with_the_lengths():
+    with pytest.raises(ValueError, match="precision 3 .* 2 ghost"):
+        WittVector.from_ghost([1, 2], 3)
+    with pytest.raises(ValueError, match="precision -1 .* 2 ghost"):
+        WittVector.from_ghost([1, 2], -1)
+    with pytest.raises(ValueError, match="precision -1 cannot hold 3 coefficients"):
+        WittVector([1, 2, 3], -1)
+    with pytest.raises(ValueError, match="precision 2 cannot hold 3 coefficients"):
+        WittVector([1, 2, 3], 2)
+    assert WittVector.from_ghost([1, 2, 3], 2) == WittVector.from_ghost([1, 2])
+    assert WittVector([], 0).coeffs == ()
