@@ -27,7 +27,7 @@ from .catalog import Ambient, Catalog, get_catalog
 from .config import get_config
 from .errors import DegreeCap, IntegralityViolation, NotEffective
 from .exact import norm_coeff
-from .perms import PermGroup, Permutation, direct_embed, mixed_wreath, wreath
+from .perms import PermGroup, Permutation, direct_embed, mixed_wreath
 
 
 def sym_catalog(n: int) -> Catalog:
@@ -316,19 +316,21 @@ def _compositions(n: int, r: int):
 
 
 @lru_cache(maxsize=None)
-def _star_basis_key(m: int, i: int, n: int, j: int) -> tuple[tuple[int], int]:
-    _check_degree(m * n)
-    h = sym_catalog(m).classes[i].rep
-    k = sym_catalog(n).classes[j].rep
-    w = wreath(k, h)  # h permutes m blocks, k acts inside each block of size n
-    return ((w.degree,), sym_catalog(w.degree).identify(w))
+def _wreath_key(sub_parts: tuple, cidx: int, inner_keys: tuple) -> tuple[tuple[int], int]:
+    """The class of the mixed wreath product in which class cidx of
+    prod(sub_parts) permutes the blocks and, for part t, class j of S_m
+    acts inside each of its blocks, where inner_keys[t] = (m, j)."""
+    l_rep = _catalog(sub_parts).classes[cidx].rep
+    inners = [sym_catalog(m).classes[j].rep for m, j in inner_keys]
+    grown = mixed_wreath(l_rep, sub_parts, inners)
+    return ((grown.degree,), sym_catalog(grown.degree).identify(grown))
 
 
 def star_basis(h_spec, k_spec) -> BElement:
     """The composition on basis classes: the class of the wreath product."""
     (m, i) = _as_key(h_spec)
     (n, j) = _as_key(k_spec)
-    return BElement({_star_basis_key(m, i, n, j): 1})
+    return BElement({_wreath_key((m,), i, ((n, j),)): 1})
 
 
 def _as_key(spec) -> tuple[int, int]:
@@ -367,11 +369,9 @@ def star_effective(a: BElement, b: BElement) -> BElement:
                 out = out + BElement.one().scale(c)
                 continue
             sub_parts = tuple(comp[t] for t in positions)
-            inners = [sym_catalog(summands[t][0]).classes[summands[t][1]].rep for t in positions]
+            inner_keys = tuple(summands[t] for t in positions)
             for cidx, mult in _refine_terms(Ambient.sym(n), i, sub_parts):
-                l_rep = _catalog(sub_parts).classes[cidx].rep
-                grown = mixed_wreath(l_rep, sub_parts, inners)
-                key = ((grown.degree,), sym_catalog(grown.degree).identify(grown))
+                key = _wreath_key(sub_parts, cidx, inner_keys)
                 out = out + BElement({key: c * mult})
     return out
 

@@ -113,17 +113,11 @@ class GSet:
         """Cartesian product with the diagonal action."""
         if other.group != self.group:
             raise ValueError("product needs a common group")
-        size = self.size * other.size
-        rows = []
-        for row, orow in zip(self.gen_action, other.gen_action):
-            rows.append(
-                tuple(
-                    row[i] * other.size + orow[j]
-                    for i in range(self.size)
-                    for j in range(other.size)
-                )
-            )
-        return GSet(self.group, size, rows)
+        rows = [
+            _code_map([[a * other.size for a in row], orow])
+            for row, orow in zip(self.gen_action, other.gen_action)
+        ]
+        return GSet(self.group, self.size * other.size, rows)
 
     def restrict(self, sub: PermGroup) -> GSet:
         """The same points viewed as a U-set for U <= G."""

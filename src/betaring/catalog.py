@@ -5,20 +5,24 @@ products, needed to split elements over several summands), or an
 arbitrary small permutation group G (the basis data for A(G)).
 
 Enumeration (`build_catalog`, the cold path) is breadth-first cyclic
-extension over an integer Cayley table of G: seed one cyclic subgroup
-per conjugacy class of elements, then repeatedly adjoin double-coset
-representatives to each class representative and reduce modulo
-conjugacy.  Every subgroup K = <g_1,...,g_s> is reached through the
-chain <g_1> <= <g_1,g_2> <= ..., so the scan is exhaustive.  The table
+extension over an integer Cayley table of G: one queue over the classes,
+starting with the trivial class, adjoins a representative g of every
+double coset HgH outside H to each class representative H and reduces
+modulo conjugacy.  The extensions of the trivial class are the cyclic
+subgroups <x>, each computed once per element.  Every subgroup
+K = <g_1,...,g_s> is reached through the chain
+<g_1> <= <g_1,g_2> <= ..., so the scan is exhaustive.  The table
 composes permutation tuples only for the rows of G's generators and
 reaches every other row by breadth-first search, one index gather per
 row.  Each new class records all its conjugates, found as its orbit
 under conjugation by the generators of G (2|H|[G:N(H)] lookups instead
 of |G||H|), which makes deduplication a set lookup and yields normalizer
 orders for free.  Each extension <H, g> is closed coset by coset over
-the larger of H and <g> (Dimino's algorithm).  Marks come from
-containment: mark(H, K) = #{conjugates of H containing K} * |N(H)|/|H|.
-The Cayley table lives only while a catalog is enumerated.
+the larger of H and <g> (Dimino's algorithm).  Marks come from one pass
+of containment over every pair of classes: mark(H, K) = #{conjugates of
+H containing K} * |N(H)|/|H|; the class ordering and the final matrix
+both read that pass.  The Cayley table lives only while a catalog is
+enumerated.
 
 A catalog read from the JSON cache is checked against invariants every
 table of marks satisfies (`_is_consistent`) and rebuilt if it fails.
@@ -158,21 +162,6 @@ class _GroupTable:
         column = self.inv[g]
         return array("H", (row[column] for row in map(self.mul.__getitem__, self.mul[g])))
 
-    def close(self, gens) -> frozenset[int]:
-        mul = self.mul
-        els = {self.e}
-        frontier = [self.e]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = mul[g][x]
-                    if y not in els:
-                        els.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(els)
-
     def extend(self, sub: frozenset[int], gens) -> frozenset[int]:
         """<gens>, for a subgroup sub of <gens>, by Dimino's coset-wise
         closure: a union of left cosets t*sub, closed under left
@@ -193,7 +182,9 @@ class _GroupTable:
                     reps.append(y)
         return frozenset(els)
 
-    def double_coset_reps(self, sub_sorted) -> list[int]:
+    def double_coset_reps(self, sub) -> list[int]:
+        """The least element index of each double coset sub g sub."""
+        sub_sorted = sorted(sub)
         covered = set()
         reps = []
         mul = self.mul
@@ -222,12 +213,18 @@ class _RawClass:
 
 
 def _enumerate_raw(table: _GroupTable):
-    """All conjugacy classes of subgroups; returns (classes, total subgroup count)."""
+    """All conjugacy classes of subgroups; returns (classes, total subgroup count).
+
+    One breadth-first queue over the classes, starting with the trivial
+    one: each class H is extended by a representative g of every double
+    coset HgH outside H.  The extensions of the trivial class are the
+    cyclic subgroups <x>, in element order.  Each extension closes over
+    the larger of H and <g> (the Dimino base)."""
     seen: dict[frozenset, int] = {}
     classes: list[_RawClass] = []
     actions = [table.conjugation(g).__getitem__ for g in table.gens]
 
-    def register(sub: frozenset, gens) -> int:
+    def register(sub: frozenset, gens):
         """Record the class of sub with all its conjugates, found as the
         orbit of sub under conjugation by the generators of G."""
         cid = len(classes)
@@ -240,59 +237,42 @@ def _enumerate_raw(table: _GroupTable):
                     seen[d] = cid
                     conjugates.append(d)
         classes.append(_RawClass(sub, tuple(gens), len(sub), conjugates))
-        return cid
 
-    register(frozenset([table.e]), ())
-    queue = []
-    for x in range(table.order):
-        if x == table.e:
-            continue
-        cyc = table.close((x,))
-        if cyc not in seen:
-            queue.append(register(cyc, (x,)))
-    pos = 0
-    while pos < len(queue):
-        cls = classes[queue[pos]]
-        pos += 1
+    trivial = frozenset([table.e])
+    cyclic = [table.extend(trivial, (x,)) for x in range(table.order)]
+    register(trivial, ())
+    for cls in classes:  # the queue: register appends to it
         if cls.order == table.order:
             continue
-        sub_sorted = sorted(cls.rep)
-        for g in table.double_coset_reps(sub_sorted):
+        for g in table.double_coset_reps(cls.rep):
             if g in cls.rep:
                 continue
-            cyclic = table.close((g,))
-            base = cyclic if len(cyclic) > cls.order else cls.rep
+            base = cyclic[g] if len(cyclic[g]) > cls.order else cls.rep
             grown = table.extend(base, cls.gens + (g,))
             if grown not in seen:
-                queue.append(register(grown, cls.gens + (g,)))
+                register(grown, cls.gens + (g,))
     return classes, len(seen)
 
 
-class _MarkEngine:
-    """Lazy pairwise marks over raw classes, by containment: K fixes the
-    coset gH iff K <= gHg^-1, and each conjugate gHg^-1 arises from
+def _raw_marks(order: int, raw) -> list[list[int]]:
+    """mark(H, K) for every pair of raw classes, by containment: K fixes
+    the coset gH iff K <= gHg^-1, and each conjugate gHg^-1 arises from
     |N(H)|/|H| cosets, so mark(H, K) = #{conjugates of H containing K}
-    * |N(H)|/|H|."""
-
-    def __init__(self, table, raw):
-        self.table = table
-        self.raw = raw
-        self._memo = {}
-
-    def mark(self, i, j) -> int:
-        key = (i, j)
-        if key not in self._memo:
-            h = self.raw[i]
-            gens = frozenset(self.raw[j].gens)
-            count = sum(map(gens.issubset, h.conjugates))
-            self._memo[key] = count * (self.table.order // h.n_conj) // h.order
-        return self._memo[key]
+    * |N(H)|/|H|.  It is 0 unless |K| divides |H|."""
+    contained = [frozenset(k.gens).issubset for k in raw]
+    rows = []
+    for h in raw:
+        scale = order // h.n_conj // h.order
+        rows.append([
+            0 if h.order % k.order else sum(map(inside, h.conjugates)) * scale
+            for k, inside in zip(raw, contained)
+        ])
+    return rows
 
 
-def _order_raw_classes(engine, ptypes) -> list[int]:
+def _order_raw_classes(raw, marks, ptypes) -> list[int]:
     """Sort: subgroup order ascending, ties by the lexicographic mark row,
     then by the diagonal and the orbit partition."""
-    raw = engine.raw
     ordered: list[int] = []
     by_order: dict[int, list[int]] = {}
     for i, cls in enumerate(raw):
@@ -304,7 +284,7 @@ def _order_raw_classes(engine, ptypes) -> list[int]:
 
             def key(i):
                 diag = raw[i].n_conj  # |G| / ||H||, fixes the diagonal entry
-                row = tuple(engine.mark(i, j) for j in prefix)
+                row = tuple(marks[i][j] for j in prefix)
                 return (row, diag, ptypes[i].parts, i)
 
             batch = sorted(batch, key=key)
@@ -548,12 +528,9 @@ def build_catalog(ambient: Ambient) -> Catalog:
         for cls in raw
     ]
     ptypes = [orbit_partition(rep) for rep in reps]
-    engine = _MarkEngine(table, raw)
-    order_map = _order_raw_classes(engine, ptypes)
-    matrix = [
-        [engine.mark(i, j) for j in order_map]
-        for i in order_map
-    ]
+    marks = _raw_marks(table.order, raw)
+    order_map = _order_raw_classes(raw, marks, ptypes)
+    matrix = [[marks[i][j] for j in order_map] for i in order_map]
     labels = _assign_labels([(raw[i].order, ptypes[i]) for i in order_map])
     aliases = _assign_aliases(ambient, group, [reps[i] for i in order_map])
     classes = []
@@ -611,8 +588,9 @@ def get_catalog(ambient: Ambient) -> Catalog:
 def _is_consistent(cat: Catalog) -> bool:
     """Invariants of every table of marks, checked without a rebuild: the
     matrix is square and lower-triangular in catalog order, each class row
-    equals its matrix row, the diagonal is [N(H):H], column 0 is [G:H], and
-    sum [G:N(H)] is the subgroup count."""
+    equals its matrix row, the diagonal is [N(H):H], every mark in row H is
+    a multiple of it (N(H)/H acts freely on the K-fixed cosets), column 0
+    is [G:H], and sum [G:N(H)] is the subgroup count."""
     size = len(cat.classes)
     if len(cat.matrix) != size:
         return False
@@ -623,6 +601,8 @@ def _is_consistent(cat: Catalog) -> bool:
             or any(row[i + 1 :])
             or cls.marks != row
             or row[i] != cls.norm_order // cls.order
+            or row[i] < 1
+            or any(m % row[i] for m in row)
             or row[0] != cat.group.order // cls.order
         ):
             return False

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -25,13 +24,12 @@ class Config:
     max_degree: int = 6
     catalog_dir: str | None = None
     gset_cap: int = 20_000
-    group_cap: int = math.factorial(10)
 
     def __post_init__(self):
         if not (1 <= self.max_degree <= MAX_SUPPORTED_DEGREE):
             raise ValueError(f"max_degree must be in 1..{MAX_SUPPORTED_DEGREE}")
-        if self.gset_cap <= 0 or self.group_cap <= 0:
-            raise ValueError("size caps must be positive")
+        if self.gset_cap <= 0:
+            raise ValueError("gset_cap must be positive")
 
     def resolved_catalog_dir(self) -> Path:
         if self.catalog_dir is not None:

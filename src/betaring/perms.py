@@ -15,6 +15,9 @@ from functools import lru_cache
 from .config import get_config
 from .errors import CapExceeded, DegreeCap, NotASubgroup
 
+# elements in any closure or direct product
+GROUP_CAP = math.factorial(10)
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers."""
@@ -239,14 +242,12 @@ class PermGroup:
         raise AttributeError("PermGroup is immutable")
 
     @classmethod
-    def generate(cls, degree: int, generators, cap: int | None = None) -> PermGroup:
+    def generate(cls, degree: int, generators, cap: int = GROUP_CAP) -> PermGroup:
         """Closure of the generators under composition; errors past the cap."""
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
         for g in gens:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
-        if cap is None:
-            cap = get_config().group_cap
         elements = _mulclose(degree, [g.images for g in gens], cap)
         return cls(degree, gens, elements)
 
@@ -378,7 +379,7 @@ def _shift(images: tuple, offset: int, degree: int) -> list[int]:
 def direct_embed(h: PermGroup, k: PermGroup) -> PermGroup:
     """H x K inside S_{p+q}: H on the first p points, K on the last q."""
     degree = h.degree + k.degree
-    if h.order * k.order > get_config().group_cap:
+    if h.order * k.order > GROUP_CAP:
         raise CapExceeded(f"|H|*|K| = {h.order * k.order} exceeds the element cap")
     elements = set()
     for a in h.elements:
@@ -483,9 +484,9 @@ def normalizer_order(g: PermGroup, h: PermGroup) -> int:
     return count
 
 
-def orbit_partition(h: PermGroup, degree: int | None = None) -> Partition:
-    """Orbit sizes of H on {0..d-1}; the partition-type of the subgroup."""
-    d = h.degree if degree is None else degree
+def orbit_partition(h: PermGroup) -> Partition:
+    """Orbit sizes of H on its points; the partition-type of the subgroup."""
+    d = h.degree
     seen = [False] * d
     sizes = []
     gen_images = [p.images for p in h.generators]

@@ -15,6 +15,7 @@ the sign (-1)^(n-1).  Entries are ints, Fractions only after an inexact division
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -197,37 +198,28 @@ def delta_m_dual_route_agrees(n: int) -> bool:
     evaluating both routes on the integer grid 0..floor(n/i) per variable,
     in each tensor slot, proves the polynomial identities exactly.
     """
+    # per degree k: b-side monomial nu -> [(a-side monomial mu, coefficient)]
     tables = []
     for k in range(1, n + 1):
-        tables.append(
-            [
-                (tuple(mu.parts), tuple(nu.parts), int(c))
-                for (mu, nu), c in delta_m(k).coeffs.items()
-            ]
-        )
+        by_nu: dict[tuple, list] = {}
+        for (mu, nu), c in delta_m(k).coeffs.items():
+            by_nu.setdefault(tuple(nu.parts), []).append((tuple(mu.parts), int(c)))
+        tables.append(by_nu)
     grid = list(itertools.product(*[range(n // i + 1) for i in range(1, n + 1)]))
     ghosts = [eps_ghost(a) for a in grid]
 
-    def monomial_values(avals):
-        values = {(): 1}
-        for table in tables:
-            for mu, nu, _ in table:
-                for key in (mu, nu):
-                    if key not in values:
-                        prod = 1
-                        for part in key:
-                            prod *= avals[part - 1]
-                        values[key] = prod
-        return values
+    def monomial(avals, key):
+        return math.prod(avals[part - 1] for part in key)
 
-    monos = [monomial_values(a) for a in grid]
-    for i in range(len(grid)):
-        ga, ma = ghosts[i], monos[i]
-        for j in range(len(grid)):
-            gb, mb = ghosts[j], monos[j]
-            direct = eps_from_ghost([x * y for x, y in zip(ga, gb)])
-            for k in range(1, n + 1):
-                symbolic = sum(c * ma[mu] * mb[nu] for mu, nu, c in tables[k - 1])
-                if direct[k - 1] != symbolic:
+    b_sides = [[[monomial(b, nu) for nu in table] for table in tables] for b in grid]
+    for a, ga in zip(grid, ghosts):
+        a_sides = [
+            [sum(c * monomial(a, mu) for mu, c in terms) for terms in table.values()]
+            for table in tables
+        ]
+        for gb, b_side in zip(ghosts, b_sides):
+            direct = eps_from_ghost(list(map(mul, ga, gb)))
+            for value, sa, sb in zip(direct, a_sides, b_side):
+                if value != sum(map(mul, sa, sb)):
                     return False
     return True

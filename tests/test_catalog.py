@@ -36,6 +36,9 @@ COLD_AMBIENTS = [Ambient.sym(n) for n in range(1, 7)] + [
 
 
 PINNED_MARKS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned_marks.json"
+# sha256 of json.dumps(Catalog.to_json()) for each cold ambient: labels,
+# representatives' generators, aliases, normalizer orders and marks.
+PINNED_CATALOGS = Path(__file__).resolve().parent / "pinned_catalogs.json"
 
 
 def sym(n):
@@ -436,14 +439,30 @@ def test_cold_build_is_unchanged(ambient):
             assert _brute_force_marks_row(built.group, cls.rep, built.classes) == row, cls.label
 
 
+@pytest.mark.parametrize("ambient", COLD_AMBIENTS, ids=lambda a: a.descriptor())
+def test_cold_build_pins_the_full_catalog(ambient):
+    """Everything a cache file holds is pinned, not only labels and marks."""
+    pinned = json.loads(PINNED_CATALOGS.read_text())
+    text = json.dumps(build_catalog(ambient).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned[ambient.descriptor()]
+
+
 def _set_mark(data, i, j, value):
     data["marks_matrix"][i][j] = value
     data["classes"][i]["marks"][j] = value
 
 
+def _zero_diagonal(data):
+    _set_mark(data, 5, 5, 0)
+    data["classes"][5]["norm_order"] = 0
+
+
 CORRUPTIONS = {
     "diagonal": lambda data: _set_mark(data, 5, 5, data["marks_matrix"][5][5] + 1),
     "above-diagonal": lambda data: _set_mark(data, 2, 5, 1),
+    # row 6 becomes (6, 6, 1, ...): 1 is not a multiple of the diagonal mark
+    "below-diagonal": lambda data: _set_mark(data, 6, 2, data["marks_matrix"][6][2] + 1),
+    "zero-diagonal": _zero_diagonal,
     "column-0": lambda data: _set_mark(data, 3, 0, data["marks_matrix"][3][0] + 2),
     "class-row": lambda data: data["classes"][4]["marks"].__setitem__(1, 7),
     "subgroup-count": lambda data: data.__setitem__("subgroup_count", data["subgroup_count"] + 1),
@@ -505,7 +524,7 @@ def test_group_kind_ambient():
 
 @pytest.mark.skipif(
     not os.environ.get("BETARING_LONG_TESTS"),
-    reason="about 15 seconds; set BETARING_LONG_TESTS=1 to run",
+    reason="about 7 seconds; set BETARING_LONG_TESTS=1 to run",
 )
 def test_degree_seven_catalog():
     with config.override(max_degree=7):

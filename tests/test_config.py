@@ -66,8 +66,8 @@ def test_overrides_nest_and_layer_over_set_config():
     try:
         with config.override(gset_cap=5) as outer:
             assert outer.gset_cap == 5
-            with config.override(group_cap=9) as inner:
-                assert (inner.gset_cap, inner.group_cap) == (5, 9)
+            with config.override(max_degree=3) as inner:
+                assert (inner.gset_cap, inner.max_degree) == (5, 3)
             assert config.get_config() == outer
             assert config.set_config(max_degree=4).gset_cap == 5
             assert config.get_config().max_degree == 4

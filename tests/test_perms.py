@@ -87,6 +87,12 @@ def test_direct_embed():
     assert direct_embed(s2, s3).degree == 5
 
 
+def test_direct_embed_cap():
+    s7 = PermGroup.symmetric(7)
+    with pytest.raises(CapExceeded, match="25401600"):
+        direct_embed(s7, s7)
+
+
 def test_wreath_degree_one_base_is_relabelled_top():
     s1 = PermGroup.symmetric(1)
     s3 = PermGroup.symmetric(3)

@@ -102,7 +102,7 @@ def test_queries_build_no_cayley_table(monkeypatch):
     assert sum(c * 4 // cls.order for c, cls in zip(expected["orbits"].coords, klein.classes)) == 4
     kept = {a: c for a, c in catalog._CATALOGS.items() if not a.cacheable}
     monkeypatch.setattr(catalog, "_CATALOGS", kept)
-    for cached in (bring._basis_product, bring._refine_terms, bring._star_basis_key):
+    for cached in (bring._basis_product, bring._refine_terms, bring._wreath_key):
         cached.cache_clear()
 
     def refuse(self, group):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from betaring import witt
 from betaring.errors import PrecisionMismatch
 from betaring.symfunc import SymFunc, e_, p_
 from betaring.witt import (
@@ -103,6 +104,17 @@ def test_delta_m_integral():
 
 def test_delta_m_dual_route():
     assert delta_m_dual_route_agrees(3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_delta_m_dual_route_rejects_one_changed_coefficient(monkeypatch, k):
+    altered = delta_m(k)
+    coeffs = dict(altered.coeffs)
+    key = sorted(coeffs)[-1]
+    coeffs[key] += 1
+    altered = SymFunc(altered.basis, coeffs, arity=2)
+    monkeypatch.setattr(witt, "delta_m", lambda m: altered if m == k else delta_m(m))
+    assert not delta_m_dual_route_agrees(3)
 
 
 def test_witt_json_roundtrip():
