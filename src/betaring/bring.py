@@ -39,6 +39,7 @@ def _catalog(degrees) -> Catalog:
 
 
 def _check_degree(n: int):
+    """Checked outside the lru_caches below, which do not see the config."""
     if n > get_config().max_degree:
         raise DegreeCap(f"degree {n} exceeds max_degree {get_config().max_degree}")
 
@@ -79,7 +80,6 @@ class BElement:
         """The class `spec` (index, label or alias) of S_n, or of
         S_{n_1} x ... x S_{n_r} when n is the tuple of degrees."""
         degrees = (n,) if isinstance(n, int) else tuple(n)
-        _check_degree(sum(degrees))
         return cls({(degrees, _catalog(degrees).class_index(spec)): 1})
 
     @property
@@ -179,7 +179,6 @@ class BElement:
 
 def beta_upper(n: int) -> BElement:
     """beta^n: the class of the full group S_n (the trivial S_n-set)."""
-    _check_degree(n)
     cat = sym_catalog(n)
     return BElement({((n,), len(cat.classes) - 1): 1})
 
@@ -195,6 +194,7 @@ def product(a: BElement, b: BElement) -> BElement:
     for (da, i), ca in a.terms.items():
         for (db, j), cb in b.terms.items():
             key = _basis_product(da, i, db, j)
+            _check_degree(sum(key[0]))
             out[key] = out.get(key, 0) + ca * cb
     return BElement(out)
 
@@ -208,7 +208,6 @@ def _basis_product(da: tuple, i: int, db: tuple, j: int) -> tuple[tuple, int]:
             f" and {Ambient.prod(db).descriptor()}"
         )
     degrees = tuple(a + b for a, b in zip(da, db))
-    _check_degree(sum(degrees))
     h = _catalog(da).classes[i].rep
     k = _catalog(db).classes[j].rep
     embedded = direct_embed(h, k).conjugate(_interleave(da, db))
@@ -298,6 +297,7 @@ def diagonal(a: BElement) -> BElement:
     out = {}
     for (degrees, i), c in a.terms.items():
         (n,) = degrees
+        _check_degree(n)
         for p in range(n + 1):
             for cidx, mult in _refine_terms(Ambient.sym(n), i, (p, n - p)):
                 key = ((p, n - p), cidx)
@@ -330,7 +330,9 @@ def star_basis(h_spec, k_spec) -> BElement:
     """The composition on basis classes: the class of the wreath product."""
     (m, i) = _as_key(h_spec)
     (n, j) = _as_key(k_spec)
-    return BElement({_wreath_key((m,), i, ((n, j),)): 1})
+    key = _wreath_key((m,), i, ((n, j),))
+    _check_degree(sum(key[0]))
+    return BElement({key: 1})
 
 
 def _as_key(spec) -> tuple[int, int]:
@@ -363,6 +365,7 @@ def star_effective(a: BElement, b: BElement) -> BElement:
         summands.extend([(m, j)] * b.terms[key])
     out = BElement.zero()
     for ((n,), i), c in a.terms.items():
+        _check_degree(n)
         for comp in _compositions(n, len(summands)):
             positions = [t for t, p in enumerate(comp) if p > 0]
             if not positions:  # n == 0: beta_{S_0} is the unit
@@ -372,6 +375,7 @@ def star_effective(a: BElement, b: BElement) -> BElement:
             inner_keys = tuple(summands[t] for t in positions)
             for cidx, mult in _refine_terms(Ambient.sym(n), i, sub_parts):
                 key = _wreath_key(sub_parts, cidx, inner_keys)
+                _check_degree(sum(key[0]))
                 out = out + BElement({key: c * mult})
     return out
 

@@ -24,8 +24,17 @@ H containing K} * |N(H)|/|H|; the class ordering and the final matrix
 both read that pass.  The Cayley table lives only while a catalog is
 enumerated.
 
+`get_catalog` enumerates each group at most once per process.  An ambient
+whose group (degree and element set) equals that of an earlier build,
+such as S0 x Sn and Sn x S0 after Sn, takes that build's representatives,
+labels and marks and adds only its own aliases and group object.  The
+enumeration reads only the element set, so this is what a build would
+give; `build_catalog` itself always enumerates.
+
 A catalog read from the JSON cache is checked against invariants every
-table of marks satisfies (`_is_consistent`) and rebuilt if it fails.
+table of marks satisfies (`_is_consistent`) and rebuilt if it fails.  It
+is never reused for another ambient, so each file is checked on its own.
+`max_degree` is checked before the memo, the cache, a reuse or a build.
 
 Queries on a built or loaded catalog never build that table.  `identify`
 narrows the candidates by conjugacy invariants (order, orbit partition,
@@ -509,14 +518,20 @@ def _assign_aliases(ambient, group, reps):
     return [tuple(a) for a in aliases]
 
 
-def build_catalog(ambient: Ambient) -> Catalog:
-    group = ambient.build_group()
+def _check_cap(ambient: Ambient):
     if ambient.degrees is not None:
         total = sum(ambient.degrees)
         if total > get_config().max_degree:
             raise DegreeCap(
                 f"ambient degree {total} exceeds max_degree {get_config().max_degree}"
             )
+
+
+def build_catalog(ambient: Ambient) -> Catalog:
+    """Enumerate the catalog of `ambient` afresh: no memo, cache or earlier
+    build is read."""
+    _check_cap(ambient)
+    group = ambient.build_group()
     table = _GroupTable(group)
     raw, subgroup_count = _enumerate_raw(table)
     reps = [
@@ -532,26 +547,40 @@ def build_catalog(ambient: Ambient) -> Catalog:
     order_map = _order_raw_classes(raw, marks, ptypes)
     matrix = [[marks[i][j] for j in order_map] for i in order_map]
     labels = _assign_labels([(raw[i].order, ptypes[i]) for i in order_map])
-    aliases = _assign_aliases(ambient, group, [reps[i] for i in order_map])
-    classes = []
-    for new_idx, i in enumerate(order_map):
-        classes.append(
-            SubgroupClass(
-                ambient=ambient,
-                index=new_idx,
-                rep=reps[i],
-                order=raw[i].order,
-                norm_order=group.order // raw[i].n_conj,
-                ptype=ptypes[i],
-                marks=tuple(matrix[new_idx]),
-                label=labels[new_idx],
-                aliases=aliases[new_idx],
-            )
+    parts = [
+        (reps[i], raw[i].order, group.order // raw[i].n_conj, ptypes[i], label)
+        for i, label in zip(order_map, labels)
+    ]
+    return _assemble(ambient, group, parts, matrix, subgroup_count)
+
+
+def _assemble(ambient, group, parts, matrix, subgroup_count) -> Catalog:
+    """The catalog of `ambient`, whose group is `group`, from data that
+    depends on the group's element set alone: `parts` holds (rep, order,
+    norm_order, ptype, label) of each class in catalog order.  Only the
+    aliases depend on the ambient."""
+    aliases = _assign_aliases(ambient, group, [rep for rep, *_ in parts])
+    classes = [
+        SubgroupClass(
+            ambient=ambient,
+            index=i,
+            rep=rep,
+            order=order,
+            norm_order=norm_order,
+            ptype=ptype,
+            marks=tuple(matrix[i]),
+            label=label,
+            aliases=aliases[i],
         )
+        for i, (rep, order, norm_order, ptype, label) in enumerate(parts)
+    ]
     return Catalog(ambient, group, classes, matrix, subgroup_count)
 
 
 _CATALOGS: dict[Ambient, Catalog] = {}
+# Catalogs enumerated in this process, by their group (degree and element
+# set).  A catalog read from a cache file is never entered here.
+_BUILT: dict[PermGroup, Catalog] = {}
 
 
 def _cache_path(ambient: Ambient):
@@ -559,26 +588,47 @@ def _cache_path(ambient: Ambient):
     return directory / f"{ambient.descriptor()}_v{CATALOG_VERSION}.json"
 
 
-def get_catalog(ambient: Ambient) -> Catalog:
-    """Memoized catalog, backed by the JSON cache for symmetric ambients.
+def _load(ambient: Ambient) -> Catalog | None:
+    """The cached catalog of `ambient`, or None when its file is missing,
+    unreadable or fails `_is_consistent`."""
+    path = _cache_path(ambient)
+    if not path.exists():
+        return None
+    try:
+        data = json.loads(path.read_text())
+        if data.get("version") != CATALOG_VERSION:
+            return None
+        cat = Catalog.from_json(data)
+        return cat if _is_consistent(cat) else None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
-    A cached catalog that fails `_is_consistent` is rebuilt and rewritten."""
+
+def get_catalog(ambient: Ambient) -> Catalog:
+    """Memoized catalog, backed by the JSON cache for ambients given by degrees.
+
+    `max_degree` is checked first, whatever is memoized or cached.  A cached
+    catalog that fails `_is_consistent` is rebuilt and rewritten.  Missing
+    both, an ambient whose group (degree and element set) equals that of an
+    earlier build in this process, such as S0 x Sn after Sn, takes that
+    build's classes and marks with its own aliases and group object (G-sets
+    act through its generators), so each group is enumerated at most once.
+    A catalog loaded from a file is never reused."""
+    _check_cap(ambient)
     if ambient in _CATALOGS:
         return _CATALOGS[ambient]
-    cat = None
-    if ambient.cacheable:
-        path = _cache_path(ambient)
-        if path.exists():
-            try:
-                data = json.loads(path.read_text())
-                if data.get("version") == CATALOG_VERSION:
-                    cat = Catalog.from_json(data)
-                    if not _is_consistent(cat):
-                        cat = None
-            except (OSError, ValueError, KeyError, TypeError):
-                cat = None
+    cat = _load(ambient) if ambient.cacheable else None
     if cat is None:
-        cat = build_catalog(ambient)
+        group = ambient.build_group()
+        source = _BUILT.get(group)
+        if source is None:
+            cat = _BUILT[group] = build_catalog(ambient)
+        elif PermGroup.generate(group.degree, group.generators) != group:
+            # a build rejects such a group while tabulating it (_GroupTable)
+            raise ValueError(f"the generators of the ambient {group!r} do not generate it")
+        else:
+            parts = [(c.rep, c.order, c.norm_order, c.ptype, c.label) for c in source.classes]
+            cat = _assemble(ambient, group, parts, source.matrix, source.subgroup_count)
         if ambient.cacheable:
             _write_cache(_cache_path(ambient), cat)
     _CATALOGS[ambient] = cat
@@ -631,7 +681,9 @@ def _write_cache(path, cat: Catalog):
 
 
 def clear_memo():
+    """Forget every memoized catalog and every earlier build."""
     _CATALOGS.clear()
+    _BUILT.clear()
 
 
 def enumerate_classes(ambient: Ambient) -> list[SubgroupClass]:

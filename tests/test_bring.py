@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from betaring import config
 from betaring.bring import (
     BElement,
     _compositions,
@@ -55,6 +56,23 @@ def test_product_commutative_associative():
 def test_product_degree_cap():
     with pytest.raises(DegreeCap):
         product(BElement.basis(4, 0), BElement.basis(3, 0))
+
+
+@pytest.mark.parametrize("name", ["product", "star_basis", "star", "diagonal"])
+def test_degree_cap_holds_after_the_caches_are_warm(name):
+    """The lru_caches behind these calls do not see the config; the cap in
+    force at the call still applies.  Arguments are made at the default cap."""
+    s2, e2, e4 = BElement.basis(2, "S2"), BElement.basis(2, "e"), BElement.basis(4, "e")
+    call = {
+        "product": lambda: product(s2, e2),
+        "star_basis": lambda: star_basis((2, "S2"), (2, "C2")),
+        "star": lambda: star(s2, s2 + e2),
+        "diagonal": lambda: diagonal(e4),
+    }[name]
+    call()
+    with config.override(max_degree=3):
+        with pytest.raises(DegreeCap):
+            call()
 
 
 def test_diagonal_of_full_classes():

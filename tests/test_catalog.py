@@ -507,6 +507,128 @@ def test_valid_cache_loads_without_a_rebuild(tmp_path, monkeypatch):
     assert [c.matrix for c in loaded] == [c.matrix for c in built]
 
 
+def _counted_builds(monkeypatch):
+    """Patch build_catalog to record each ambient it builds."""
+    built = []
+    real = cat.build_catalog
+
+    def counted(ambient):
+        built.append(ambient)
+        return real(ambient)
+
+    monkeypatch.setattr(cat, "build_catalog", counted)
+    return built
+
+
+def _assert_same_catalog(a, b):
+    assert [c.label for c in a.classes] == [c.label for c in b.classes]
+    assert [c.aliases for c in a.classes] == [c.aliases for c in b.classes]
+    assert [(c.rep, c.rep.generators) for c in a.classes] == [
+        (c.rep, c.rep.generators) for c in b.classes
+    ]
+    assert a.matrix == b.matrix and a.subgroup_count == b.subgroup_count
+    assert a.group.generators == b.group.generators
+
+
+def test_shared_builds_are_the_pinned_catalogs(tmp_path, monkeypatch):
+    """Filling an empty directory enumerates each of the 22 distinct groups
+    once; the reused catalogs' files are the pinned ones, and concrete
+    groups equal to S2, S3 and S4 take those builds too, with their own
+    generators."""
+    pinned = json.loads(PINNED_CATALOGS.read_text())
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        built = _counted_builds(monkeypatch)
+        for ambient in COLD_AMBIENTS:
+            get_catalog(ambient)
+        for ambient in COLD_AMBIENTS:
+            text = (tmp_path / f"{ambient.descriptor()}_v1.json").read_bytes()
+            assert hashlib.sha256(text).hexdigest() == pinned[ambient.descriptor()], ambient
+        assert len(built) == 22
+        assert Ambient.pair(0, 6) not in built and Ambient.pair(6, 0) not in built
+        other_gens = [Permutation.parse(4, "(0 1 2 3)"), Permutation.parse(4, "(1 2)")]
+        for group in (PermGroup.cyclic(2), PermGroup.symmetric(3), PermGroup.generate(4, other_gens)):
+            reused = get_catalog(Ambient.of_group(group))
+            assert len(built) == 22
+            _assert_same_catalog(reused, build_catalog(Ambient.of_group(group)))
+    cat.clear_memo()
+
+
+def test_loaded_catalogs_are_never_a_source(tmp_path, monkeypatch):
+    """clear_memo forgets the S3 build as well; S3 then comes from its file,
+    and a concrete group equal to S3 is still enumerated."""
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        get_catalog(Ambient.sym(3))
+        cat.clear_memo()
+        assert cat._BUILT == {}
+        built = _counted_builds(monkeypatch)
+        get_catalog(Ambient.sym(3))
+        assert built == []
+        get_catalog(Ambient.of_group(PermGroup.symmetric(3)))
+        assert built == [Ambient.of_group(PermGroup.symmetric(3))]
+    cat.clear_memo()
+
+
+def test_a_loaded_catalog_does_not_reach_an_equal_group(tmp_path):
+    """A below-diagonal mark raised by the diagonal passes `_is_consistent`;
+    the S0 x S4 catalog built after loading it is still a fresh build."""
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        get_catalog(Ambient.sym(4))
+        path = tmp_path / "S4_v1.json"
+        data = json.loads(path.read_text())
+        _set_mark(data, 6, 2, data["marks_matrix"][6][2] + data["marks_matrix"][6][6])
+        path.write_text(json.dumps(data))
+        cat.clear_memo()
+        assert get_catalog(Ambient.sym(4)).matrix[6][2] == 6
+        _assert_same_catalog(get_catalog(Ambient.pair(0, 4)), build_catalog(Ambient.pair(0, 4)))
+    cat.clear_memo()
+
+
+def test_reuse_rejects_generators_that_miss_elements(tmp_path):
+    """The check a build makes while tabulating the group holds when its
+    enumeration is reused."""
+    transposition = Permutation.parse(4, "(0 1)")
+    group = PermGroup(4, [transposition], set(itertools.permutations(range(4))))
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        get_catalog(Ambient.sym(4))
+        with pytest.raises(ValueError, match="generators"):
+            get_catalog(Ambient.of_group(group))
+    cat.clear_memo()
+
+
+def test_degree_cap_holds_on_a_memo_hit():
+    get_catalog(Ambient.sym(4))
+    with config.override(max_degree=3):
+        with pytest.raises(DegreeCap):
+            get_catalog(Ambient.sym(4))
+
+
+def test_degree_cap_holds_on_a_cache_load(tmp_path):
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        get_catalog(Ambient.sym(4))
+        cat.clear_memo()
+        with config.override(max_degree=3):
+            with pytest.raises(DegreeCap):
+                get_catalog(Ambient.sym(4))
+        assert Ambient.sym(4) not in cat._CATALOGS
+    cat.clear_memo()
+
+
+def test_degree_cap_holds_before_a_reuse(tmp_path):
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        get_catalog(Ambient.sym(4))
+        with config.override(max_degree=3):
+            with pytest.raises(DegreeCap):
+                get_catalog(Ambient.pair(0, 4))
+        assert not (tmp_path / "S0xS4_v1.json").exists()
+    cat.clear_memo()
+
+
 def test_deterministic_rebuild():
     a = build_catalog(Ambient.sym(4))
     b = build_catalog(Ambient.sym(4))
