@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bring import BElement, beta_upper, eval_burnside, product, sym_catalog
+from .bring import BElement, _check_degree, beta_upper, eval_burnside, product, sym_catalog
 from .burnside import BurnsideElement, group_catalog
 from .catalog import Catalog
 from .errors import IntegralityViolation
@@ -22,7 +22,6 @@ from .perms import Partition, PermGroup, partitions
 from .symfunc import SymFunc, lin
 
 
-@lru_cache(maxsize=None)
 def psi_upper(k: int) -> BElement:
     """Coefficient of t^k in t * d/dt log(1 + b^1 t + b^2 t^2 + ...).
 
@@ -30,11 +29,18 @@ def psi_upper(k: int) -> BElement:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    _check_degree(k)
+    return _psi_upper(k)
+
+
+@lru_cache(maxsize=None)
+def _psi_upper(k: int) -> BElement:
+    """`psi_upper` without the degree check, which its cache would skip."""
     if k == 0:
         return BElement.zero()
     acc = beta_upper(k).scale(k)
     for i in range(1, k):
-        acc = acc - product(psi_upper(i), beta_upper(k - i))
+        acc = acc - product(_psi_upper(i), beta_upper(k - i))
     return acc
 
 

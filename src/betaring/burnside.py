@@ -28,13 +28,6 @@ from .errors import IntegralityViolation, NotASubgroup, NotEffective, SizeCap
 from .perms import PermGroup, Permutation, _compose
 
 
-def _gather(row: tuple, indices) -> tuple:
-    """The tuple of row[i] for i in indices, in one C-level call."""
-    if len(indices) > 1:
-        return operator.itemgetter(*indices)(row)
-    return tuple(row[i] for i in indices)
-
-
 class GSet:
     """A finite left G-set given by the action of each group generator.
 
@@ -71,7 +64,7 @@ class GSet:
                 act = action[elem]
                 for gimg, grow in gens:
                     nelem = _compose(gimg, elem)
-                    nact = _gather(grow, act)
+                    nact = _compose(grow, act)
                     known = action.get(nelem)
                     if known is None:
                         action[nelem] = nact
@@ -366,7 +359,7 @@ def orbit_decompose(x: GSet) -> BurnsideElement:
     coords = [0] * len(cat.classes)
     reps = [p for p, least in enumerate(x._least_in_orbit()) if p == least]
     elems = list(x.elem_action)
-    fixes = [map(operator.eq, _gather(act, reps), reps) for act in x.elem_action.values()]
+    fixes = [map(operator.eq, _compose(act, reps), reps) for act in x.elem_action.values()]
     class_of = {}
     for mask in zip(*fixes):
         idx = class_of.get(mask)
@@ -448,7 +441,7 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
         g_map = _code_map(
             [d * stride for d in f.gen_action[gi]] for f, stride in zip(factors, strides)
         )
-        rows.append(_gather(orbit_of, _gather(g_map, reps)))
+        rows.append(_compose(orbit_of, _compose(g_map, reps)))
     return GSet(group, len(reps), rows)
 
 

@@ -4,39 +4,42 @@ Ambients are the symmetric groups S_n, products S_p x S_q (and longer
 products, needed to split elements over several summands), or an
 arbitrary small permutation group G (the basis data for A(G)).
 
-Enumeration (`build_catalog`, the cold path) is breadth-first cyclic
-extension over an integer Cayley table of G: one queue over the classes,
-starting with the trivial class, adjoins a representative g of every
-double coset HgH outside H to each class representative H and reduces
-modulo conjugacy.  The extensions of the trivial class are the cyclic
-subgroups <x>, each computed once per element.  Every subgroup
-K = <g_1,...,g_s> is reached through the chain
-<g_1> <= <g_1,g_2> <= ..., so the scan is exhaustive.  The table
-composes permutation tuples only for the rows of G's generators and
-reaches every other row by breadth-first search, one index gather per
-row.  Each new class records all its conjugates, found as its orbit
-under conjugation by the generators of G (2|H|[G:N(H)] lookups instead
-of |G||H|), which makes deduplication a set lookup and yields normalizer
-orders for free.  Each extension <H, g> is closed coset by coset over
-the larger of H and <g> (Dimino's algorithm).  Marks come from one pass
-of containment over every pair of classes: mark(H, K) = #{conjugates of
-H containing K} * |N(H)|/|H|; the class ordering and the final matrix
-both read that pass.  The Cayley table lives only while a catalog is
-enumerated.
+Enumeration (`build_catalog`, the cold path) is Neubüser's cyclic
+extension with perfect seeds.  The elements of G are indexed by rank
+(sorted image tuples and a dict); products are composed from the tuples
+on demand, and conjugation by each generator of G is one index list, so
+no Cayley table is formed.  One breadth-first queue over the classes
+starts with the trivial class and the S_d-conjugates of the perfect
+subgroups in `PERFECT_SEEDS` that lie in G.  Each class H is extended
+only by the g in N(H) outside H whose coset gH has prime order p, and
+<H, g> is the union of the cosets g^i H, so no closure is needed; a g
+inside an extension already formed for H is skipped.  Every subgroup
+that is not perfect has a normal subgroup of prime index, so this is
+exhaustive.  Past the seed table (degree above MAX_SUPPORTED_DEGREE) a
+group is enumerated only when 4 does not divide its order, so that it
+has no nontrivial perfect subgroup.  Each new class records all its
+conjugates, found as its orbit under conjugation by the generators of G,
+which makes deduplication a set lookup; N(H) is closed from the
+Schreier generators of that orbit until it reaches its known order
+|G| / #conjugates.  Each representative keeps a short generating set
+(`_Elements.short_gens`).  Marks come from one pass of containment over
+every pair of classes: mark(H, K) = #{conjugates of H containing K} *
+|N(H)|/|H|; the class ordering and the final matrix both read that pass.
 
 `get_catalog` enumerates each group at most once per process.  An ambient
 whose group (degree and element set) equals that of an earlier build,
 such as S0 x Sn and Sn x S0 after Sn, takes that build's representatives,
 labels and marks and adds only its own aliases and group object.  The
 enumeration reads only the element set, so this is what a build would
-give; `build_catalog` itself always enumerates.
+give; `build_catalog` itself always enumerates.  Each build or reuse is
+logged at INFO on the `betaring.catalog` logger.
 
 A catalog read from the JSON cache is checked against invariants every
 table of marks satisfies (`_is_consistent`) and rebuilt if it fails.  It
 is never reused for another ambient, so each file is checked on its own.
 `max_degree` is checked before the memo, the cache, a reuse or a build.
 
-Queries on a built or loaded catalog never build that table.  `identify`
+Queries on a built or loaded catalog never enumerate subgroups.  `identify`
 narrows the candidates by conjugacy invariants (order, orbit partition,
 census of per-factor cycle types, read from `Catalog.census`) and, only
 when candidates still tie, computes single marks by composing
@@ -47,21 +50,26 @@ too; it is computed on first use.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import tempfile
+import time
 import warnings
-from array import array
 from dataclasses import dataclass
-from functools import reduce
-from operator import itemgetter
+from functools import lru_cache, reduce
+from math import isqrt
 
-from .config import get_config
+from .config import MAX_SUPPORTED_DEGREE, get_config
 from .errors import DegreeCap, NotASubgroup
 from .perms import (
+    GROUP_CAP,
     Partition,
     PermGroup,
     Permutation,
     _compose,
+    _element_order,
+    _inverse,
+    _mulclose,
     cycle_census,
     direct_embed,
     orbit_partition,
@@ -69,6 +77,8 @@ from .perms import (
 )
 
 CATALOG_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -121,146 +131,209 @@ class Ambient:
         return tuple(out)
 
 
-class _GroupTable:
-    """Integer-indexed Cayley table of a materialized group, mul[a][b] = a*b.
+# The nontrivial perfect subgroups of S_d for d <= MAX_SUPPORTED_DEGREE, one
+# per S_d-conjugacy class (Holt and Plesken, Perfect Groups, 1989), as
+# (degree, order, generators).  A perfect group has no normal subgroup of
+# prime index, so cyclic extension cannot reach these; they seed it.
+PERFECT_SEEDS = (
+    (5, 60, ("(0 1 2)", "(0 1 2 3 4)")),  # A5
+    (6, 60, ("(0 1 2 3 4)", "(0 5)(1 4)")),  # PSL(2,5) on the projective line over F5
+    (6, 360, ("(0 1 2)", "(1 2 3 4 5)")),  # A6
+    (7, 168, ("(0 1 2 3 4 5 6)", "(2 4)(5 6)")),  # PSL(3,2) on the Fano plane
+    (7, 2520, ("(0 1 2)", "(0 1 2 3 4 5 6)")),  # A7
+)
 
-    Only the rows of the group's generators are composed from permutation
-    tuples.  Every other row is reached by breadth-first search from the
-    identity: row(s*a)[b] = row(s)[row(a)[b]], one C-level gather per row
-    (an `itemgetter` over row(a); rows have at least two entries whenever
-    there is a generator, so it returns a tuple).
-    """
 
-    def __init__(self, group: PermGroup):
-        self.group = group
-        self.elements = sorted(group.elements)
-        self.index = index = {e: i for i, e in enumerate(self.elements)}
-        self.order = order = len(self.elements)
-        self.e = e = index[tuple(range(group.degree))]
-        self.gens = sorted({index[g.images] for g in group.generators} - {e})
-        gen_rows = [
-            array("H", (index[_compose(self.elements[a], b)] for b in self.elements))
-            for a in self.gens
-        ]
-        gathers = [(a, itemgetter(*row_a)) for a, row_a in zip(self.gens, gen_rows)]
-        mul = [None] * order
-        mul[e] = array("H", range(order))
-        frontier = [e]
-        filled = 1
-        while frontier:
-            new = []
-            for s in frontier:
-                row_s = mul[s]
-                for a, gather in gathers:
-                    sa = row_s[a]
-                    if mul[sa] is None:
-                        mul[sa] = array("H", gather(row_s))
-                        new.append(sa)
-            filled += len(new)
-            frontier = new
-        if filled != order:
-            raise ValueError(
-                f"the generators of the ambient {group!r} reach {filled} of its {order} elements"
-            )
-        self.mul = mul
-        self.inv = array("H", (row.index(e) for row in mul))
-        self.whole = frozenset(range(order))
+@lru_cache(maxsize=None)
+def _seed_conjugates(seed: int, degree: int) -> dict:
+    """{element set: generators} of every S_degree-conjugate of
+    PERFECT_SEEDS[seed], as image tuples: its orbit under conjugation by
+    the generators of S_degree."""
+    movers = [(s.images, _inverse(s.images)) for s in symmetric(degree).generators]
+    gens = tuple(Permutation.parse(degree, c).images for c in PERFECT_SEEDS[seed][2])
+    orbit = {frozenset(_mulclose(degree, gens, GROUP_CAP)): gens}
+    todo = list(orbit)
+    for sub in todo:
+        for s, s_inv in movers:
+            conj = frozenset(_compose(_compose(s, h), s_inv) for h in sub)
+            if conj not in orbit:
+                orbit[conj] = tuple(_compose(_compose(s, g), s_inv) for g in orbit[sub])
+                todo.append(conj)
+    return orbit
 
-    def conjugation(self, g: int) -> array:
-        """The action h -> g h g^-1 on element indices."""
-        column = self.inv[g]
-        return array("H", (row[column] for row in map(self.mul.__getitem__, self.mul[g])))
 
-    def extend(self, sub: frozenset[int], gens) -> frozenset[int]:
-        """<gens>, for a subgroup sub of <gens>, by Dimino's coset-wise
-        closure: a union of left cosets t*sub, closed under left
-        multiplication by gens.  A union of more than |G|/2 elements can
-        only grow to G, so the closure stops there."""
-        mul = self.mul
-        members = tuple(sub)
-        els = set(sub)
-        half = self.order // 2
-        reps = [self.e]
-        for t in reps:
-            for g in gens:
-                y = mul[g][t]
-                if y not in els:
-                    els.update(map(mul[y].__getitem__, members))
-                    if len(els) > half:
-                        return self.whole
-                    reps.append(y)
-        return frozenset(els)
-
-    def double_coset_reps(self, sub) -> list[int]:
-        """The least element index of each double coset sub g sub."""
-        sub_sorted = sorted(sub)
-        covered = set()
-        reps = []
-        mul = self.mul
-        for g in range(self.order):
-            if g in covered:
-                continue
-            reps.append(g)
-            coset = tuple(map(mul[g].__getitem__, sub_sorted))
-            for h in sub_sorted:
-                covered.update(map(mul[h].__getitem__, coset))
-        return reps
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 class _RawClass:
-    __slots__ = ("rep", "gens", "order", "conjugates")
+    __slots__ = ("rep", "gens", "order", "conjugates", "normalizer")
 
-    def __init__(self, rep, gens, order, conjugates):
+    def __init__(self, rep, gens, order, conjugates, normalizer):
         self.rep = rep
         self.gens = gens
         self.order = order
         self.conjugates = conjugates
+        self.normalizer = normalizer
 
     @property
     def n_conj(self) -> int:
         return len(self.conjugates)
 
 
-def _enumerate_raw(table: _GroupTable):
-    """All conjugacy classes of subgroups; returns (classes, total subgroup count).
+class _Elements:
+    """The elements of a group indexed by rank (sorted image tuples).
+    Products are composed from the tuples on demand; a subgroup is a
+    frozenset of indices."""
+
+    def __init__(self, group: PermGroup):
+        self.tuples = sorted(group.elements)
+        self.index = {e: i for i, e in enumerate(self.tuples)}
+        self.identity = tuple(range(group.degree))
+        self.orders = [_element_order(e) for e in self.tuples]
+
+    def adjoin(self, sub: set, gens: list, g: tuple) -> set:
+        """<sub, g> for a subgroup sub = <gens> (image tuples), as a union of
+        left cosets y*sub closed under left multiplication by gens and g
+        (Dimino's algorithm)."""
+        index = self.index
+        members = [self.tuples[h] for h in sub]
+        grown = set(sub)
+        reps = [self.identity]
+        gens = [*gens, g]
+        for r in reps:
+            for s in gens:
+                y = _compose(s, r)
+                if index[y] not in grown:
+                    get = y.__getitem__
+                    grown.update([index[tuple(map(get, h))] for h in members])
+                    reps.append(y)
+        return grown
+
+    def short_gens(self, sub: frozenset, gens: tuple) -> tuple:
+        """A short generating set of sub = <gens> (element indices).  With
+        the elements of sub ranked by decreasing order: the first one when
+        sub is cyclic; else gens when it has two; else the first pair
+        (first, h) that generates sub; else the greedy pick of each ranked
+        element outside the span of those picked before, when that is
+        shorter than gens."""
+        if len(gens) <= 1:
+            return gens
+        tuples, orders = self.tuples, self.orders
+        ranked = sorted(sub, key=lambda h: (-orders[h], h))
+        first = ranked[0]
+        if orders[first] == len(sub):
+            return (first,)
+        if len(gens) == 2:
+            return gens
+        cyclic = self.adjoin({self.index[self.identity]}, [], tuples[first])
+        for h in ranked[1:]:
+            if h not in cyclic and len(self.adjoin(cyclic, [tuples[first]], tuples[h])) == len(sub):
+                return (first, h)
+        picked, span = [], {self.index[self.identity]}
+        for h in ranked:
+            if h not in span:
+                span = self.adjoin(span, [tuples[k] for k in picked], tuples[h])
+                picked.append(h)
+                if len(span) == len(sub):
+                    break
+        return tuple(picked) if len(picked) < len(gens) else gens
+
+
+def _enumerate_raw(group: PermGroup):
+    """All conjugacy classes of subgroups; returns (classes, element
+    tuples by index, total subgroup count).
 
     One breadth-first queue over the classes, starting with the trivial
-    one: each class H is extended by a representative g of every double
-    coset HgH outside H.  The extensions of the trivial class are the
-    cyclic subgroups <x>, in element order.  Each extension closes over
-    the larger of H and <g> (the Dimino base)."""
+    class and the perfect seeds that lie in G.  A class H is extended by
+    each g in N(H) \\ H whose coset gH has prime order p in N(H)/H; then
+    <H, g> is the union of the cosets g^i H.  A g inside an extension
+    already formed for H is skipped: by primality that extension is
+    <H, g>.  Every other subgroup K has a normal subgroup of prime index
+    (K/K' is a nontrivial abelian group), so induction on |K| reaches it."""
+    if group.degree > MAX_SUPPORTED_DEGREE and group.order % 4 == 0:
+        # A nontrivial perfect group has order divisible by 4: a Sylow
+        # 2-subgroup of order 2 has a normal complement (Burnside), and
+        # groups of odd order are solvable (Feit and Thompson).
+        raise ValueError(
+            f"perfect subgroups are tabulated up to degree {MAX_SUPPORTED_DEGREE}, "
+            f"so the subgroups of {group!r} cannot be enumerated"
+        )
+    els = _Elements(group)
+    tuples, index = els.tuples, els.index
+    order = len(tuples)
+    movers = [(s, _inverse(s)) for s in (g.images for g in group.generators) if s != els.identity]
+    actions = [
+        [index[_compose(_compose(s, x), s_inv)] for x in tuples].__getitem__ for s, s_inv in movers
+    ]
     seen: dict[frozenset, int] = {}
     classes: list[_RawClass] = []
-    actions = [table.conjugation(g).__getitem__ for g in table.gens]
 
-    def register(sub: frozenset, gens):
+    def register(sub: frozenset, gens: tuple):
         """Record the class of sub with all its conjugates, found as the
-        orbit of sub under conjugation by the generators of G."""
+        orbit of sub under conjugation by the generators of G, and its
+        normalizer, closed from the Schreier generators of that orbit up
+        to the order |G| / #conjugates."""
         cid = len(classes)
         seen[sub] = cid
-        conjugates = [sub]
-        for c in conjugates:
-            for act in actions:
+        conjugates, transversal, where, schreier = [sub], [els.identity], {sub: 0}, []
+        for i, c in enumerate(conjugates):
+            t = transversal[i]
+            for (s, _), act in zip(movers, actions):
                 d = frozenset(map(act, c))
-                if d not in seen:
+                j = where.get(d)
+                if j is None:
+                    where[d] = len(conjugates)
                     seen[d] = cid
                     conjugates.append(d)
-        classes.append(_RawClass(sub, tuple(gens), len(sub), conjugates))
+                    transversal.append(_compose(s, t))
+                else:
+                    schreier.append((j, s, t))
+        gens = els.short_gens(sub, gens)
+        target = order // len(conjugates)
+        normalizer, norm_gens = set(sub), [tuples[g] for g in gens]
+        for j, s, t in schreier:
+            if len(normalizer) == target:
+                break
+            u = _compose(_inverse(transversal[j]), _compose(s, t))
+            if index[u] not in normalizer:
+                normalizer = els.adjoin(normalizer, norm_gens, u)
+                norm_gens.append(u)
+        classes.append(_RawClass(sub, gens, len(sub), conjugates, normalizer))
 
-    trivial = frozenset([table.e])
-    cyclic = [table.extend(trivial, (x,)) for x in range(table.order)]
-    register(trivial, ())
-    for cls in classes:  # the queue: register appends to it
-        if cls.order == table.order:
+    register(frozenset([index[els.identity]]), ())
+    for seed, (seed_degree, seed_order, _) in enumerate(PERFECT_SEEDS):
+        if seed_degree > group.degree or order % seed_order:
             continue
-        for g in table.double_coset_reps(cls.rep):
-            if g in cls.rep:
+        for elements, gens in _seed_conjugates(seed, group.degree).items():
+            if elements <= group.elements:
+                sub = frozenset(map(index.__getitem__, elements))
+                if sub not in seen:
+                    register(sub, tuple(map(index.__getitem__, gens)))
+    for cls in classes:  # the queue: register appends to it
+        normalizer, cls.normalizer = cls.normalizer, None
+        if len(normalizer) == cls.order:
+            continue
+        members = [tuples[h] for h in cls.rep]
+        covered = set(cls.rep)
+        for g in sorted(normalizer):
+            if g in covered:
                 continue
-            base = cyclic[g] if len(cyclic[g]) > cls.order else cls.rep
-            grown = table.extend(base, cls.gens + (g,))
+            x = tuples[g]
+            powers = [x]
+            while index[powers[-1]] not in cls.rep:
+                powers.append(_compose(x, powers[-1]))
+            if not _is_prime(len(powers)):
+                continue
+            grown = set(cls.rep)
+            for y in powers[:-1]:
+                get = y.__getitem__
+                grown.update([index[tuple(map(get, h))] for h in members])
+            grown = frozenset(grown)
+            covered |= grown
             if grown not in seen:
                 register(grown, cls.gens + (g,))
-    return classes, len(seen)
+    return classes, tuples, len(seen)
 
 
 def _raw_marks(order: int, raw) -> list[list[int]]:
@@ -527,23 +600,30 @@ def _check_cap(ambient: Ambient):
             )
 
 
+def _check_generated(group: PermGroup):
+    """The generators of G must generate its element set: conjugation by
+    them finds the conjugates of each class, and G-sets act through them."""
+    if _mulclose(group.degree, [g.images for g in group.generators], GROUP_CAP) != group.elements:
+        raise ValueError(f"the generators of the ambient {group!r} do not generate it")
+
+
 def build_catalog(ambient: Ambient) -> Catalog:
     """Enumerate the catalog of `ambient` afresh: no memo, cache or earlier
     build is read."""
     _check_cap(ambient)
     group = ambient.build_group()
-    table = _GroupTable(group)
-    raw, subgroup_count = _enumerate_raw(table)
+    _check_generated(group)
+    raw, tuples, subgroup_count = _enumerate_raw(group)
     reps = [
         PermGroup(
             group.degree,
-            [Permutation(table.elements[g]) for g in cls.gens],
-            {table.elements[e] for e in cls.rep},
+            [Permutation(tuples[g]) for g in cls.gens],
+            {tuples[e] for e in cls.rep},
         )
         for cls in raw
     ]
     ptypes = [orbit_partition(rep) for rep in reps]
-    marks = _raw_marks(table.order, raw)
+    marks = _raw_marks(group.order, raw)
     order_map = _order_raw_classes(raw, marks, ptypes)
     matrix = [[marks[i][j] for j in order_map] for i in order_map]
     labels = _assign_labels([(raw[i].order, ptypes[i]) for i in order_map])
@@ -588,10 +668,9 @@ def _cache_path(ambient: Ambient):
     return directory / f"{ambient.descriptor()}_v{CATALOG_VERSION}.json"
 
 
-def _load(ambient: Ambient) -> Catalog | None:
-    """The cached catalog of `ambient`, or None when its file is missing,
+def _load(path) -> Catalog | None:
+    """The catalog cached at `path`, or None when the file is missing,
     unreadable or fails `_is_consistent`."""
-    path = _cache_path(ambient)
     if not path.exists():
         return None
     try:
@@ -613,24 +692,41 @@ def get_catalog(ambient: Ambient) -> Catalog:
     earlier build in this process, such as S0 x Sn after Sn, takes that
     build's classes and marks with its own aliases and group object (G-sets
     act through its generators), so each group is enumerated at most once.
-    A catalog loaded from a file is never reused."""
+    A catalog loaded from a file is never reused.  Each build or reuse is
+    logged at INFO with its ambient, reason, class and subgroup counts and
+    seconds (fields of the record, too)."""
     _check_cap(ambient)
     if ambient in _CATALOGS:
         return _CATALOGS[ambient]
-    cat = _load(ambient) if ambient.cacheable else None
+    path = _cache_path(ambient) if ambient.cacheable else None
+    cat = _load(path) if path else None
     if cat is None:
+        reason = "invalid cache file" if path and path.exists() else "no cache file"
+        start = time.perf_counter()
         group = ambient.build_group()
         source = _BUILT.get(group)
         if source is None:
             cat = _BUILT[group] = build_catalog(ambient)
-        elif PermGroup.generate(group.degree, group.generators) != group:
-            # a build rejects such a group while tabulating it (_GroupTable)
-            raise ValueError(f"the generators of the ambient {group!r} do not generate it")
         else:
+            _check_generated(group)
             parts = [(c.rep, c.order, c.norm_order, c.ptype, c.label) for c in source.classes]
             cat = _assemble(ambient, group, parts, source.matrix, source.subgroup_count)
-        if ambient.cacheable:
-            _write_cache(_cache_path(ambient), cat)
+            reason = "equal to an earlier build"
+        fields = {
+            "ambient": ambient.descriptor(),
+            "reason": reason,
+            "classes": len(cat.classes),
+            "subgroups": cat.subgroup_count,
+            "seconds": time.perf_counter() - start,
+        }
+        logger.info(
+            "catalog %(ambient)s (%(reason)s): %(classes)d classes, %(subgroups)d subgroups "
+            "in %(seconds).3f s",
+            fields,
+            extra=fields,
+        )
+        if path:
+            _write_cache(path, cat)
     _CATALOGS[ambient] = cat
     return cat
 

@@ -6,6 +6,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 ENV_CATALOG_DIR = "BETARING_CATALOG_DIR"
@@ -47,7 +48,13 @@ _overrides: ContextVar[tuple] = ContextVar("betaring_config_overrides", default=
 
 def get_config() -> Config:
     overrides = _overrides.get()
-    return replace(_config, **dict(overrides)) if overrides else _config
+    return _layered(_config, overrides) if overrides else _config
+
+
+@lru_cache(maxsize=64)
+def _layered(config: Config, overrides: tuple) -> Config:
+    """`config` with the fields of `overrides` replaced, made once per pair."""
+    return replace(config, **dict(overrides))
 
 
 def set_config(config: Config | None = None, **overrides) -> Config:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from .config import get_config
 from .errors import CapExceeded, DegreeCap, NotASubgroup
@@ -206,7 +207,39 @@ def cycle_type(p: Permutation) -> Partition:
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
+    """p * q on image tuples (q acts first): one C-level gather of p by q."""
+    if len(q) > 1:
+        return itemgetter(*q)(p)
     return tuple(p[i] for i in q)
+
+
+def _element_order(p: tuple) -> int:
+    """The lcm of the cycle lengths of an image tuple."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        length = 0
+        while not seen[start]:
+            seen[start] = True
+            start = p[start]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
+@lru_cache(maxsize=None)
+def _max_element_order(degree: int) -> int:
+    """The largest order of an element of S_degree (Landau's function)."""
+    return max(math.lcm(*p.parts) for p in partitions(degree))
+
+
+def _inverse(p: tuple) -> tuple:
+    """The inverse of an image tuple."""
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
 
 
 def _mulclose(degree: int, gens: list[tuple], cap: int) -> set[tuple]:
@@ -318,9 +351,11 @@ class PermGroup:
         return PermGroup(self.degree, gens, elements)
 
     def is_cyclic(self) -> bool:
-        """Some element's order, the lcm of its cycle lengths, is |H|."""
-        census = cycle_census(self.elements, (range(self.degree),))
-        return any(math.lcm(*lengths) == self.order for (lengths,), _ in census)
+        """Some element's order, the lcm of its cycle lengths, is |H|; no
+        element of S_degree has order above `_max_element_order`."""
+        if self.order > _max_element_order(self.degree):
+            return False
+        return any(_element_order(e) == self.order for e in self.elements)
 
     def to_json(self):
         return {"degree": self.degree, "generators": [list(g.images) for g in self.generators]}

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from betaring import config
 from betaring.adams import check_gcd, check_prop_adams, psi_partition, psi_upper, solve_psi_K
 from betaring.bring import (
     BElement,
@@ -12,6 +15,7 @@ from betaring.bring import (
 )
 from betaring.burnside import BurnsideElement, GSet, group_catalog
 from betaring.checks import klein_group
+from betaring.errors import DegreeCap
 from betaring.perms import PermGroup, Permutation, partitions
 from betaring.symfunc import lin, p_
 
@@ -19,6 +23,16 @@ from betaring.symfunc import lin, p_
 def test_psi_small():
     assert psi_upper(1) == beta_upper(1)
     assert psi_upper(2) == BElement.basis(2, "S2").scale(2) - beta_regular(2)
+
+
+def test_degree_cap_holds_after_psi_upper_is_cached():
+    """The cap is checked outside the cache: after psi_upper(4) at the
+    default cap, the same call under max_degree 3 still raises."""
+    assert len(psi_upper(4).terms) == 5
+    with config.override(max_degree=3):
+        with pytest.raises(DegreeCap):
+            psi_upper(4)
+        assert psi_upper(3) == psi_partition([3])
 
 
 def test_lin_of_psi_is_power_sum():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import logging
 import os
 import random
 from pathlib import Path
@@ -11,7 +12,6 @@ from betaring import catalog as cat
 from betaring import config
 from betaring.catalog import (
     Ambient,
-    _GroupTable,
     _is_consistent,
     build_catalog,
     get_catalog,
@@ -39,6 +39,9 @@ PINNED_MARKS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned_marks
 # sha256 of json.dumps(Catalog.to_json()) for each cold ambient: labels,
 # representatives' generators, aliases, normalizer orders and marks.
 PINNED_CATALOGS = Path(__file__).resolve().parent / "pinned_catalogs.json"
+# An S4 cache file written by the earlier Cayley-table engine, whose class
+# representatives differ from the present ones.
+PARENT_S4_CACHE = Path(__file__).resolve().parent / "fixtures" / "S4_v1.json"
 
 
 def sym(n):
@@ -390,32 +393,83 @@ def test_unwritable_cache_warns_and_still_builds(tmp_path):
     assert blocker.read_text() == "a regular file"
 
 
-@pytest.mark.parametrize(
-    "group",
-    [PermGroup.symmetric(4), Ambient.pair(2, 3).build_group(), Ambient.pair(0, 3).build_group(),
-     klein_group(), PermGroup.cyclic(4), PermGroup.symmetric(0), PermGroup.symmetric(1)],
-    ids=["S4", "S2xS3", "S0xS3", "V4", "C4", "S0", "S1"],
-)
-def test_group_table_rows_match_direct_composition(group):
-    """Rows reached from the generators' rows agree with composing the
-    permutation tuples of every pair, and inv with the inverse tuple."""
-    table = _GroupTable(group)
-    elements = table.elements
-    assert elements == sorted(group.elements)
-    for a, p in enumerate(elements):
-        inverse = [0] * len(p)
-        for x, y in enumerate(p):
-            inverse[y] = x
-        assert table.inv[a] == table.index[tuple(inverse)]
-        for b, q in enumerate(elements):
-            assert table.mul[a][b] == table.index[tuple(p[i] for i in q)]
-
-
 def test_group_table_rejects_generators_that_miss_elements():
     transposition = Permutation.parse(4, "(0 1)")
     group = PermGroup(4, [transposition], set(itertools.permutations(range(4))))
     with pytest.raises(ValueError, match=r"PermGroup\(degree=4, order=24, gens=<\(0 1\)>\)"):
-        _GroupTable(group)
+        build_catalog(Ambient.of_group(group))
+
+
+def _derived_subgroup(group):
+    """The normal closure of the commutators a^-1 b^-1 a b of pairs of
+    generators: G modulo it is abelian, so it is the derived subgroup."""
+
+    def inverse(p):
+        inv = [0] * len(p)
+        for i, j in enumerate(p):
+            inv[j] = i
+        return tuple(inv)
+
+    gens = [g.images for g in group.generators]
+    found = {_compose(_compose(inverse(a), inverse(b)), _compose(a, b)) for a in gens for b in gens}
+    while True:
+        sub = PermGroup.generate(group.degree, sorted(found))
+        conjugates = {
+            _compose(_compose(g, k.images), inverse(g)) for g in gens for k in sub.generators
+        }
+        if conjugates <= sub.elements:
+            return sub
+        found |= conjugates
+
+
+@pytest.mark.parametrize("seed", cat.PERFECT_SEEDS, ids=lambda s: f"d{s[0]}-o{s[1]}")
+def test_perfect_seeds_have_their_orders_and_are_perfect(seed):
+    degree, order, cycles = seed
+    group = PermGroup.generate(degree, [Permutation.parse(degree, c) for c in cycles])
+    assert group.order == order
+    assert _derived_subgroup(group) == group
+    assert _derived_subgroup(PermGroup.symmetric(degree)) != PermGroup.symmetric(degree)
+
+
+def test_of_group_a5_and_psl32():
+    """A5 is a seed; PSL(3,2), of order 168, is one although 60 does not
+    divide its order."""
+    a5 = PermGroup.generate(5, [Permutation.parse(5, "(0 1 2)"), Permutation.parse(5, "(0 1 2 3 4)")])
+    built = build_catalog(Ambient.of_group(a5))
+    assert (len(built.classes), built.subgroup_count) == (9, 59)
+    assert [c.order for c in built.classes] == [1, 2, 3, 4, 5, 6, 10, 12, 60]
+    psl = PermGroup.generate(7, [Permutation.parse(7, c) for c in ("(0 1 2 3 4 5 6)", "(2 4)(5 6)")])
+    built = build_catalog(Ambient.of_group(psl))
+    assert (len(built.classes), built.subgroup_count) == (15, 179)
+    assert _is_consistent(built)
+
+
+def test_groups_past_the_seed_table_need_an_order_prime_to_4():
+    """Degree 8 is past the seed table: a group of odd or twice-odd order has
+    no perfect subgroup and is enumerated, one of order divisible by 4 is
+    refused."""
+    c6 = PermGroup.generate(8, [Permutation.parse(8, "(0 1 2)(3 4)(5 6 7)")])
+    assert [c.order for c in build_catalog(Ambient.of_group(c6)).classes] == [1, 2, 3, 6]
+    c4 = PermGroup.generate(8, [Permutation.parse(8, "(0 1 2 3)")])
+    with pytest.raises(ValueError, match="perfect subgroups are tabulated up to degree 7"):
+        build_catalog(Ambient.of_group(c4))
+
+
+def test_a_cache_file_of_the_earlier_engine_loads_without_a_rebuild(tmp_path, monkeypatch):
+    """Representatives differ from a fresh build, every table entry agrees."""
+    (tmp_path / "S4_v1.json").write_bytes(PARENT_S4_CACHE.read_bytes())
+    fresh = build_catalog(Ambient.sym(4))
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        monkeypatch.setattr(cat, "build_catalog", lambda ambient: pytest.fail("rebuilt"))
+        loaded = get_catalog(Ambient.sym(4))
+    cat.clear_memo()
+    assert [c.label for c in loaded.classes] == [c.label for c in fresh.classes]
+    assert loaded.matrix == fresh.matrix
+    assert [c.norm_order for c in loaded.classes] == [c.norm_order for c in fresh.classes]
+    assert [c.aliases for c in loaded.classes] == [c.aliases for c in fresh.classes]
+    assert [c.rep.generators for c in loaded.classes] != [c.rep.generators for c in fresh.classes]
+    assert (tmp_path / "S4_v1.json").read_bytes() == PARENT_S4_CACHE.read_bytes()
 
 
 def _tom_digest(catalog):
@@ -445,6 +499,15 @@ def test_cold_build_pins_the_full_catalog(ambient):
     pinned = json.loads(PINNED_CATALOGS.read_text())
     text = json.dumps(build_catalog(ambient).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == pinned[ambient.descriptor()]
+
+
+def test_representatives_keep_short_generating_sets():
+    """Every cache file loads by closing each representative from its
+    generators: at most three per class, 749 in all over the 34 files."""
+    counts = [
+        len(cls.rep.generators) for ambient in COLD_AMBIENTS for cls in build_catalog(ambient).classes
+    ]
+    assert max(counts) <= 3 and sum(counts) <= 749
 
 
 def _set_mark(data, i, j, value):
@@ -599,6 +662,28 @@ def test_reuse_rejects_generators_that_miss_elements(tmp_path):
     cat.clear_memo()
 
 
+def test_builds_and_reuses_are_logged(tmp_path, caplog):
+    """One INFO record per build or reuse, none for a memo hit or a load."""
+    with config.override(catalog_dir=str(tmp_path)), caplog.at_level(logging.INFO, "betaring"):
+        cat.clear_memo()
+        get_catalog(Ambient.sym(3))
+        get_catalog(Ambient.pair(0, 3))
+        get_catalog(Ambient.sym(3))
+        (tmp_path / "S2_v1.json").write_text("{")
+        get_catalog(Ambient.sym(2))
+        cat.clear_memo()
+        get_catalog(Ambient.sym(3))
+    cat.clear_memo()
+    assert [(r.ambient, r.reason, r.classes, r.subgroups) for r in caplog.records] == [
+        ("S3", "no cache file", 4, 6),
+        ("S0xS3", "equal to an earlier build", 4, 6),
+        ("S2", "invalid cache file", 2, 2),
+    ]
+    assert all(r.name.startswith("betaring") and r.levelno == logging.INFO for r in caplog.records)
+    assert all(0 <= r.seconds < 60 for r in caplog.records)
+    assert caplog.records[0].getMessage().startswith("catalog S3 (no cache file): 4 classes, 6 subgroups in ")
+
+
 def test_degree_cap_holds_on_a_memo_hit():
     get_catalog(Ambient.sym(4))
     with config.override(max_degree=3):
@@ -646,7 +731,7 @@ def test_group_kind_ambient():
 
 @pytest.mark.skipif(
     not os.environ.get("BETARING_LONG_TESTS"),
-    reason="about 7 seconds; set BETARING_LONG_TESTS=1 to run",
+    reason="about half a second; set BETARING_LONG_TESTS=1 to run",
 )
 def test_degree_seven_catalog():
     with config.override(max_degree=7):

@@ -78,3 +78,18 @@ def test_overrides_nest_and_layer_over_set_config():
         assert config.get_config().gset_cap == base.gset_cap
     finally:
         config.set_config(base)
+
+
+def test_layered_config_is_made_once_per_block():
+    """Repeated reads in one block return one object, and a set_config
+    inside the block is still seen."""
+    base = config.get_config()
+    try:
+        with config.override(gset_cap=5):
+            first = config.get_config()
+            assert config.get_config() is first
+            config.set_config(max_degree=4)
+            assert (config.get_config().max_degree, config.get_config().gset_cap) == (4, 5)
+        assert config.get_config() == replace(base, max_degree=4)
+    finally:
+        config.set_config(base)

@@ -10,6 +10,7 @@ from betaring.perms import (
     Partition,
     PermGroup,
     Permutation,
+    _compose,
     all_subgroups,
     are_conjugate,
     cycle_type,
@@ -55,6 +56,18 @@ def test_permutation_composition_and_inverse():
     assert (p * q)(2) == p(q(2))
     assert (p * p.inverse()).is_identity()
     assert Permutation.parse(4, p.cycle_string()) == p
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7])
+def test_compose_gathers_like_the_generator_expression(degree):
+    """One itemgetter call, or the generator expression below two points,
+    gives the tuple of p[i] for i in q, for tuple and list arguments."""
+    rng = random.Random(degree)
+    for _ in range(20):
+        p, q = rng.sample(range(degree), degree), rng.sample(range(degree), degree)
+        expected = tuple(p[i] for i in q)
+        for a, b in itertools.product((p, tuple(p)), (q, tuple(q))):
+            assert _compose(a, b) == expected and type(_compose(a, b)) is tuple
 
 
 def test_permutation_json_roundtrip():
