@@ -400,6 +400,19 @@ def test_group_table_rejects_generators_that_miss_elements():
         build_catalog(Ambient.of_group(group))
 
 
+def test_a_reused_build_rejects_generators_that_miss_elements(tmp_path):
+    """A concrete group equal to an earlier build takes that build, and is
+    still checked for generators that do not generate it."""
+    transposition = Permutation.parse(4, "(0 1)")
+    group = PermGroup(4, [transposition], set(itertools.permutations(range(4))))
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        get_catalog(Ambient.sym(4))
+        with pytest.raises(ValueError, match="do not generate it"):
+            get_catalog(Ambient.of_group(group))
+    cat.clear_memo()
+
+
 def _derived_subgroup(group):
     """The normal closure of the commutators a^-1 b^-1 a b of pairs of
     generators: G modulo it is abelian, so it is the derived subgroup."""
@@ -444,15 +457,21 @@ def test_of_group_a5_and_psl32():
     assert _is_consistent(built)
 
 
-def test_groups_past_the_seed_table_need_an_order_prime_to_4():
-    """Degree 8 is past the seed table: a group of odd or twice-odd order has
-    no perfect subgroup and is enumerated, one of order divisible by 4 is
-    refused."""
-    c6 = PermGroup.generate(8, [Permutation.parse(8, "(0 1 2)(3 4)(5 6 7)")])
-    assert [c.order for c in build_catalog(Ambient.of_group(c6)).classes] == [1, 2, 3, 6]
+def test_groups_past_the_seed_table_are_enumerated_when_solvable():
+    """Degree 8 is past the seed table: a solvable group has no perfect
+    subgroup and is enumerated, an insoluble one is refused."""
     c4 = PermGroup.generate(8, [Permutation.parse(8, "(0 1 2 3)")])
+    assert [c.order for c in build_catalog(Ambient.of_group(c4)).classes] == [1, 2, 4]
+    c8 = PermGroup.generate(8, [Permutation.parse(8, "(0 1 2 3 4 5 6 7)")])
+    assert [c.order for c in build_catalog(Ambient.of_group(c8)).classes] == [1, 2, 4, 8]
+    cycles = ("(0 1)", "(0 1 2 3)", "(4 5)", "(4 5 6)")
+    s4_s3 = PermGroup.generate(8, [Permutation.parse(8, c) for c in cycles])  # order 144
+    built = build_catalog(Ambient.of_group(s4_s3))
+    assert (len(built.classes), built.subgroup_count) == (70, 372)  # 372 by perms.all_subgroups
+    assert _is_consistent(built)
+    s5 = PermGroup.generate(8, [Permutation.parse(8, c) for c in ("(0 1)", "(0 1 2 3 4)")])
     with pytest.raises(ValueError, match="perfect subgroups are tabulated up to degree 7"):
-        build_catalog(Ambient.of_group(c4))
+        build_catalog(Ambient.of_group(s5))
 
 
 def test_a_cache_file_of_the_earlier_engine_loads_without_a_rebuild(tmp_path, monkeypatch):
