@@ -25,7 +25,7 @@ import operator
 from .catalog import Ambient, SubgroupClass, get_catalog
 from .config import get_config
 from .errors import IntegralityViolation, NotASubgroup, NotEffective, SizeCap
-from .perms import PermGroup, Permutation, _compose
+from .perms import PermGroup, Permutation, _compose, _inverse
 
 
 class GSet:
@@ -190,12 +190,7 @@ def induce(group: PermGroup, sub: PermGroup, x: GSet) -> GSet:
     if x.size == 1:
         rows = [tuple(coset_of[_compose(g.images, r)] for r in reps) for g in group.generators]
         return GSet(group, len(reps), rows)
-    rep_inv = []
-    for r in reps:
-        inv = [0] * len(r)
-        for i, j in enumerate(r):
-            inv[j] = i
-        rep_inv.append(tuple(inv))
+    rep_inv = [_inverse(r) for r in reps]
     # point (i, pt) is indexed i * x.size + pt
     rows = []
     for g in group.generators:

@@ -22,7 +22,7 @@ conjugates, found as its orbit under conjugation by the generators of G,
 which makes deduplication a set lookup; N(H) is closed from the
 Schreier generators of that orbit until it reaches its known order
 |G| / #conjugates.  Each representative keeps a short generating set
-(`_Elements.short_gens`).  Marks come from one pass of containment over
+(`perms._short_gens`).  Marks come from one pass of containment over
 every pair of classes: mark(H, K) = #{conjugates of H containing K} *
 |N(H)|/|H|; the class ordering and the final matrix both read that pass.
 
@@ -66,11 +66,11 @@ from .perms import (
     Partition,
     PermGroup,
     Permutation,
+    _adjoin,
     _compose,
-    _element_order,
     _inverse,
     _mulclose,
-    _small_generating_set,
+    _short_gens,
     cycle_census,
     direct_embed,
     orbit_partition,
@@ -182,88 +182,29 @@ class _RawClass:
         return len(self.conjugates)
 
 
-class _Elements:
-    """The elements of a group indexed by rank (sorted image tuples).
-    Products are composed from the tuples on demand; a subgroup is a
-    frozenset of indices."""
-
-    def __init__(self, group: PermGroup):
-        self.tuples = sorted(group.elements)
-        self.index = {e: i for i, e in enumerate(self.tuples)}
-        self.identity = tuple(range(group.degree))
-        self.orders = [_element_order(e) for e in self.tuples]
-
-    def adjoin(self, sub: set, gens: list, g: tuple) -> set:
-        """<sub, g> for a subgroup sub = <gens> (image tuples), as a union of
-        left cosets y*sub closed under left multiplication by gens and g
-        (Dimino's algorithm)."""
-        index = self.index
-        members = [self.tuples[h] for h in sub]
-        grown = set(sub)
-        reps = [self.identity]
-        gens = [*gens, g]
-        for r in reps:
-            for s in gens:
-                y = _compose(s, r)
-                if index[y] not in grown:
-                    get = y.__getitem__
-                    grown.update([index[tuple(map(get, h))] for h in members])
-                    reps.append(y)
-        return grown
-
-    def short_gens(self, sub: frozenset, gens: tuple) -> tuple:
-        """A short generating set of sub = <gens> (element indices).  With
-        the elements of sub ranked by decreasing order: the first pair
-        (first, h) that generates sub, else the greedy pick of each ranked
-        element outside the span of those picked before (one element when
-        sub is cyclic); gens when that is not shorter.  The greedy pick
-        alone gives 773 generators over the 34 cache files of degree at most
-        6 and up to 4 in a class, against 749 and 3 with the pair search first."""
-        if len(gens) <= 1:
-            return gens
-        tuples, orders = self.tuples, self.orders
-        ranked = sorted(sub, key=lambda h: (-orders[h], h))
-        identity = self.index[self.identity]
-        first = tuples[ranked[0]]
-        cyclic = self.adjoin({identity}, [], first)
-        for h in ranked:
-            if h not in cyclic and len(self.adjoin(cyclic, [first], tuples[h])) == len(sub):
-                return (ranked[0], h)
-        picked, span = [], {identity}
-        for h in ranked:
-            if h not in span:
-                span = self.adjoin(span, [tuples[k] for k in picked], tuples[h])
-                picked.append(h)
-                if len(span) == len(sub):
-                    break
-        return tuple(picked) if len(picked) < len(gens) else gens
-
-
 def _is_solvable(group: PermGroup) -> bool:
     """The derived series of G reaches 1.  Each term is the normal closure,
     in the term before it, of the commutators of pairs of generators of
-    that earlier term.  Every group of order below 60 is solvable, which
-    ends the series early."""
-    degree = group.degree
+    that earlier term: each commutator or conjugate outside the span is
+    adjoined, and its conjugates by those generators are queued.  Every
+    group of order below 60 is solvable, which ends the series early."""
     gens, order = [g.images for g in group.generators], group.order
     while order >= 60:
         inverses = [_inverse(a) for a in gens]
-        found = {
+        todo = [
             _compose(_compose(a_inv, b_inv), _compose(a, b))
             for a, a_inv in zip(gens, inverses)
             for b, b_inv in zip(gens, inverses)
-        }
-        while True:
-            derived = _mulclose(degree, sorted(found), GROUP_CAP)
-            conjugates = {
-                _compose(_compose(a, k), a_inv) for a, a_inv in zip(gens, inverses) for k in found
-            }
-            if conjugates <= derived:
-                break
-            found |= conjugates
+        ]
+        derived, picked = {tuple(range(group.degree))}, []
+        for k in todo:
+            if k not in derived:
+                derived = _adjoin(derived, picked, k, order)
+                picked.append(k)
+                todo += [_compose(_compose(a, k), a_inv) for a, a_inv in zip(gens, inverses)]
         if len(derived) == order:
             return False
-        gens, order = [g.images for g in _small_generating_set(degree, derived)], len(derived)
+        gens, order = _short_gens(derived), len(derived)
     return True
 
 
@@ -288,10 +229,10 @@ def _enumerate_raw(group: PermGroup):
                 f"so the subgroups of the insoluble {group!r} cannot be enumerated"
             )
         seeds = ()
-    els = _Elements(group)
-    tuples, index = els.tuples, els.index
-    order = len(tuples)
-    movers = [(s, _inverse(s)) for s in (g.images for g in group.generators) if s != els.identity]
+    tuples = sorted(group.elements)  # a subgroup is a frozenset of ranks
+    index = {e: i for i, e in enumerate(tuples)}
+    identity, order = tuples[0], len(tuples)
+    movers = [(s, _inverse(s)) for s in (g.images for g in group.generators) if s != identity]
     actions = [
         [index[_compose(_compose(s, x), s_inv)] for x in tuples].__getitem__ for s, s_inv in movers
     ]
@@ -305,7 +246,7 @@ def _enumerate_raw(group: PermGroup):
         to the order |G| / #conjugates."""
         cid = len(classes)
         seen[sub] = cid
-        conjugates, transversal, where, schreier = [sub], [els.identity], {sub: 0}, []
+        conjugates, transversal, where, schreier = [sub], [identity], {sub: 0}, []
         for i, c in enumerate(conjugates):
             t = transversal[i]
             for (s, _), act in zip(movers, actions):
@@ -318,19 +259,22 @@ def _enumerate_raw(group: PermGroup):
                     transversal.append(_compose(s, t))
                 else:
                     schreier.append((j, s, t))
-        gens = els.short_gens(sub, gens)
+        members = frozenset(map(tuples.__getitem__, sub))
+        norm_gens = list(_short_gens(members, tuple(map(tuples.__getitem__, gens))))
+        gens = tuple(map(index.__getitem__, norm_gens))
         target = order // len(conjugates)
-        normalizer, norm_gens = set(sub), [tuples[g] for g in gens]
+        normalizer = members
         for j, s, t in schreier:
             if len(normalizer) == target:
                 break
             u = _compose(_inverse(transversal[j]), _compose(s, t))
-            if index[u] not in normalizer:
-                normalizer = els.adjoin(normalizer, norm_gens, u)
+            if u not in normalizer:
+                normalizer = _adjoin(normalizer, norm_gens, u, order)
                 norm_gens.append(u)
+        normalizer = list(map(index.__getitem__, normalizer))  # frees the coset tuples
         classes.append(_RawClass(sub, gens, len(sub), conjugates, normalizer))
 
-    register(frozenset([index[els.identity]]), ())
+    register(frozenset([index[identity]]), ())
     for seed, (seed_degree, seed_order, _) in enumerate(seeds):
         if seed_degree > group.degree or order % seed_order:
             continue
@@ -527,9 +471,7 @@ class Catalog:
         members = h.elements
         count = 0
         for g in self.group.elements:
-            ginv = [0] * len(g)
-            for x, y in enumerate(g):
-                ginv[y] = x
+            ginv = _inverse(g)
             if all(_compose(_compose(ginv, k), g) in members for k in gens):
                 count += 1
         return count // h.order
@@ -553,8 +495,7 @@ class Catalog:
         degree = data["degree"]
         classes = []
         for c in data["classes"]:
-            gens = [Permutation(im) for im in c["generators"]]
-            rep = PermGroup.generate(degree, gens) if gens else PermGroup.trivial(degree)
+            rep = PermGroup.generate(degree, [Permutation(im) for im in c["generators"]])
             if rep.order != c["order"]:
                 raise ValueError("catalog cache is inconsistent")
             classes.append(

@@ -444,6 +444,47 @@ def test_perfect_seeds_have_their_orders_and_are_perfect(seed):
     assert _derived_subgroup(PermGroup.symmetric(degree)) != PermGroup.symmetric(degree)
 
 
+def _agl_1_8():
+    """x -> a*x + b on F8, a point being the 3-bit code of c0 + c1 t + c2 t^2
+    with t^3 = t + 1: the translations and the multiplication by t."""
+    gens = [[x ^ b for x in range(8)] for b in (1, 2, 4)]
+    gens.append([(x >> 2) | ((x ^ (x >> 2)) & 1) << 1 | (x >> 1 & 1) << 2 for x in range(8)])
+    return PermGroup.generate(8, [Permutation(g) for g in gens])
+
+
+DEGREE_EIGHT = {  # name: (generators or group, order, solvable)
+    "PSL(2,7)": (("(0 1 2 3 4 5 6)", "(0 7)(1 6)(2 3)(4 5)"), 168, False),
+    "AGL(3,2)": (("(1 2 4 3 6 7 5)", "(4 5)(6 7)", "(0 1)(2 3)(4 5)(6 7)"), 1344, False),
+    "S5": (("(0 1)", "(0 1 2 3 4)"), 120, False),
+    "S4xS3": (("(0 1)", "(0 1 2 3)", "(4 5)", "(4 5 6)"), 144, True),
+    "S4wrC2": (("(0 1)", "(0 1 2 3)", "(0 4)(1 5)(2 6)(3 7)"), 1152, True),
+    "Sylow2(S8)": (("(0 1)", "(0 2)(1 3)", "(0 4)(1 5)(2 6)(3 7)"), 128, True),
+    "AGL(1,8)": (None, 56, True),
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_EIGHT)
+def test_is_solvable_at_degree_eight_follows_the_derived_series(name):
+    cycles, order, solvable = DEGREE_EIGHT[name]
+    if cycles is None:
+        group = _agl_1_8()
+    else:
+        group = PermGroup.generate(8, [Permutation.parse(8, c) for c in cycles])
+    assert group.order == order
+    term = group
+    while (derived := _derived_subgroup(term)) != term:
+        term = derived
+    assert (term.order == 1) == solvable
+    assert cat._is_solvable(group) == solvable
+
+
+def test_an_insoluble_group_past_the_seed_table_is_refused():
+    cycles = DEGREE_EIGHT["PSL(2,7)"][0]
+    psl = PermGroup.generate(8, [Permutation.parse(8, c) for c in cycles])
+    with pytest.raises(ValueError, match="insoluble"):
+        build_catalog(Ambient.of_group(psl))
+
+
 def test_of_group_a5_and_psl32():
     """A5 is a seed; PSL(3,2), of order 168, is one although 60 does not
     divide its order."""

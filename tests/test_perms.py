@@ -11,6 +11,7 @@ from betaring.perms import (
     PermGroup,
     Permutation,
     _compose,
+    _mulclose,
     all_subgroups,
     are_conjugate,
     cycle_type,
@@ -86,6 +87,92 @@ def test_generate_small_groups():
 def test_generate_cap():
     with pytest.raises(CapExceeded):
         PermGroup.generate(5, PermGroup.symmetric(5).generators, cap=10)
+
+
+def _bfs_closure(degree, gens):
+    """The group generated by image tuples, by breadth-first search: the
+    reference for the closure in perms."""
+    identity = tuple(range(degree))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(g[i] for i in x)
+                if y not in elements:
+                    elements.add(y)
+                    new.append(y)
+        frontier = new
+    return elements
+
+
+def _closure_cases():
+    rng = random.Random(11)
+    cases = [
+        (5, []),
+        (0, []),
+        (0, [()]),
+        (1, [(0,)]),
+        (3, [(1, 0, 2), (0, 1, 2), (1, 0, 2)]),
+        (4, [(1, 2, 3, 0), (0, 1, 2, 3), (1, 2, 3, 0), (1, 0, 2, 3), (1, 0, 2, 3)]),
+    ]
+    for degree in (5, 6):
+        for size in (1, 2, 3):
+            for _ in range(4):
+                gens = [tuple(rng.sample(range(degree), degree)) for _ in range(size)]
+                cases.append((degree, gens))
+    return cases
+
+
+@pytest.mark.parametrize("degree, gens", _closure_cases())
+def test_closure_matches_a_breadth_first_search(degree, gens):
+    expected = _bfs_closure(degree, gens)
+    assert _mulclose(degree, gens, math.factorial(degree)) == expected
+    assert PermGroup.generate(degree, gens).elements == expected
+
+
+def test_generate_cap_is_exact():
+    gens = PermGroup.symmetric(5).generators
+    assert PermGroup.generate(5, gens, cap=120).order == 120
+    with pytest.raises(CapExceeded, match="cap 119"):
+        PermGroup.generate(5, gens, cap=119)
+
+
+@pytest.mark.parametrize(
+    "cycles",
+    [["()", "(0 1)(2 3)", "(0 2)(1 3)", "(0 1)"], ["()", "(0 1 2)"], ["(0 1)"], []],
+    ids=["four-points-not-closed", "no-inverse", "no-identity", "empty"],
+)
+def test_from_elements_rejects_a_set_that_is_not_a_group(cycles):
+    with pytest.raises(ValueError, match="not a group"):
+        PermGroup.from_elements(4, [perm(4, c) for c in cycles])
+
+
+def test_from_elements_accepts_the_klein_four_group():
+    v4 = [perm(4, c) for c in ("()", "(0 1)(2 3)", "(0 2)(1 3)", "(0 3)(1 2)")]
+    group = PermGroup.from_elements(4, v4)
+    assert group.order == 4 and len(group.generators) == 2
+    assert _bfs_closure(4, [g.images for g in group.generators]) == group.elements
+
+
+@pytest.mark.parametrize(
+    "group, count",
+    [
+        (PermGroup.symmetric(4), 30),
+        (direct_embed(PermGroup.symmetric(2), PermGroup.symmetric(3)), 16),
+        (PermGroup.symmetric(5), 156),
+    ],
+    ids=["S4", "S2xS3", "S5"],
+)
+def test_from_elements_picks_at_most_two_generators(group, count):
+    """Every subgroup of these groups is 2-generated, and the picker finds
+    a generating pair for each."""
+    subgroups = all_subgroups(group)
+    assert len(subgroups) == count
+    for elements in subgroups:
+        gens = PermGroup.from_elements(group.degree, elements).generators
+        assert len(gens) <= 2
+        assert _bfs_closure(group.degree, [g.images for g in gens]) == elements
 
 
 def test_direct_embed():
