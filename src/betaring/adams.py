@@ -1,10 +1,15 @@
 """Adams operations: the log-derivative elements Psi^k and Psi_pi, the
-per-class operations Psi_K solved from the marks system, and the
-verification batteries for their interrelations.
+per-class operations Psi_K, and the verification batteries for their
+interrelations.  Psi^k and Psi_K are read off their marks by the one
+integer triangular solve, `BurnsideElement.from_marks`:
 
-The class operations are normalized by the marks system
-beta_H = sum_K phi(K)/||K|| Psi_K itself, so each Psi_K is ||K|| times
-the corresponding Moebius-style operation in the older normalization.
+- phi_K(Psi^k) = k when K <= S_k is transitive, else 0: a mark of a graded
+  product sums over the K-stable splittings of the points, so Newton's
+  identity k b^k = sum_i Psi^i b^{k-i} at K reads k = sum over the K-orbits
+  O of phi_{K|O}(Psi^{|O|}), and induction on k leaves one orbit.
+- Psi_K solves beta_H = sum_K phi_{S_n/H}(K)/||K|| Psi_K, so its marks are
+  ||K|| = |N(K)| at K and 0 elsewhere: Psi_K = ||K|| e_K for the primitive
+  idempotent e_K, integral by Gluck's idempotent formula.
 """
 
 from __future__ import annotations
@@ -12,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .bring import BElement, _check_degree, beta_upper, eval_burnside, product, sym_catalog
+from .bring import BElement, eval_burnside, product, sym_catalog
 from .burnside import BurnsideElement, group_catalog
 from .catalog import Catalog
 from .errors import IntegralityViolation
@@ -23,25 +27,14 @@ from .symfunc import SymFunc, lin
 
 
 def psi_upper(k: int) -> BElement:
-    """Coefficient of t^k in t * d/dt log(1 + b^1 t + b^2 t^2 + ...).
-
-    Newton's recursion in the graded ring: Psi^k = k b^k - sum Psi^i b^{k-i}.
-    """
+    """Coefficient of t^k in t * d/dt log(1 + b^1 t + b^2 t^2 + ...): the
+    degree-k element with mark k at the transitive classes and 0 elsewhere."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _check_degree(k)
-    return _psi_upper(k)
-
-
-@lru_cache(maxsize=None)
-def _psi_upper(k: int) -> BElement:
-    """`psi_upper` without the degree check, which its cache would skip."""
-    if k == 0:
-        return BElement.zero()
-    acc = beta_upper(k).scale(k)
-    for i in range(1, k):
-        acc = acc - product(_psi_upper(i), beta_upper(k - i))
-    return acc
+    cat = sym_catalog(k)
+    marks = [k if cls.ptype.parts == (k,) else 0 for cls in cat.classes]
+    coords = BurnsideElement.from_marks(cat, marks).coords
+    return BElement({((k,), h): c for h, c in enumerate(coords) if c})
 
 
 def psi_partition(pi) -> BElement:
@@ -76,67 +69,18 @@ class AdamsTable:
 
 
 def solve_psi_K(n: int) -> AdamsTable:
-    """Invert beta_H = sum_K (1/||K||) phi_{S_n/H}(K) Psi_K over the classes.
-
-    The coefficient matrix A[H][K] = mark(H, K)/||K|| is triangular with
-    nonzero diagonal, so the solution exists and is unique over the
-    rationals; integrality of every Psi_K is asserted, not rounded.  The
-    solve runs in integers: with L the lcm of the ||K||, the row of A for
-    H is (1/L) times the integers mark(H, K) * (L/||K||), and every
-    division must leave no remainder.
-    """
+    """Solve beta_H = sum_K (1/||K||) phi_{S_n/H}(K) Psi_K: Psi_K has marks
+    ||K|| at K and 0 elsewhere, and the exact solve asserts its integrality."""
     cat = sym_catalog(n)
-    size = len(cat.classes)
-    lcm, rows = _scaled_marks(cat)
-    lower = [[(j, w) for j, w in row_w if j < row] for row, row_w in enumerate(rows)]
-    diag = [cat.matrix[k][k] * (lcm // cls.norm_order) for k, cls in enumerate(cat.classes)]
-    inv = [[0] * size for _ in range(size)]
-    for col in range(size):
-        # forward substitution on the lower-triangular system L A x = L e_col;
-        # rows above col have x = 0
-        x = [0] * size
-        for row in range(col, size):
-            acc = lcm if row == col else 0
-            for j, w in lower[row]:
-                acc -= w * x[j]
-            quotient, remainder = divmod(acc, diag[row])
-            if remainder:
-                raise IntegralityViolation(f"Psi_{cat.classes[row].label} is not integral")
-            x[row] = quotient
-        for row in range(size):
-            inv[row][col] = x[row]
-    # Psi_K = sum_H inv[K][H] beta_H comes from transposing the solve
-    table = AdamsTable(n, cat, tuple(tuple(row) for row in inv))
-    _verify_substitution(table)
-    return table
-
-
-def _scaled_marks(cat: Catalog):
-    """L = lcm of the normalizer orders, and for each row H the nonzero
-    integers mark(H, K) * (L/||K||) as (K, value) pairs: L times A."""
-    lcm = math.lcm(*(cls.norm_order for cls in cat.classes))
-    rows = [
-        [(k, m * (lcm // cat.classes[k].norm_order)) for k, m in enumerate(row) if m]
-        for row in cat.matrix
-    ]
-    return lcm, rows
-
-
-def _verify_substitution(table: AdamsTable):
-    """Substituting the solutions back must reproduce every beta_H exactly:
-    sum_K mark(H, K) (L/||K||) Psi_K = L beta_H, in integers."""
-    cat = table.catalog
-    size = len(cat.classes)
-    lcm, rows = _scaled_marks(cat)
-    for h in range(size):
-        recovered = [0] * size
-        for k, w in rows[h]:
-            for j, c in enumerate(table.psi[k]):
-                if c:
-                    recovered[j] += w * c
-        expect = [lcm if j == h else 0 for j in range(size)]
-        if recovered != expect:
-            raise IntegralityViolation("back substitution failed; catalog inconsistent")
+    rows = []
+    for cls in cat.classes:
+        marks = [0] * len(cat.classes)
+        marks[cls.index] = cls.norm_order
+        try:
+            rows.append(BurnsideElement.from_marks(cat, marks).coords)
+        except IntegralityViolation:
+            raise IntegralityViolation(f"Psi_{cls.label} is not integral") from None
+    return AdamsTable(n, cat, tuple(rows))
 
 
 def check_prop_adams(n: int) -> list[dict]:

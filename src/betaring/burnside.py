@@ -271,23 +271,28 @@ class BurnsideElement:
 
     def marks(self) -> tuple[int, ...]:
         """Fixed-point counts per class: the ghost coordinates of A(G)."""
-        matrix = self.catalog.matrix
-        n = len(self.coords)
-        return tuple(
-            sum(self.coords[h] * matrix[h][k] for h in range(n)) for k in range(n)
-        )
+        out = [0] * len(self.coords)
+        for h, c in enumerate(self.coords):
+            if c:
+                for k, m in enumerate(self.catalog.matrix[h][: h + 1]):
+                    out[k] += c * m
+        return tuple(out)
 
     @classmethod
     def from_marks(cls, catalog, marks) -> BurnsideElement:
-        """Invert the (triangular) marks matrix in integers; errors if non-integral."""
+        """Invert the lower-triangular marks matrix in integers, visiting only
+        the nonzero coordinates; errors if non-integral."""
         matrix = catalog.matrix
-        n = len(catalog.classes)
-        coords = [0] * n
-        for k in range(n - 1, -1, -1):
-            acc = marks[k] - sum(coords[h] * matrix[h][k] for h in range(k + 1, n))
-            coords[k], remainder = divmod(acc, matrix[k][k])
-            if remainder:
-                raise IntegralityViolation("marks vector is not in the image of A(G)")
+        rest = list(marks)
+        coords = [0] * len(catalog.classes)
+        for k in range(len(coords) - 1, -1, -1):
+            if rest[k]:
+                coords[k], remainder = divmod(rest[k], matrix[k][k])
+                if remainder:
+                    raise IntegralityViolation("marks vector is not in the image of A(G)")
+                for j, m in enumerate(matrix[k][:k]):
+                    if m:
+                        rest[j] -= coords[k] * m
         return cls(catalog, coords)
 
     def __mul__(self, other: BurnsideElement) -> BurnsideElement:

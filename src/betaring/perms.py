@@ -350,13 +350,11 @@ class PermGroup:
         return cls.generate(n, [g])
 
     @classmethod
-    def from_elements(cls, degree: int, elements, generators=None) -> PermGroup:
-        """Wrap the element set of a group.  Without generators, `_short_gens`
-        picks them and raises ValueError when the set is not a group."""
+    def from_elements(cls, degree: int, elements) -> PermGroup:
+        """Wrap the element set of a group, with generators picked by
+        `_short_gens`, which raises ValueError when the set is not a group."""
         elements = {e.images if isinstance(e, Permutation) else tuple(e) for e in elements}
-        if generators is None:
-            generators = [Permutation(g) for g in _short_gens(elements)]
-        return cls(degree, generators, elements)
+        return cls(degree, [Permutation(g) for g in _short_gens(elements)], elements)
 
     def __contains__(self, p) -> bool:
         images = p.images if isinstance(p, Permutation) else tuple(p)

@@ -1,8 +1,10 @@
+import dataclasses
+import os
 from fractions import Fraction
 
 import pytest
 
-from betaring import config
+from betaring import adams, config
 from betaring.adams import check_gcd, check_prop_adams, psi_partition, psi_upper, solve_psi_K
 from betaring.bring import (
     BElement,
@@ -14,8 +16,9 @@ from betaring.bring import (
     sym_catalog,
 )
 from betaring.burnside import BurnsideElement, GSet, group_catalog
+from betaring.catalog import Catalog
 from betaring.checks import klein_group
-from betaring.errors import DegreeCap
+from betaring.errors import DegreeCap, IntegralityViolation
 from betaring.perms import PermGroup, Permutation, partitions
 from betaring.symfunc import lin, p_
 
@@ -207,3 +210,62 @@ def test_psi_is_not_multiplicative_on_a_burnside_ring():
     psi_first = eval_burnside(psi, x)
     assert cat.classes[-1].order == 6
     assert (square_first, (psi_first * psi_first).marks()[-1]) == (3, 9)
+
+
+def _psi_by_newton(top):
+    """Psi^k = k b^k - sum_{0<i<k} Psi^i b^{k-i}, the log-derivative
+    definition, multiplied out in the graded ring for k <= top."""
+    psi = [BElement.zero()]
+    for k in range(1, top + 1):
+        acc = beta_upper(k).scale(k)
+        for i in range(1, k):
+            acc = acc - product(psi[i], beta_upper(k - i))
+        psi.append(acc)
+    return psi
+
+
+def test_psi_upper_marks_are_k_at_transitive_classes():
+    for k in range(7):
+        cat = sym_catalog(k)
+        coords = [psi_upper(k).terms.get(((k,), h), 0) for h in range(len(cat.classes))]
+        marks = BurnsideElement(cat, coords).marks()
+        # transitive: the orbit of point 0 is every point
+        transitive = [k and len({e[0] for e in cls.rep.elements}) == k for cls in cat.classes]
+        assert list(marks) == [k if t else 0 for t in transitive]
+
+
+def test_psi_upper_matches_newton_recursion():
+    assert [psi_upper(k) for k in range(7)] == _psi_by_newton(6)
+
+
+def test_psi_K_marks_are_the_normalizer_order_at_K():
+    for n in range(7):
+        table = solve_psi_K(n)
+        cat = table.catalog
+        for cls in cat.classes:
+            marks = BurnsideElement(cat, table.psi[cls.index]).marks()
+            expect = [0] * len(cat.classes)
+            expect[cls.index] = cls.norm_order
+            assert list(marks) == expect
+
+
+def test_non_integral_psi_K_names_its_class(monkeypatch):
+    """With ||C2|| doctored to 1 in S3, Psi_C2 = e_C2 has marks (0, 1, 0, 0),
+    which no integer combination of coset spaces has."""
+    cat = sym_catalog(3)
+    classes = [dataclasses.replace(c, norm_order=1) if c.order == 2 else c for c in cat.classes]
+    doctored = Catalog(cat.ambient, cat.group, classes, cat.matrix, cat.subgroup_count)
+    monkeypatch.setattr(adams, "sym_catalog", lambda n: doctored)
+    with pytest.raises(IntegralityViolation, match="Psi_o2-"):
+        solve_psi_K(3)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("BETARING_LONG_TESTS"),
+    reason="a few seconds; set BETARING_LONG_TESTS=1 to run",
+)
+def test_degree_seven_adams_elements():
+    with config.override(max_degree=7):
+        assert psi_upper(7) == _psi_by_newton(7)[7]
+        table = solve_psi_K(7)
+    assert [list(row) for row in table.psi] == _psi_by_fraction_solve(table.catalog)

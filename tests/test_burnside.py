@@ -94,6 +94,28 @@ def test_marks_are_homomorphic_and_injective():
         assert BurnsideElement.from_marks(cat, a.marks()) == a
 
 
+@pytest.mark.parametrize(
+    "ambient", [Ambient.sym(5), Ambient.sym(6), Ambient.pair(2, 3)], ids=Ambient.descriptor
+)
+def test_sparse_marks_round_trip(ambient):
+    """marks() and from_marks() visit only nonzero coordinates; on
+    mostly-zero vectors they stay additive, multiplicative and inverse."""
+    cat = get_catalog(ambient)
+    rng = random.Random(7)
+
+    def sparse():
+        coords = [0] * len(cat.classes)
+        for h in rng.sample(range(len(coords)), 3):
+            coords[h] = rng.choice([-3, -2, -1, 1, 2, 3])
+        return BurnsideElement(cat, coords)
+
+    for _ in range(20):
+        a, b = sparse(), sparse()
+        assert (a + b).marks() == tuple(x + y for x, y in zip(a.marks(), b.marks()))
+        assert (a * b).marks() == tuple(x * y for x, y in zip(a.marks(), b.marks()))
+        assert BurnsideElement.from_marks(cat, a.marks()) == a
+
+
 def test_non_integral_marks_vector_raises():
     cat = group_catalog(s3())
     assert BurnsideElement.from_marks(cat, [6, 0, 0, 0]).coords == (1, 0, 0, 0)

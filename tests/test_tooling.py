@@ -1,6 +1,6 @@
 """The names the benchmark traces still exist, every demo runs, the
-query path never enumerates subgroups, and the explicit G-set route
-never reads marks."""
+query path never enumerates subgroups, the explicit G-set route
+never reads marks, and the Adams elements never multiply classes."""
 
 import importlib
 import importlib.util
@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import betaring.checks  # noqa: F401  (spans.FUNCTIONS names functions in it)
-from betaring import bring, catalog
-from betaring.adams import solve_psi_K
+from betaring import adams, bring, catalog
+from betaring.adams import psi_upper, solve_psi_K
 from betaring.bring import BElement, diagonal, product, star, star_basis
 from betaring.burnside import BurnsideElement, GSet, beta2_on_gsets, beta_on_gset, orbit_decompose
 from betaring.catalog import Ambient
@@ -145,3 +145,24 @@ def test_explicit_gset_route_reads_no_marks(monkeypatch):
     monkeypatch.setattr(BurnsideElement, "from_marks", refuse)
     monkeypatch.setattr(bring, "eval_burnside", refuse)
     assert _explicit_results() == expected
+
+
+def _adams_results():
+    return [psi_upper(k) for k in range(7)], [solve_psi_K(n).psi for n in range(1, 7)]
+
+
+def test_adams_elements_multiply_no_classes(monkeypatch):
+    """Psi^k and Psi_K are read off their marks, so they answer the same
+    with the graded product disabled."""
+    expected = _adams_results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Adams element was built from graded products")
+
+    for module in (bring, adams):
+        monkeypatch.setattr(module, "product", refuse)
+    monkeypatch.setattr(bring, "_basis_product", refuse)
+    for value in vars(adams).values():  # a memoized answer would hide the route
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    assert _adams_results() == expected
