@@ -1,7 +1,7 @@
 """Walkthrough: the graded class ring, its diagonal, and composition.
 
 Classes multiply by block-diagonal embedding, restrict along S_p x S_q
-through double cosets, and compose through wreath products.  Everything
+through the table of marks, and compose through wreath products.  Everything
 evaluates back to honest counting: on the integers a class of degree n
 acts as its cycle-count polynomial.
 """

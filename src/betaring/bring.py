@@ -5,20 +5,21 @@ evaluation homomorphisms into A(G) and the integers.
 Basis elements are subgroup classes beta_H, H <= S_{n_1} x ... x S_{n_r},
 indexed by (degrees, catalog index); r = 1 is the graded ring and the
 diagonal lands in r = 2.  The product embeds H x K block-diagonally, one
-factor at a time.  The diagonal restricts coset spaces along S_p x S_q by
-the Mackey formula, reading the double cosets S_p x S_q \\ S_n / H off as
-the orbits of H on ordered set partitions of type (p, q), so no Cayley
-table of S_n is built.  The composition sends (beta_H, beta_K) to the
-class of the wreath product with H permuting deg(H) blocks and K acting
-inside each block, extended to sums by splitting H over the summands and
-to virtual arguments by Newton extrapolation in each degree.  The
-diagonal, composition and evaluations take one-factor classes: unpacking
-`(n,) = degrees` raises ValueError for any other arity.
+factor at a time.  The diagonal restricts coset spaces along S_p x S_q
+through the table of marks: the marks of Res(S_n/H) are row H of the
+table of S_n read at the S_n-classes of the subgroups of S_p x S_q, and
+`BurnsideElement.from_marks` solves them over the table of S_p x S_q.
+The composition sends (beta_H, beta_K) to the class of the wreath product
+with H permuting deg(H) blocks and K acting inside each block, extended
+to sums by splitting H over the summands (a restriction along a longer
+Young subgroup, read off the marks the same way) and to virtual arguments
+by Newton extrapolation in each degree.  The diagonal, composition and
+evaluations take one-factor classes: unpacking `(n,) = degrees` raises
+ValueError for any other arity.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,7 +28,7 @@ from .catalog import Ambient, Catalog, get_catalog
 from .config import get_config
 from .errors import DegreeCap, IntegralityViolation, NotEffective
 from .exact import norm_coeff
-from .perms import PermGroup, Permutation, direct_embed, mixed_wreath
+from .perms import Permutation, direct_embed, mixed_wreath
 
 
 def sym_catalog(n: int) -> Catalog:
@@ -227,73 +228,43 @@ def _interleave(da: tuple, db: tuple) -> Permutation:
 
 
 @lru_cache(maxsize=None)
+def _young_classes(ambient: Ambient, flat_parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The class fusion of the Young subgroup P = prod(flat_parts) into
+    G = prod(degrees): the G-class of each class of P, in P's catalog order.
+
+    flat_parts must refine the ambient's factor degrees consecutively, so
+    P's representatives already act on G's points inside G.
+    """
+    cat = get_catalog(ambient)
+    degrees = cat.ambient.degrees
+    cuts = {sum(degrees[:k]) for k in range(len(degrees) + 1)}
+    running = {sum(flat_parts[:k]) for k in range(len(flat_parts) + 1)}
+    if sum(flat_parts) != sum(degrees) or not cuts <= running:
+        raise ValueError(f"refinement {flat_parts} does not respect {degrees}")
+    return tuple(cat.identify(cls.rep) for cls in get_catalog(Ambient.prod(flat_parts)).classes)
+
+
+@lru_cache(maxsize=None)
 def _refine_terms(ambient: Ambient, idx: int, flat_parts: tuple[int, ...]):
     """Restrict a subgroup class H of G = prod(degrees) along the Young
-    subgroup P = prod(flat_parts), by the Mackey formula.
+    subgroup P = prod(flat_parts), through the table of marks.
 
     flat_parts must refine the ambient's factor degrees consecutively.
     Returns ((class index in the prod(flat_parts) catalog, multiplicity), ...).
-    A double coset P g H is an H-orbit on the labelings l = block o g, where
-    block sends each point to its part of flat_parts: the ordered set
-    partitions of type flat_parts that refine the factors of G, with h in H
-    acting by l -> l o h.  The class of P meet g H g^-1 is that of the
-    stabilizer of l in H, conjugated into P by the order-preserving g with
-    block o g = l.
+    Restriction commutes with marks: the mark of Res(G/H) at L <= P is the
+    mark of G/H at the G-class of L.  So row idx of G's table, read at the
+    class fusion of P, is the marks vector of the restriction, and
+    `from_marks` solves it over P's table (raising on a vector outside the
+    image, which only an inconsistent catalog gives).
     """
-    cat = get_catalog(ambient)
-    cuts = set()
-    acc = 0
-    for d in cat.ambient.degrees:
-        acc += d
-        cuts.add(acc)
-    running = {0}
-    starts = []
-    total = 0
-    for part in flat_parts:
-        starts.append(total)
-        total += part
-        running.add(total)
-    if total != cat.group.degree or not cuts <= running:
-        raise ValueError(f"refinement {flat_parts} does not respect {cat.ambient.degrees}")
-    rep = cat.classes[idx].rep
-    sub_cat = get_catalog(Ambient.prod(flat_parts))
-    seen = set()
-    out: dict[int, int] = {}
-    for labeling in _labelings(cat.ambient.blocks(), flat_parts, starts):
-        if labeling in seen:
-            continue
-        place = []  # the order-preserving g, sending part j's points to block j
-        free = list(starts)
-        for part in labeling:
-            place.append(free[part])
-            free[part] += 1
-        conj = set()
-        for h in rep.elements:
-            moved = tuple(labeling[x] for x in h)
-            seen.add(moved)
-            if moved == labeling:
-                image = [0] * total
-                for x, y in enumerate(h):
-                    image[place[x]] = place[y]
-                conj.add(tuple(image))
-        cidx = sub_cat.identify(PermGroup.from_elements(total, conj))
-        out[cidx] = out.get(cidx, 0) + 1
-    return tuple(sorted(out.items()))
-
-
-def _labelings(blocks, flat_parts, starts):
-    """Every point -> part map of type flat_parts that keeps each part inside
-    the block of G holding its points, as a tuple over the points."""
-    per_block = []
-    for block in blocks:
-        word = [j for j, size in enumerate(flat_parts) if starts[j] in block for _ in range(size)]
-        per_block.append(sorted(set(itertools.permutations(word))))
-    for pieces in itertools.product(*per_block):
-        yield sum(pieces, ())
+    row = get_catalog(ambient).matrix[idx]
+    marks = [row[j] for j in _young_classes(ambient, flat_parts)]
+    coords = BurnsideElement.from_marks(get_catalog(Ambient.prod(flat_parts)), marks).coords
+    return tuple((k, c) for k, c in enumerate(coords) if c)
 
 
 def diagonal(a: BElement) -> BElement:
-    """Restriction along all S_p x S_q <= S_n, by double cosets: arity 2."""
+    """Restriction along all S_p x S_q <= S_n, through marks: arity 2."""
     out = {}
     for (degrees, i), c in a.terms.items():
         (n,) = degrees
@@ -327,26 +298,13 @@ def _wreath_key(sub_parts: tuple, cidx: int, inner_keys: tuple) -> tuple[tuple[i
 
 
 def star_basis(h_spec, k_spec) -> BElement:
-    """The composition on basis classes: the class of the wreath product."""
-    (m, i) = _as_key(h_spec)
-    (n, j) = _as_key(k_spec)
-    key = _wreath_key((m,), i, ((n, j),))
+    """The composition on basis classes, each given as (n, index/label/alias)
+    of S_n: the class of the wreath product."""
+    (m, h), (n, k) = h_spec, k_spec
+    inner = (n, sym_catalog(n).class_index(k))
+    key = _wreath_key((m,), sym_catalog(m).class_index(h), (inner,))
     _check_degree(sum(key[0]))
     return BElement({key: 1})
-
-
-def _as_key(spec) -> tuple[int, int]:
-    """(n, class index) of a coefficient-one basis class of S_n, given as a
-    BElement or as (n, index/label/alias)."""
-    if isinstance(spec, BElement):
-        if len(spec.terms) != 1:
-            raise ValueError("expected a single basis class")
-        ((n,), idx), c = next(iter(spec.terms.items()))
-        if c != 1:
-            raise ValueError("expected a coefficient-one basis class")
-        return (n, idx)
-    n, rest = spec
-    return (n, sym_catalog(n).class_index(rest))
 
 
 def star_effective(a: BElement, b: BElement) -> BElement:

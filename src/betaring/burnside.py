@@ -25,6 +25,7 @@ import operator
 from .catalog import Ambient, SubgroupClass, get_catalog
 from .config import get_config
 from .errors import IntegralityViolation, NotASubgroup, NotEffective, SizeCap
+from .exact import norm_coeff
 from .perms import PermGroup, Permutation, _compose, _inverse
 
 
@@ -218,7 +219,10 @@ class BurnsideElement:
     __slots__ = ("catalog", "coords")
 
     def __init__(self, catalog, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(norm_coeff, coords))
+        for c in coords:
+            if type(c) is not int:
+                raise IntegralityViolation(f"A(G) coordinate {c} is not an integer")
         if len(coords) != len(catalog.classes):
             raise ValueError("coordinate length does not match the class count")
         object.__setattr__(self, "catalog", catalog)

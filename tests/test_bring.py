@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -153,6 +154,39 @@ def test_refine_terms_counts_every_double_coset_in_degree_six():
                 for j, mult in terms
             )
             assert covered == cat.group.order, (cls.label, parts)
+
+
+def _assert_matches_double_cosets(n, r):
+    for i in range(len(sym_catalog(n).classes)):
+        for comp in _compositions(n, r):
+            expect = _double_coset_terms(Ambient.sym(n), i, comp)
+            assert _refine_terms(Ambient.sym(n), i, comp) == expect, (n, i, comp)
+
+
+@pytest.mark.parametrize("n, r", [(n, 3) for n in range(6)] + [(n, 4) for n in range(5)])
+def test_refine_terms_matches_double_cosets_along_longer_young_subgroups(n, r):
+    """The Young subgroups that star splits along: 3 parts up to S5, 4 up to S4."""
+    _assert_matches_double_cosets(n, r)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("BETARING_LONG_TESTS"),
+    reason="about ten seconds; set BETARING_LONG_TESTS=1 to run",
+)
+def test_refine_terms_in_degrees_six_and_seven():
+    """3-part Young subgroups of S6 against the double cosets, and the
+    double cosets of every S_p x S_{7-p} covering S7."""
+    _assert_matches_double_cosets(6, 3)
+    with config.override(max_degree=7):
+        cat = sym_catalog(7)
+        for cls in cat.classes:
+            for parts in _compositions(7, 2):
+                sub_cat = get_catalog(Ambient.prod(parts))
+                covered = sum(
+                    mult * sub_cat.group.order * cls.order // sub_cat.classes[j].order
+                    for j, mult in _refine_terms(Ambient.sym(7), cls.index, parts)
+                )
+                assert covered == cat.group.order, (cls.label, parts)
 
 
 def test_refine_terms_rejects_refinements_across_factors():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +125,22 @@ def test_non_integral_marks_vector_raises():
             BurnsideElement.from_marks(cat, marks)
     with pytest.raises(IntegralityViolation):
         BurnsideElement.from_marks(group_catalog(c2()), [1, 0])
+
+
+def test_non_integral_coordinates_raise():
+    """A(G) has integer coordinates: a fractional one raises instead of
+    being truncated, while integral Fractions are kept as ints."""
+    cat = group_catalog(c2())
+    x = BurnsideElement(cat, [Fraction(4, 2), 1])
+    assert x.coords == (2, 1) and all(type(c) is int for c in x.coords)
+    assert x.scale(Fraction(3, 1)).coords == (6, 3)
+    for make in (
+        lambda: BurnsideElement(cat, [Fraction(1, 2), 1]),
+        lambda: BurnsideElement.unit(c2()).scale(Fraction(1, 2)),
+        lambda: BurnsideElement.unit(c2()).scale(0.5),
+    ):
+        with pytest.raises(IntegralityViolation, match="not an integer"):
+            make()
 
 
 def test_beta_identity_cases():

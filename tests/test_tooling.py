@@ -1,6 +1,7 @@
 """The names the benchmark traces still exist, every demo runs, the
 query path never enumerates subgroups, the explicit G-set route
-never reads marks, and the Adams elements never multiply classes."""
+never reads marks, the Adams elements never multiply classes, and the
+diagonal and composition restrict without building stabilizers."""
 
 import importlib
 import importlib.util
@@ -14,7 +15,7 @@ import pytest
 import betaring.checks  # noqa: F401  (spans.FUNCTIONS names functions in it)
 from betaring import adams, bring, catalog
 from betaring.adams import psi_upper, solve_psi_K
-from betaring.bring import BElement, diagonal, product, star, star_basis
+from betaring.bring import BElement, diagonal, product, star, star_basis, star_effective
 from betaring.burnside import BurnsideElement, GSet, beta2_on_gsets, beta_on_gset, orbit_decompose
 from betaring.catalog import Ambient
 from betaring.checks import klein_group
@@ -166,3 +167,34 @@ def test_adams_elements_multiply_no_classes(monkeypatch):
         if hasattr(value, "cache_clear"):
             value.cache_clear()
     assert _adams_results() == expected
+
+
+def _restriction_results():
+    diagonals = [
+        diagonal(BElement.basis(n, i))
+        for n in range(1, 7)
+        for i in range(len(catalog.get_catalog(Ambient.sym(n)).classes))
+    ]
+    pairs = [
+        ((2, "S2"), (2, "e")), ((3, "C3"), (1, "e")), ((2, "e"), (3, "S3")), ((3, "S3"), (2, "S2")),
+    ]
+    stars = [
+        star_effective(BElement.basis(*a), BElement.basis(*b) + BElement.basis(1, "e"))
+        for a, b in pairs
+    ]
+    return diagonals, stars
+
+
+def test_restriction_builds_no_stabilizers(monkeypatch):
+    """The diagonal and composition read restrictions off the table of
+    marks, so they answer the same with PermGroup.from_elements disabled."""
+    expected = _restriction_results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a restriction built a stabilizer subgroup")
+
+    monkeypatch.setattr(PermGroup, "from_elements", classmethod(refuse))
+    for value in vars(bring).values():  # a memoized answer would hide the route
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    assert _restriction_results() == expected
