@@ -25,9 +25,9 @@ from functools import lru_cache
 
 from .burnside import BurnsideElement, beta_virtual, extrapolate_to_minus_one
 from .catalog import Ambient, Catalog, get_catalog
-from .config import get_config
-from .errors import DegreeCap, IntegralityViolation, NotEffective
-from .exact import norm_coeff
+from .config import check_degree
+from .errors import IntegralityViolation, NotEffective
+from .exact import norm_coeff, quotient
 from .perms import Permutation, direct_embed, mixed_wreath
 
 
@@ -37,12 +37,6 @@ def sym_catalog(n: int) -> Catalog:
 
 def _catalog(degrees) -> Catalog:
     return get_catalog(Ambient.prod(degrees))
-
-
-def _check_degree(n: int):
-    """Checked outside the lru_caches below, which do not see the config."""
-    if n > get_config().max_degree:
-        raise DegreeCap(f"degree {n} exceeds max_degree {get_config().max_degree}")
 
 
 class BElement:
@@ -107,7 +101,8 @@ class BElement:
         return BElement({k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar) -> BElement:
-        return BElement({k: c * Fraction(scalar) for k, c in self.terms.items()})
+        scalar = norm_coeff(scalar)
+        return BElement({k: c * scalar for k, c in self.terms.items()})
 
     def __mul__(self, other: BElement) -> BElement:
         return product(self, other)
@@ -195,7 +190,7 @@ def product(a: BElement, b: BElement) -> BElement:
     for (da, i), ca in a.terms.items():
         for (db, j), cb in b.terms.items():
             key = _basis_product(da, i, db, j)
-            _check_degree(sum(key[0]))
+            check_degree(sum(key[0]))
             out[key] = out.get(key, 0) + ca * cb
     return BElement(out)
 
@@ -268,7 +263,7 @@ def diagonal(a: BElement) -> BElement:
     out = {}
     for (degrees, i), c in a.terms.items():
         (n,) = degrees
-        _check_degree(n)
+        check_degree(n)
         for p in range(n + 1):
             for cidx, mult in _refine_terms(Ambient.sym(n), i, (p, n - p)):
                 key = ((p, n - p), cidx)
@@ -303,7 +298,7 @@ def star_basis(h_spec, k_spec) -> BElement:
     (m, h), (n, k) = h_spec, k_spec
     inner = (n, sym_catalog(n).class_index(k))
     key = _wreath_key((m,), sym_catalog(m).class_index(h), (inner,))
-    _check_degree(sum(key[0]))
+    check_degree(sum(key[0]))
     return BElement({key: 1})
 
 
@@ -323,7 +318,7 @@ def star_effective(a: BElement, b: BElement) -> BElement:
         summands.extend([(m, j)] * b.terms[key])
     out = BElement.zero()
     for ((n,), i), c in a.terms.items():
-        _check_degree(n)
+        check_degree(n)
         for comp in _compositions(n, len(summands)):
             positions = [t for t, p in enumerate(comp) if p > 0]
             if not positions:  # n == 0: beta_{S_0} is the unit
@@ -333,7 +328,7 @@ def star_effective(a: BElement, b: BElement) -> BElement:
             inner_keys = tuple(summands[t] for t in positions)
             for cidx, mult in _refine_terms(Ambient.sym(n), i, sub_parts):
                 key = _wreath_key(sub_parts, cidx, inner_keys)
-                _check_degree(sum(key[0]))
+                check_degree(sum(key[0]))
                 out = out + BElement({key: c * mult})
     return out
 
@@ -357,15 +352,17 @@ def star(a: BElement, b: BElement) -> BElement:
 
 def eval_z(a: BElement, r: int):
     """The ring map to Z: beta_H(r) = (1/|H|) sum over h in H of r^(cycles of h),
-    read off the class's cycle census."""
-    total = Fraction(0)
+    read off the class's cycle census.  That sum counts the orbits of H on
+    r-colourings, so each class's value is an integer."""
+    total = 0
     for ((n,), i), c in a.terms.items():
         cat = sym_catalog(n)
         count = sum(k * r ** len(lengths) for (lengths,), k in cat.census(i))
-        total += Fraction(c) * Fraction(count, cat.classes[i].order)
-    if total.denominator != 1:
+        total += c * quotient(count, cat.classes[i].order)
+    total = norm_coeff(total)
+    if type(total) is not int:
         raise IntegralityViolation(f"eval_z produced {total}")
-    return int(total)
+    return total
 
 
 def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:

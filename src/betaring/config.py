@@ -9,6 +9,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
+from .errors import DegreeCap
+
 ENV_CATALOG_DIR = "BETARING_CATALOG_DIR"
 
 MAX_SUPPORTED_DEGREE = 7
@@ -49,6 +51,14 @@ _overrides: ContextVar[tuple] = ContextVar("betaring_config_overrides", default=
 def get_config() -> Config:
     overrides = _overrides.get()
     return _layered(_config, overrides) if overrides else _config
+
+
+def check_degree(n: int):
+    """Raise DegreeCap when n exceeds max_degree.  Memoized results do not
+    see the config they were computed under, so callers check outside them."""
+    cap = get_config().max_degree
+    if n > cap:
+        raise DegreeCap(f"degree {n} exceeds max_degree {cap}")
 
 
 @lru_cache(maxsize=64)

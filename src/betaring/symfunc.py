@@ -1,22 +1,27 @@
 """Symmetric functions over exact rationals in the e / h / p bases, and
 their tensor powers.
 
-An element is a finitely supported map from partitions to Fractions,
-tagged with its basis and its arity r: an arity-1 key is a Partition, an
-arity-r key an r-tuple of Partitions (one per tensor factor, all in the
-same basis).  The basis elements b_pi = prod_i b_{pi_i} are
-multiplicative, so products just merge partitions, factor by factor.
-Conversions run through the Newton identities and round-trip exactly.
+An element is a finitely supported map from partitions to exact
+rationals, tagged with its basis and its arity r: an arity-1 key is a
+Partition, an arity-r key an r-tuple of Partitions (one per tensor factor,
+all in the same basis).  Coefficients follow `exact.norm_coeff`: an int
+when integral, a Fraction only after an inexact division (a 1/z_pi of the
+h -> p expansion, a 1/|H| of a cycle index), so integer arithmetic stays
+in ints.  The basis elements b_pi = prod_i b_{pi_i} are multiplicative,
+so products just merge partitions, factor by factor.  Conversions run
+through the Newton identities and round-trip exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .catalog import Ambient, get_catalog
+from .config import check_degree
 from .errors import IntegralityViolation
+from .exact import norm_coeff, quotient
 from .perms import Partition, PermGroup, cycle_census, partitions
 
 BASES = ("e", "h", "p")
@@ -55,7 +60,7 @@ def _poly_mul(a: dict, b: dict, merge=_merge) -> dict:
 
 def _tensor(factors) -> dict:
     """The tuple-keyed product of coefficient maps, one map per factor."""
-    out = {(): Fraction(1)}
+    out = {(): 1}
     for coeffs in factors:
         out = {key + (pi,): c * w for key, c in out.items() for pi, w in coeffs.items()}
     return out
@@ -72,32 +77,28 @@ def _single(n: int, basis_from: str, basis_to: str) -> dict:
 def _single_cached(n: int, basis_from: str, basis_to: str):
     """Expansion of the degree-n generator of one basis in another basis."""
     if n == 0:
-        return ((_EMPTY, Fraction(1)),)
+        return ((_EMPTY, 1),)
     if basis_from == basis_to:
-        return ((Partition([n]), Fraction(1)),)
+        return ((Partition([n]), 1),)
     out: dict = {}
     if basis_to == "p":
         # h_n = sum_pi p_pi / z_pi ; e_n gets the sign (-1)^(n - length)
         for pi in partitions(n):
             sign = 1 if basis_from == "h" else (-1) ** (n - len(pi))
-            _poly_add(out, {pi: Fraction(sign, pi.centralizer_order())})
+            _poly_add(out, {pi: quotient(sign, pi.centralizer_order())})
     elif basis_from == "p":
         # Newton: p_n = n b_n - sum_{i<n} (+-) p_i b_{n-i}, b in {h, e}
         sign = 1 if basis_to == "h" else (-1) ** (n - 1)
-        out = {Partition([n]): Fraction(n * sign)}
+        out = {Partition([n]): n * sign}
         for i in range(1, n):
-            term = _poly_mul(
-                _single(i, "p", basis_to), {Partition([n - i]): Fraction(1)}
-            )
+            term = _poly_mul(_single(i, "p", basis_to), {Partition([n - i]): 1})
             step = 1 if basis_to == "h" else (-1) ** (i - 1)
             _poly_add(out, term, scale=-sign * step)
     else:
         # h<->e: b_n = sum_{i=1..n} (-1)^(i-1) c_i b_{n-i}
         out = {}
         for i in range(1, n + 1):
-            term = _poly_mul(
-                {Partition([i]): Fraction(1)}, _single(n - i, basis_from, basis_to)
-            )
+            term = _poly_mul({Partition([i]): 1}, _single(n - i, basis_from, basis_to))
             _poly_add(out, term, scale=(-1) ** (i - 1))
     return tuple(sorted(out.items(), key=lambda kv: kv[0].parts))
 
@@ -113,7 +114,7 @@ class SymFunc:
             raise ValueError(f"basis must be one of {BASES}")
         clean = {}
         for key, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = norm_coeff(c)
             if c:
                 clean[_as_key(key, arity)] = c
         object.__setattr__(self, "basis", basis)
@@ -164,7 +165,8 @@ class SymFunc:
         return SymFunc(self.basis, {k: -c for k, c in self.coeffs.items()}, self.arity)
 
     def scale(self, scalar) -> SymFunc:
-        return SymFunc(self.basis, {k: c * Fraction(scalar) for k, c in self.coeffs.items()}, self.arity)
+        scalar = norm_coeff(scalar)
+        return SymFunc(self.basis, {k: c * scalar for k, c in self.coeffs.items()}, self.arity)
 
     def __mul__(self, other: SymFunc) -> SymFunc:
         other = self._same_arity(other)
@@ -215,10 +217,10 @@ class SymFunc:
         terms = {key: c for key, c in self.coeffs.items() if self._degree(key) == n}
         return SymFunc(self.basis, terms, self.arity)
 
-    def coefficient(self, key) -> Fraction:
+    def coefficient(self, key) -> int | Fraction:
         """The coefficient of a partition, or of an r-tuple of partitions
-        for arity r."""
-        return self.coeffs.get(_as_key(key, self.arity), Fraction(0))
+        for arity r: an int when integral (0 when absent), else a Fraction."""
+        return self.coeffs.get(_as_key(key, self.arity), 0)
 
     def __repr__(self):
         if not self.coeffs:
@@ -253,7 +255,7 @@ class SymFunc:
         name = "partition" if arity == 1 else "partitions"
         coeffs = {}
         for t in data["terms"]:
-            coeffs[_as_key(t[name], arity)] = Fraction(t["numerator"], t["denominator"])
+            coeffs[_as_key(t[name], arity)] = quotient(t["numerator"], t["denominator"])
         return cls(data["basis"], coeffs, arity)
 
 
@@ -272,7 +274,7 @@ def _as_key(key, arity: int):
 
 def _expand(pi: Partition, basis_from: str, basis_to: str) -> dict:
     """b_pi = prod_i b_{pi_i} of one basis, written in another."""
-    term = {_EMPTY: Fraction(1)}
+    term = {_EMPTY: 1}
     for part in pi.parts:
         term = _poly_mul(term, _single(part, basis_from, basis_to))
     return term
@@ -291,11 +293,14 @@ def p_(n: int) -> SymFunc:
 
 
 def coproduct(f: SymFunc) -> SymFunc:
-    """The diagonal with every p_k primitive: arity 2, in f's basis."""
+    """The diagonal with every p_k primitive: arity 2, in f's basis;
+    ValueError for f of another arity."""
+    if f.arity != 1:
+        raise ValueError(f"coproduct takes an arity-1 function, not arity {f.arity}")
     fp = f.convert("p")
     out: dict = {}
     for pi, c in fp.coeffs.items():
-        splits = {( _EMPTY, _EMPTY): Fraction(1)}
+        splits = {(_EMPTY, _EMPTY): 1}
         for part, m in pi.multiplicities().items():
             step: dict = {}
             for (left, right), w in splits.items():
@@ -316,17 +321,29 @@ def coproduct(f: SymFunc) -> SymFunc:
 
 
 def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Composition f o g: an algebra map in f with p_k o g scaling parts by k."""
-    fp = f.convert("p")
-    gp = g.convert("p")
+    """Composition f o g: an algebra map in f with p_k o g scaling parts by k.
+    ValueError unless f and g both have arity 1."""
+    if f.arity != 1 or g.arity != 1:
+        raise ValueError(f"plethysm takes arity-1 functions, not arity {f.arity} and arity {g.arity}")
+    fnum, fden = _numerators(f.convert("p").coeffs)
+    gnum, gden = _numerators(g.convert("p").coeffs)
+    # in integers over the one denominator fden * gden^top
+    top = max((len(pi.parts) for pi in fnum), default=0)
     out: dict = {}
-    for pi, c in fp.coeffs.items():
-        term = {_EMPTY: Fraction(1)}
+    for pi, c in fnum.items():
+        term = {_EMPTY: c * gden ** (top - len(pi.parts))}
         for part in pi.parts:
-            scaled = {Partition(tuple(part * q for q in mu.parts)): w for mu, w in gp.coeffs.items()}
+            scaled = {Partition(tuple(part * q for q in mu.parts)): w for mu, w in gnum.items()}
             term = _poly_mul(term, scaled)
-        _poly_add(out, term, scale=c)
-    return SymFunc("p", out)
+        _poly_add(out, term)
+    den = fden * gden**top
+    return SymFunc("p", {key: quotient(v, den) for key, v in out.items()})
+
+
+def _numerators(coeffs: dict):
+    """Coefficients as integers over one common denominator: (numerators, den)."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
 
 
 def cycle_index(group: PermGroup, degrees=None) -> SymFunc:
@@ -340,28 +357,48 @@ def cycle_index(group: PermGroup, degrees=None) -> SymFunc:
     if sum(degrees) != group.degree:
         raise ValueError(f"degrees {degrees} do not sum to the group degree {group.degree}")
     census = cycle_census(group.elements, Ambient.prod(degrees).blocks())
-    return _index_from_census(census, group.order, len(degrees))
+    return _cycle_indices([(1, _census_terms(census, len(degrees)), group.order)], len(degrees))
 
 
-def _index_from_census(census, order: int, arity: int) -> SymFunc:
-    """The cycle index read off a cycle census: each count over |H|, keys as
-    Partitions."""
-    out = {key if arity > 1 else key[0]: Fraction(count, order) for key, count in census}
-    return SymFunc("p", out, arity)
+def _census_terms(census, arity: int) -> tuple:
+    """A cycle census with its keys made SymFunc keys: a Partition, or an
+    r-tuple of Partitions for arity r."""
+    return tuple((_as_key(key if arity > 1 else key[0], arity), count) for key, count in census)
 
 
+def _cycle_indices(terms, arity: int) -> SymFunc:
+    """sum of c * Z(H) over (c, census terms of H, |H|), in the p basis.
+
+    Integer arithmetic up to one division per key: each count is weighted
+    by c * D / |H|, with D the lcm of the orders, and each key's total is
+    divided by D once.
+    """
+    den = lcm(*(order for _, _, order in terms))
+    acc: dict = {}
+    for c, census, order in terms:
+        weight = c * (den // order)
+        for key, count in census:
+            acc[key] = acc.get(key, 0) + weight * count
+    return SymFunc("p", {key: quotient(v, den) for key, v in acc.items()}, arity)
+
+
+# (degrees, class index) -> (census terms, |H|), both in integers
 _LIN_CACHE: dict = {}
 
 
+def _class_census(key):
+    """The cached census terms and order of a class; the degree is checked
+    outside the cache, which does not see the config."""
+    degrees, idx = key
+    check_degree(sum(degrees))
+    if key not in _LIN_CACHE:
+        cat = get_catalog(Ambient.prod(degrees))
+        _LIN_CACHE[key] = (_census_terms(cat.census(idx), len(degrees)), cat.classes[idx].order)
+    return _LIN_CACHE[key]
+
+
 def _lin(a, arity: int) -> SymFunc:
-    out = SymFunc.zero("p", arity)
-    for key, coeff in a.terms.items():
-        if key not in _LIN_CACHE:
-            degrees, idx = key
-            cat = get_catalog(Ambient.prod(degrees))
-            _LIN_CACHE[key] = _index_from_census(cat.census(idx), cat.classes[idx].order, len(degrees))
-        out = out + _LIN_CACHE[key].scale(coeff)
-    return out
+    return _cycle_indices([(c, *_class_census(key)) for key, c in a.terms.items()], arity)
 
 
 def lin(a) -> SymFunc:

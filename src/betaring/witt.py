@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import IntegralityViolation, PrecisionMismatch
-from .exact import norm_coeff
+from .exact import norm_coeff, quotient
 from .symfunc import SymFunc
 
 DEFAULT_PRECISION = 8
@@ -151,12 +151,7 @@ def eps_from_ghost(ghost) -> list:
     h = _twist(ghost)
     coeffs: list = []
     for n in range(1, len(h) + 1):
-        acc = sum(map(mul, h, reversed(coeffs)), h[n - 1])
-        if isinstance(acc, int):
-            q, r = divmod(acc, n)
-            coeffs.append(q if r == 0 else Fraction(acc, n))
-        else:
-            coeffs.append(acc / n)
+        coeffs.append(quotient(sum(map(mul, h, reversed(coeffs)), h[n - 1]), n))
     return coeffs
 
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from betaring import config
 from betaring.bring import BElement, beta_regular, beta_upper, diagonal, product, star_basis
+from betaring.errors import DegreeCap
 from betaring.perms import Partition, PermGroup, partitions
 from betaring.symfunc import (
     SymFunc,
@@ -146,6 +148,17 @@ def test_lin_effective_elements_are_integral_in_h():
         assert image.is_integral()
 
 
+def test_lin_checks_the_degree_cap_past_its_cache():
+    a, b = BElement.basis(6, 3), BElement.basis((3, 3), 0)
+    assert lin(a).degrees() == {6} and lin2(b).degrees() == {6}  # cached at the default cap
+    with config.override(max_degree=5):
+        with pytest.raises(DegreeCap):
+            lin(a)
+        with pytest.raises(DegreeCap):
+            lin2(b)
+        assert lin(BElement.basis(5, 3)).degrees() == {5}
+
+
 def test_cycle_index_pair_split():
     from betaring.catalog import Ambient, get_catalog
 
@@ -160,6 +173,9 @@ def test_operations_across_arities_raise():
     for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g):
         with pytest.raises(ValueError):
             op(h_(2), square)
+    for call in (lambda: plethysm(square, p_(1)), lambda: plethysm(p_(2), square), lambda: coproduct(square)):
+        with pytest.raises(ValueError):
+            call()
     assert h_(2) != square and SymFunc.zero() != SymFunc.zero(arity=2)
 
 
@@ -245,3 +261,36 @@ def test_arity_two_keys_with_integer_factors_raise_value_error():
     with pytest.raises(ValueError):
         SymFunc.from_json(data)
     assert f.coefficient(((2,), (1,))) == 1
+
+
+def _integer_function(rng, basis):
+    """Two terms of one degree in 3..5, integer coefficients."""
+    pis = rng.sample(list(partitions(rng.randint(3, 5))), 2)
+    return SymFunc(basis, {pi: rng.choice((-3, -2, -1, 1, 2, 3)) for pi in pis})
+
+
+def _ints(f):
+    return all(type(c) is int for c in f.coeffs.values())
+
+
+def test_integral_coefficients_are_ints():
+    """The exact.norm_coeff rule: an int when integral, a Fraction only
+    where a division is inexact."""
+    rng = random.Random(14)
+    keys = [((2,), 1), ((3,), 0), ((3,), 2), ((4,), 5), ((5,), 3)]
+    for _ in range(10):
+        for basis in ("e", "h", "p"):
+            f, g = _integer_function(rng, basis), _integer_function(rng, basis)
+            assert all(_ints(r) for r in (f + g, f - g, f * g, f.scale(-2), f.scale(Fraction(4, 2))))
+        f, g = _integer_function(rng, "h"), _integer_function(rng, "e")
+        assert all(_ints(r) for r in (f.convert("e"), g.convert("h"), f + g, g * f))
+        f, g = _integer_function(rng, "p"), _integer_function(rng, "p")
+        assert _ints(plethysm(f, g)) and _ints(coproduct(f))
+        image = lin(BElement({k: rng.randint(0, 3) for k in rng.sample(keys, 3)})).convert("h")
+        assert _ints(image)
+    half = Fraction(1, 2)
+    assert type(h_(2).convert("p").coefficient((2,))) is Fraction
+    assert type(lin(BElement.basis(2, "S2")).coefficient((1, 1))) is Fraction
+    assert p_(1).scale(half).coefficient((1,)) == half
+    assert type((p_(1).scale(half) + p_(1).scale(half)).coefficient((1,))) is int
+    assert type(h_(3).coefficient((2, 1))) is int

@@ -1,13 +1,15 @@
 """The names the benchmark traces still exist, every demo runs, the
 query path never enumerates subgroups, the explicit G-set route
-never reads marks, the Adams elements never multiply classes, and the
-diagonal and composition restrict without building stabilizers."""
+never reads marks, the Adams elements never multiply classes, the
+diagonal and composition restrict without building stabilizers, and
+integer arithmetic builds no Fraction."""
 
 import importlib
 import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,13 +17,13 @@ import pytest
 import betaring.checks  # noqa: F401  (spans.FUNCTIONS names functions in it)
 from betaring import adams, bring, catalog
 from betaring.adams import psi_upper, solve_psi_K
-from betaring.bring import BElement, diagonal, product, star, star_basis, star_effective
+from betaring.bring import BElement, diagonal, eval_z, product, star, star_basis, star_effective
 from betaring.burnside import BurnsideElement, GSet, beta2_on_gsets, beta_on_gset, orbit_decompose
 from betaring.catalog import Ambient
 from betaring.checks import klein_group
 from betaring.config import get_config
 from betaring.perms import PermGroup, Permutation
-from betaring.symfunc import coproduct, lin, lin2
+from betaring.symfunc import coproduct, lin, lin2, p_, plethysm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -198,3 +200,26 @@ def test_restriction_builds_no_stabilizers(monkeypatch):
         if hasattr(value, "cache_clear"):
             value.cache_clear()
     assert _restriction_results() == expected
+
+
+def _integer_results():
+    elements = []
+    for n in range(1, 7):
+        count = len(catalog.get_catalog(Ambient.sym(n)).classes)
+        elements += [BElement.basis(n, i) for i in range(count)]
+        elements.append(BElement.basis(n, 0).scale(3) - BElement.basis(n, count - 1).scale(2))
+    f, g = p_(2) + p_(1) * p_(1), p_(3) - p_(1) * p_(2) * p_(2)
+    return [[eval_z(a, r) for r in range(4)] for a in elements], [f + g, f * g, plethysm(f, g), plethysm(g, f)]
+
+
+def test_integer_arithmetic_builds_no_fraction(monkeypatch):
+    """eval_z of integer elements, BElement.scale by an int, and +, * and
+    plethysm of integer p-basis functions stay in ints: they answer the
+    same with Fraction construction disabled."""
+    expected = _integer_results()
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built from integer arguments")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert _integer_results() == expected
