@@ -43,8 +43,9 @@ class GSet:
         gen_action = tuple(tuple(row) for row in gen_action)
         if len(gen_action) != len(group.generators):
             raise ValueError("need one action row per group generator")
+        points = set(range(size))
         for row in gen_action:
-            if sorted(row) != list(range(size)):
+            if len(row) != size or set(row) != points:
                 raise ValueError("generator action is not a bijection of the points")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "size", size)
@@ -120,22 +121,33 @@ class GSet:
         rows = [self.elem_action[g.images] for g in sub.generators]
         return GSet(sub, self.size, rows)
 
-    def _least_in_orbit(self) -> list[int]:
-        """For each point, the least point of its orbit: its least image
-        under the elements of G."""
-        return list(map(min, zip(*self.elem_action.values())))
+    def _orbit_starts(self) -> list[int]:
+        """The least point of each orbit, in increasing order.  Each start
+        marks its images under the elements of G, and the next start is
+        the next unmarked point."""
+        acts = list(self.elem_action.values())
+        marked = bytearray(self.size + 1)  # the last slot stays 0 and ends the scan
+        starts = []
+        start = 0
+        while start < self.size:
+            starts.append(start)
+            for act in acts:
+                marked[act[start]] = 1
+            start = marked.index(0, start + 1)
+        return starts
 
     def orbits(self) -> list[list[int]]:
         """The orbits as sorted lists, in the order of their least points."""
-        least = self._least_in_orbit()
-        order = sorted(range(self.size), key=least.__getitem__)
-        return [list(pts) for _, pts in itertools.groupby(order, key=least.__getitem__)]
+        acts = self.elem_action.values()
+        return [sorted({act[p] for act in acts}) for p in self._orbit_starts()]
 
     def stabilizer(self, point: int) -> PermGroup:
         elems = [e for e, act in self.elem_action.items() if act[point] == point]
         return PermGroup.from_elements(self.group.degree, elems)
 
     def fixed_count(self, sub: PermGroup) -> int:
+        if not sub.is_subgroup_of(self.group):
+            raise NotASubgroup("fixed points need U <= G")
         rows = [self.elem_action[g.images] for g in sub.generators]
         return sum(1 for x in range(self.size) if all(row[x] == x for row in rows))
 
@@ -361,7 +373,7 @@ def orbit_decompose(x: GSet) -> BurnsideElement:
     """
     cat = group_catalog(x.group)
     coords = [0] * len(cat.classes)
-    reps = [p for p, least in enumerate(x._least_in_orbit()) if p == least]
+    reps = x._orbit_starts()
     elems = list(x.elem_action)
     fixes = [map(operator.eq, _compose(act, reps), reps) for act in x.elem_action.values()]
     class_of = {}
@@ -402,7 +414,10 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
     generator of G sends it to row_j[d] * stride_j.  Each becomes one flat
     code-to-code list.  The w-orbits are labelled in a flat list in code
     order, so each orbit is numbered and represented by its least code,
-    the first tuple of the product order that it contains.
+    the first tuple of the product order that it contains: a walk from
+    each unlabelled code labels its orbit, and list.index jumps over the
+    labelled codes to the next start.  A w without generators leaves every
+    code its own orbit, and the G maps are the rows themselves.
     """
     if not factors:
         raise ValueError("empty factor list")
@@ -425,11 +440,17 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
         _code_map([d * strides[g[j]] for d in range(sizes[j])] for j in range(n))
         for g in w_gens
     ]
-    orbit_of = [-1] * total
+    g_maps = (
+        _code_map([d * stride for d in f.gen_action[gi]] for f, stride in zip(factors, strides))
+        for gi in range(len(group.generators))
+    )
+    if not w_maps:
+        # every code is its own orbit, so the G rows are the code maps themselves
+        return GSet(group, total, g_maps)
+    orbit_of = [-1] * (total + 1)  # the last slot stays -1 and ends the scan
     reps: list[int] = []
-    for start in range(total):
-        if orbit_of[start] >= 0:
-            continue
+    start = 0
+    while start < total:
         oid = len(reps)
         reps.append(start)
         orbit_of[start] = oid
@@ -440,13 +461,9 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
                 if orbit_of[image] < 0:
                     orbit_of[image] = oid
                     queue.append(image)
-    rows = []
-    for gi in range(len(group.generators)):
-        g_map = _code_map(
-            [d * stride for d in f.gen_action[gi]] for f, stride in zip(factors, strides)
-        )
-        rows.append(_compose(orbit_of, _compose(g_map, reps)))
-    return GSet(group, len(reps), rows)
+        start = orbit_of.index(-1, start + 1)
+    # one G map at a time, so at most one full-length map is alive
+    return GSet(group, len(reps), [_compose(orbit_of, _compose(m, reps)) for m in g_maps])
 
 
 def beta_on_gset(h, x: GSet) -> GSet:

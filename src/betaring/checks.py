@@ -56,6 +56,10 @@ from .witt import WittVector, delta_m, delta_m_dual_route_agrees, eps_product
 
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 19, 6: 56}
 
+# The gset_cap the explicit G-set checks run under; the composition axiom
+# skips a case whose tuple space exceeds it.
+CHECK_GSET_CAP = 50_000
+
 
 def _report(identity: str, ok: bool, witness: str = "") -> dict:
     return {"identity": identity, "status": "pass" if ok else "fail", "witness": witness}
@@ -161,7 +165,7 @@ def _composition_axiom(group: PermGroup, hkey, kkey, x: GSet) -> bool:
 def check_ag_axioms(max_h_degree: int = 3) -> list[dict]:
     """The defining axioms of the operations on A(G), on explicit G-sets."""
     reports = []
-    with config.override(gset_cap=50_000):
+    with config.override(gset_cap=CHECK_GSET_CAP):
         for gname, group in standard_groups():
             transitive = _transitive_gsets(group)
             for n in range(1, max_h_degree + 1):
@@ -186,7 +190,7 @@ def check_ag_axioms(max_h_degree: int = 3) -> list[dict]:
             ok = True
             for m, i, n, j in pairs:
                 for _, x in transitive:
-                    if x.size**(m * n) > 50_000:
+                    if x.size**(m * n) > CHECK_GSET_CAP:
                         continue
                     if not _composition_axiom(group, (m, i), (n, j), x):
                         ok = False
@@ -323,7 +327,7 @@ def check_operator_ring() -> list[dict]:
         (BElement.basis(2, "S2"), -beta_upper(1)),
     ]
     ok = True
-    with config.override(gset_cap=50_000):
+    with config.override(gset_cap=CHECK_GSET_CAP):
         for a, b in pairs:
             lhs = eval_burnside(star(a, b), x_reg)
             rhs = eval_burnside(a, eval_burnside(b, x_reg))
@@ -513,7 +517,7 @@ def check_beta_z() -> list[dict]:
 def check_gcd_suite(kmax: int = 6) -> list[dict]:
     reports = []
     groups = standard_groups() + [("C2xC2", klein_group())]
-    with config.override(gset_cap=50_000):
+    with config.override(gset_cap=CHECK_GSET_CAP):
         for name, group in groups:
             bad = []
             for k in range(1, kmax + 1):

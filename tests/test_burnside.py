@@ -17,7 +17,7 @@ from betaring.burnside import (
     orbit_decompose,
 )
 from betaring.catalog import Ambient, get_catalog
-from betaring.errors import IntegralityViolation, NotEffective, SizeCap
+from betaring.errors import IntegralityViolation, NotASubgroup, NotEffective, SizeCap
 from betaring.perms import PermGroup, Permutation, direct_embed
 
 
@@ -43,6 +43,9 @@ def test_action_table_validation():
     with pytest.raises(ValueError):
         # order-2 generator acting as a 3-cycle violates g*g = e
         GSet(c2(), 3, [(1, 2, 0)])
+    for row in [(1, 2), (0, 1, 3), (0, 1, 1, 2), (0, 1, "a")]:  # short, out of range,
+        with pytest.raises(ValueError):  # duplicate, not an integer
+            GSet(c3(), 3, [row])
 
 
 def test_orbit_decompose_basics():
@@ -60,6 +63,14 @@ def test_orbit_decompose_sizes_and_marks():
     assert elt.size() == x.size == 3
     cat = group_catalog(g)
     assert elt.marks() == tuple(x.fixed_count(cls.rep) for cls in cat.classes)
+
+
+def test_fixed_count_needs_a_subgroup():
+    x = GSet.regular(c3())
+    assert x.fixed_count(PermGroup.trivial(3)) == 3
+    for sub in (c2(), PermGroup.generate(3, [[1, 0, 2]])):
+        with pytest.raises(NotASubgroup):
+            x.fixed_count(sub)
 
 
 def test_multiply_unit_and_examples():
@@ -414,18 +425,21 @@ def test_orbits_and_orbit_decompose_match_a_per_point_count():
     for g in _oracle_groups():
         cat = group_catalog(g)
         sets = [GSet.coset_space(g, cls.rep) for cls in cat.classes]
+        cases = [GSet.empty(g)]
         for x in sets:
+            cases.append(beta_on_gset(sym_class(3, "S3"), x))
             for y in sets:
-                for z in (x * y, beta_on_gset(sym_class(2, "S2"), x + y)):
-                    expected = [0] * len(cat.classes)
-                    orbits = []
-                    seen = set()
-                    for point in range(z.size):
-                        if point in seen:
-                            continue
-                        orbit = {z.act(e, point) for e in z.elem_action}
-                        seen |= orbit
-                        orbits.append(sorted(orbit))
-                        expected[cat.identify(z.stabilizer(point))] += 1
-                    assert z.orbits() == orbits
-                    assert orbit_decompose(z).coords == tuple(expected)
+                cases += [x * y, beta_on_gset(sym_class(2, "S2"), x + y)]
+        for z in cases:
+            expected = [0] * len(cat.classes)
+            orbits = []
+            seen = set()
+            for point in range(z.size):
+                if point in seen:
+                    continue
+                orbit = {z.act(e, point) for e in z.elem_action}
+                seen |= orbit
+                orbits.append(sorted(orbit))
+                expected[cat.identify(z.stabilizer(point))] += 1
+            assert z.orbits() == orbits
+            assert orbit_decompose(z).coords == tuple(expected)
