@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .burnside import BurnsideElement, beta_virtual, extrapolate_to_minus_one
+from .burnside import BurnsideElement, beta_virtual, extrapolate_to_minus_one, group_catalog
 from .catalog import Ambient, Catalog, get_catalog
 from .config import check_degree
 from .errors import IntegralityViolation, NotEffective
@@ -369,8 +369,9 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
     """Act on A(G) through the polynomial beta operations."""
     if not a.is_integral():
         raise IntegralityViolation("eval on A(G) needs integer coefficients")
-    out = BurnsideElement.zero(x.group)
+    cat = group_catalog(x.group)
+    coords = [0] * len(cat.classes)
     for ((n,), i), c in a.terms.items():
-        cls = sym_catalog(n).classes[i]
-        out = out + beta_virtual(cls, x).scale(c)
-    return out
+        term = beta_virtual(sym_catalog(n).classes[i], x).coords
+        coords = [s + c * t for s, t in zip(coords, term)]
+    return BurnsideElement(cat, coords)

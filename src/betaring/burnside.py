@@ -14,6 +14,14 @@ point of a product of G-sets is its integer code in mixed radix (the
 itertools.product order), and coordinate permutations and the diagonal
 G-action are flat code-to-code lists, built one coordinate (digit) at a
 time.
+
+What depends only on the group is kept on its catalog, not rebuilt per
+call: `BurnsideElement.to_gset` builds each transitive G/H once per catalog
+(`Catalog.coset_spaces`), and `orbit_decompose` identifies each stabilizer
+element set once per catalog (`Catalog.identify_elements`).  Both memos are
+keyed on the catalog object, so a G-set acts through the generators of that
+catalog's own group, never those of an equal group with other generators;
+`catalog.clear_memo` empties them.
 """
 
 from __future__ import annotations
@@ -176,7 +184,10 @@ class GSet:
 
 def _disjoint_union(group: PermGroup, parts) -> GSet:
     """The disjoint union of G-sets over one group, closed once: the points
-    of each part follow those of the parts before it."""
+    of each part follow those of the parts before it.  A single part is
+    returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
     rows = [[] for _ in group.generators]
     size = 0
     for x in parts:
@@ -337,13 +348,20 @@ class BurnsideElement:
         )
 
     def to_gset(self) -> GSet:
+        """The disjoint union of c copies of G/H for each coordinate c at H.
+        Each G/H is built once per catalog and kept in its `coset_spaces`,
+        over the catalog's own group object."""
         if not self.is_effective():
             raise NotEffective("only effective elements are realizable")
+        cat = self.catalog
         parts = []
-        for c, cls in zip(self.coords, self.catalog.classes):
+        for i, c in enumerate(self.coords):
             if c:
-                parts += [GSet.coset_space(self.group, cls.rep)] * c
-        return _disjoint_union(self.group, parts)
+                gset = cat.coset_spaces.get(i)
+                if gset is None:
+                    gset = cat.coset_spaces[i] = GSet.coset_space(cat.group, cat.classes[i].rep)
+                parts += [gset] * c
+        return _disjoint_union(cat.group, parts)
 
     def __repr__(self):
         if not any(self.coords):
@@ -369,7 +387,8 @@ def orbit_decompose(x: GSet) -> BurnsideElement:
 
     Each orbit is represented by its least point.  A stabilizer is the set
     of elements fixing that point, read as one mask over the elements of G;
-    orbits with equal masks share one identify.
+    orbits with equal masks share one lookup, and `identify_elements`
+    identifies each element set once per catalog.
     """
     cat = group_catalog(x.group)
     coords = [0] * len(cat.classes)
@@ -380,8 +399,7 @@ def orbit_decompose(x: GSet) -> BurnsideElement:
     for mask in zip(*fixes):
         idx = class_of.get(mask)
         if idx is None:
-            stab = PermGroup.from_elements(x.group.degree, itertools.compress(elems, mask))
-            idx = class_of[mask] = cat.identify(stab)
+            idx = class_of[mask] = cat.identify_elements(itertools.compress(elems, mask))
         coords[idx] += 1
     return BurnsideElement(cat, coords)
 

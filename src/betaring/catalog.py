@@ -401,6 +401,12 @@ class Catalog:
         self.subgroup_count = subgroup_count
         self._blocks = ambient.blocks()
         self._censuses: dict[int, frozenset] = {}
+        self._identified: dict[frozenset, int] = {}
+        # The transitive G-sets G/H that `burnside.BurnsideElement.to_gset`
+        # builds, by class index.  They are kept per catalog because a G-set
+        # acts through the generators of this catalog's own group object,
+        # and PermGroup equality ignores generators.
+        self.coset_spaces: dict = {}
         self._by_order: dict[int, list[int]] = {}
         self._by_label = {}
         for cls in self.classes:
@@ -456,6 +462,16 @@ class Catalog:
         if not found:
             raise NotASubgroup("invariants match no class; inconsistent catalog")
         return found[0]
+
+    def identify_elements(self, elements) -> int:
+        """`identify` of the subgroup whose element set (image tuples) is
+        `elements`, memoized by that set: a set seen before builds no group."""
+        key = frozenset(elements)
+        idx = self._identified.get(key)
+        if idx is None:
+            sub = PermGroup.from_elements(self.group.degree, key)
+            idx = self._identified[key] = self.identify(sub)
+        return idx
 
     def census(self, i: int) -> frozenset:
         """`perms.cycle_census` of class i's representative over the
@@ -751,7 +767,12 @@ def _write_cache(path, cat: Catalog):
 
 
 def clear_memo():
-    """Forget every memoized catalog and every earlier build."""
+    """Forget every memoized catalog and every earlier build, and empty the
+    memos of each (`identify_elements`, `coset_spaces`), which elements
+    built before may still reach."""
+    for cat in [*_CATALOGS.values(), *_BUILT.values()]:
+        cat._identified.clear()
+        cat.coset_spaces.clear()
     _CATALOGS.clear()
     _BUILT.clear()
 

@@ -245,15 +245,18 @@ def _adjoin(members, gens, g: tuple, cap: int) -> set[tuple]:
     """<H, g> for the group H = <gens> whose element set is `members` (image
     tuples): the union of the left cosets y*H that left multiplication by
     gens and g reaches from H (Dimino's algorithm).  Raises CapExceeded once
-    it has more than `cap` elements."""
-    grown, base, gens = set(members), list(members), (*gens, g)
+    it has more than `cap` elements.  The coset y*H is gathered through one
+    itemgetter per member h of H, made once per call."""
+    grown, gens = set(members), (*gens, g)
+    # below degree 2 the identity is the only member, and itemgetter of one
+    # index would return a scalar
+    getters = [itemgetter(*h) for h in members] if len(g) > 1 else [tuple]
     reps = [tuple(range(len(g)))]
     for r in reps:
         for s in gens:
             y = _compose(s, r)
             if y not in grown:
-                get = y.__getitem__
-                grown.update([tuple(map(get, h)) for h in base])
+                grown.update([f(y) for f in getters])
                 if len(grown) > cap:
                     raise CapExceeded(f"group order exceeds cap {cap}")
                 reps.append(y)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from betaring import config
+from betaring import catalog, config
+from betaring.bring import BElement, eval_burnside
 from betaring.burnside import (
     BurnsideElement,
     GSet,
@@ -17,6 +18,7 @@ from betaring.burnside import (
     orbit_decompose,
 )
 from betaring.catalog import Ambient, get_catalog
+from betaring.checks import klein_group
 from betaring.errors import IntegralityViolation, NotASubgroup, NotEffective, SizeCap
 from betaring.perms import PermGroup, Permutation, direct_embed
 
@@ -443,3 +445,106 @@ def test_orbits_and_orbit_decompose_match_a_per_point_count():
                 expected[cat.identify(z.stabilizer(point))] += 1
             assert z.orbits() == orbits
             assert orbit_decompose(z).coords == tuple(expected)
+
+
+def _basis_elements(cat):
+    """Every [G/H] of A(G), built on the catalog given (not looked up by group)."""
+    size = len(cat.classes)
+    return [BurnsideElement(cat, [int(j == i) for j in range(size)]) for i in range(size)]
+
+
+def test_coset_spaces_follow_each_catalogs_own_generators(monkeypatch):
+    """Two Klein groups equal as sets, with their generators in opposite
+    orders, each have their own catalog.  Every G/H that to_gset returns acts
+    through the generators of its own catalog's group, also after the other
+    catalog's G-sets were built, and the transfer identity
+    (M|_U x N)^{U -> G} = M x N^{U -> G} holds over both."""
+    klein = klein_group()
+    flipped = PermGroup(4, klein.generators[::-1], klein.elements)
+    assert flipped == klein and flipped.generators != klein.generators
+    first = group_catalog(klein)
+    monkeypatch.setattr(catalog, "_CATALOGS", {})  # so the flipped group gets a catalog of its own
+    second = group_catalog(flipped)
+    assert second is not first and second.group is flipped
+    assert first.group.generators == klein.generators
+    for cat in (first, second, first):
+        group = cat.group
+        transitive = [x.to_gset() for x in _basis_elements(cat)]
+        for cls, m in zip(cat.classes, transitive):
+            assert m.group is group
+            assert m.gen_action == GSet.coset_space(group, cls.rep).gen_action, cls.label
+        for ucls in cat.classes:
+            u = ucls.rep
+            for m in transitive:
+                for ncls in group_catalog(u).classes:
+                    n = GSet.coset_space(u, ncls.rep)
+                    lhs = orbit_decompose(induce(group, u, m.restrict(u) * n))
+                    assert lhs == orbit_decompose(m * induce(group, u, n))
+
+
+def _count_stabilizers(monkeypatch) -> list:
+    """Record the degree of every PermGroup.from_elements call."""
+    calls = []
+    build = PermGroup.from_elements.__func__
+
+    def counting(cls, degree, elements):
+        calls.append(degree)
+        return build(cls, degree, elements)
+
+    monkeypatch.setattr(PermGroup, "from_elements", classmethod(counting))
+    return calls
+
+
+def test_a_decomposition_seen_before_builds_no_stabilizer(monkeypatch):
+    g = s3()
+    x = GSet.regular(g) * GSet.coset_space(g, group_catalog(g).class_of("C2").rep)
+    catalog.clear_memo()
+    calls = _count_stabilizers(monkeypatch)
+    expected = orbit_decompose(x)
+    assert calls
+    calls.clear()
+    assert orbit_decompose(x) == expected
+    assert calls == []
+
+
+def test_clear_memo_empties_the_gset_memos(monkeypatch):
+    """After clear_memo the explicit route builds its G-sets and stabilizers
+    again, so a test that disables some code after a first run still sees
+    that code's route."""
+    x = BurnsideElement.basis(c3(), "e")
+    expected = orbit_decompose(beta_on_gset(sym_class(2, "S2"), x.to_gset()))
+    cat = x.catalog
+    assert cat.coset_spaces and cat._identified
+    catalog.clear_memo()
+    assert not cat.coset_spaces and not cat._identified
+    calls = _count_stabilizers(monkeypatch)
+    assert orbit_decompose(beta_on_gset(sym_class(2, "S2"), x.to_gset())) == expected
+    assert calls and cat.coset_spaces
+
+
+def test_eval_burnside_matches_a_cleared_memo():
+    """Every class of S1..S4 on every basis element of A(C2..C6), A(S3),
+    A(S4) and A(V4): the same with warm G-set memos as with memos emptied
+    before each call."""
+    groups = [PermGroup.cyclic(k) for k in range(2, 7)]
+    groups += [s3(), PermGroup.symmetric(4), klein_group()]
+    classes = [BElement.basis(n, i) for n in range(1, 5) for i in range(len(get_catalog(Ambient.sym(n))))]
+
+    def results(fresh):
+        out = []
+        for g in groups:
+            for x in _basis_elements(group_catalog(g)):
+                for a in classes:
+                    if fresh:
+                        x.catalog.coset_spaces.clear()
+                        x.catalog._identified.clear()
+                    try:
+                        out.append(eval_burnside(a, x).coords)
+                    except SizeCap:
+                        out.append(None)
+        return out
+
+    warm = results(False)
+    assert results(False) == warm
+    assert results(True) == warm
+    assert warm.count(None) < len(warm) // 4
