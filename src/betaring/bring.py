@@ -228,7 +228,11 @@ def _young_classes(ambient: Ambient, flat_parts: tuple[int, ...]) -> tuple[int, 
     G = prod(degrees): the G-class of each class of P, in P's catalog order.
 
     flat_parts must refine the ambient's factor degrees consecutively, so
-    P's representatives already act on G's points inside G.
+    P's representatives already act on G's points inside G.  A class of P
+    whose representative has the element set of a representative of G is
+    in that class of G, found by a dict lookup (loaded catalogs share the
+    element set of equal generating sets, so it often matches by identity);
+    only the other classes go through `Catalog.identify`.
     """
     cat = get_catalog(ambient)
     degrees = cat.ambient.degrees
@@ -236,7 +240,12 @@ def _young_classes(ambient: Ambient, flat_parts: tuple[int, ...]) -> tuple[int, 
     running = {sum(flat_parts[:k]) for k in range(len(flat_parts) + 1)}
     if sum(flat_parts) != sum(degrees) or not cuts <= running:
         raise ValueError(f"refinement {flat_parts} does not respect {degrees}")
-    return tuple(cat.identify(cls.rep) for cls in get_catalog(Ambient.prod(flat_parts)).classes)
+    by_elements = {cls.rep.elements: cls.index for cls in cat.classes}
+    fusion = []
+    for cls in get_catalog(Ambient.prod(flat_parts)).classes:
+        idx = by_elements.get(cls.rep.elements)
+        fusion.append(cat.identify(cls.rep) if idx is None else idx)
+    return tuple(fusion)
 
 
 @lru_cache(maxsize=None)

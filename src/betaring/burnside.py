@@ -108,14 +108,14 @@ class GSet:
         return self.elem_action[images][point]
 
     def __add__(self, other: GSet) -> GSet:
-        if other.group != self.group:
-            raise ValueError("disjoint union needs a common group")
+        if not _same_generators(self.group, other.group):
+            raise ValueError("disjoint union needs a common group and generators")
         return _disjoint_union(self.group, [self, other])
 
     def __mul__(self, other: GSet) -> GSet:
         """Cartesian product with the diagonal action."""
-        if other.group != self.group:
-            raise ValueError("product needs a common group")
+        if not _same_generators(self.group, other.group):
+            raise ValueError("product needs a common group and generators")
         rows = [
             _code_map([[a * other.size for a in row], orow])
             for row, orow in zip(self.gen_action, other.gen_action)
@@ -162,7 +162,7 @@ class GSet:
     def __eq__(self, other):
         return (
             isinstance(other, GSet)
-            and self.group == other.group
+            and _same_generators(self.group, other.group)
             and self.size == other.size
             and self.gen_action == other.gen_action
         )
@@ -180,6 +180,13 @@ class GSet:
     @classmethod
     def from_json(cls, data) -> GSet:
         return cls(PermGroup.from_json(data["group"]), data["size"], data["action"])
+
+
+def _same_generators(g: PermGroup, h: PermGroup) -> bool:
+    """Equal groups with equal generator lists.  A G-set's rows follow its
+    group's generators, and PermGroup equality ignores them, so rows of
+    two G-sets line up only when this holds."""
+    return g is h or (g == h and g.generators == h.generators)
 
 
 def _disjoint_union(group: PermGroup, parts) -> GSet:
@@ -500,8 +507,8 @@ def beta2_on_gsets(l, x: GSet, y: GSet) -> GSet:
         w = l.rep
     else:
         raise TypeError("beta2 needs a SubgroupClass of a pair ambient")
-    if x.group != y.group:
-        raise ValueError("X and Y must be sets over the same group")
+    if not _same_generators(x.group, y.group):
+        raise ValueError("X and Y must be sets over the same group and generators")
     if p + q == 0:
         return GSet.point(x.group)
     return _tuple_orbit_quotient([x] * p + [y] * q, w)

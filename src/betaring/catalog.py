@@ -37,7 +37,14 @@ logged at INFO on the `betaring.catalog` logger.
 A catalog read from the JSON cache is checked against invariants every
 table of marks satisfies (`_is_consistent`) and rebuilt if it fails.  It
 is never reused for another ambient, so each file is checked on its own.
+Loads in one process share only the closed element set of each (degree,
+generator images): a file whose representative has the generators of one
+closed before takes that frozenset instead of closing them again.  Every
+class still gets a group object of its own, with its own file's
+generators, and the order check and `_is_consistent` run on every file.
 `max_degree` is checked before the memo, the cache, a reuse or a build.
+`Ambient.sym`, `pair` and `prod` return one interned instance per degrees
+tuple, so a memo hit finds its key by identity.
 
 Queries on a built or loaded catalog never enumerate subgroups.  `identify`
 narrows the candidates by conjugacy invariants (order, orbit partition,
@@ -91,15 +98,21 @@ class Ambient:
 
     @classmethod
     def sym(cls, n: int) -> Ambient:
-        return cls(degrees=(n,))
+        return cls.prod((n,))
 
     @classmethod
     def pair(cls, p: int, q: int) -> Ambient:
-        return cls(degrees=(p, q))
+        return cls.prod((p, q))
 
     @classmethod
     def prod(cls, degrees) -> Ambient:
-        return cls(degrees=tuple(degrees))
+        """The one instance for these degrees (any iterable of them), so a
+        memo keyed on it finds the key by identity."""
+        degrees = tuple(degrees)
+        ambient = _BY_DEGREES.get(degrees)
+        if ambient is None:
+            ambient = _BY_DEGREES.setdefault(degrees, cls(degrees=degrees))
+        return ambient
 
     @classmethod
     def of_group(cls, g: PermGroup) -> Ambient:
@@ -130,6 +143,10 @@ class Ambient:
             out.append(range(start, start + d))
             start += d
         return tuple(out)
+
+
+# The interned degree ambients: Ambient.sym, pair and prod return these.
+_BY_DEGREES: dict[tuple[int, ...], Ambient] = {}
 
 
 # The nontrivial perfect subgroups of S_d for d <= MAX_SUPPORTED_DEGREE, one
@@ -511,7 +528,7 @@ class Catalog:
         degree = data["degree"]
         classes = []
         for c in data["classes"]:
-            rep = PermGroup.generate(degree, [Permutation(im) for im in c["generators"]])
+            rep = _closed(degree, [Permutation(im) for im in c["generators"]])
             if rep.order != c["order"]:
                 raise ValueError("catalog cache is inconsistent")
             classes.append(
@@ -528,6 +545,22 @@ class Catalog:
                 )
             )
         return cls(ambient, group, classes, data["marks_matrix"], data["subgroup_count"])
+
+
+# Element sets closed by `_closed` in this process, by degree and generator
+# images.  Only the frozensets are shared: each loaded class keeps a group
+# object of its own, with its own file's generators.
+_CLOSURES: dict[tuple, frozenset] = {}
+
+
+def _closed(degree: int, gens: list[Permutation]) -> PermGroup:
+    """The group generated by `gens`, closed once per process for each
+    degree and list of generator images."""
+    key = (degree, tuple(g.images for g in gens))
+    elements = _CLOSURES.get(key)
+    if elements is None:
+        elements = _CLOSURES[key] = PermGroup.generate(degree, gens).elements
+    return PermGroup(degree, gens, elements)
 
 
 def _assign_labels(entries):
@@ -686,8 +719,9 @@ def get_catalog(ambient: Ambient) -> Catalog:
     logged at INFO with its ambient, reason, class and subgroup counts and
     seconds (fields of the record, too)."""
     _check_cap(ambient)
-    if ambient in _CATALOGS:
-        return _CATALOGS[ambient]
+    cat = _CATALOGS.get(ambient)
+    if cat is not None:
+        return cat
     path = _cache_path(ambient) if ambient.cacheable else None
     cat = _load(path) if path else None
     if cat is None:
@@ -767,14 +801,16 @@ def _write_cache(path, cat: Catalog):
 
 
 def clear_memo():
-    """Forget every memoized catalog and every earlier build, and empty the
-    memos of each (`identify_elements`, `coset_spaces`), which elements
-    built before may still reach."""
+    """Forget every memoized catalog, every earlier build and every closed
+    generating set, and empty the memos of each catalog
+    (`identify_elements`, `coset_spaces`), which elements built before may
+    still reach."""
     for cat in [*_CATALOGS.values(), *_BUILT.values()]:
         cat._identified.clear()
         cat.coset_spaces.clear()
     _CATALOGS.clear()
     _BUILT.clear()
+    _CLOSURES.clear()
 
 
 def enumerate_classes(ambient: Ambient) -> list[SubgroupClass]:

@@ -435,28 +435,16 @@ def cycle_census(elements, blocks) -> frozenset:
     return frozenset(counts.items())
 
 
-def _shift(images: tuple, offset: int, degree: int) -> list[int]:
-    out = list(range(degree))
-    for i, j in enumerate(images):
-        out[i + offset] = j + offset
-    return out
-
-
 def direct_embed(h: PermGroup, k: PermGroup) -> PermGroup:
-    """H x K inside S_{p+q}: H on the first p points, K on the last q."""
-    degree = h.degree + k.degree
+    """H x K inside S_{p+q}: H on the first p points, K on the last q.  Each
+    element is an image tuple of H followed by one of K shifted by p."""
+    p, degree = h.degree, h.degree + k.degree
     if h.order * k.order > GROUP_CAP:
         raise CapExceeded(f"|H|*|K| = {h.order * k.order} exceeds the element cap")
-    elements = set()
-    for a in h.elements:
-        left = _shift(a, 0, degree)
-        for b in k.elements:
-            e = list(left)
-            for i, j in enumerate(b):
-                e[i + h.degree] = j + h.degree
-            elements.add(tuple(e))
-    gens = [Permutation(_shift(g.images, 0, degree)) for g in h.generators]
-    gens += [Permutation(_shift(g.images, h.degree, degree)) for g in k.generators]
+    shifted = [tuple(j + p for j in b) for b in k.elements]
+    elements = [a + b for a in h.elements for b in shifted]
+    gens = [Permutation(g.images + tuple(range(p, degree))) for g in h.generators]
+    gens += [Permutation(tuple(range(p)) + tuple(j + p for j in g.images)) for g in k.generators]
     return PermGroup(degree, gens, elements)
 
 

@@ -8,6 +8,7 @@ from betaring.bring import (
     BElement,
     _compositions,
     _refine_terms,
+    _young_classes,
     beta_regular,
     beta_upper,
     diagonal,
@@ -187,6 +188,31 @@ def test_refine_terms_in_degrees_six_and_seven():
                     for j, mult in _refine_terms(Ambient.sym(7), cls.index, parts)
                 )
                 assert covered == cat.group.order, (cls.label, parts)
+
+
+def _positive_compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _positive_compositions(n - first):
+            yield (first,) + rest
+
+
+def test_young_class_fusion_matches_identify():
+    """Every Young subgroup of S_n, n <= 6: each composition into positive
+    parts, and the two-part ones with an empty part that the diagonal reads.
+    The fusion, found by element-set lookup where a representative of S_n
+    has the same elements, is `identify` of every class."""
+    checked = 0
+    for n in range(1, 7):
+        g = sym_catalog(n)
+        refinements = set(_positive_compositions(n)) | {(0, n), (n, 0)}
+        for parts in sorted(refinements):
+            classes = get_catalog(Ambient.prod(parts)).classes
+            expect = tuple(g.identify(cls.rep) for cls in classes)
+            assert _young_classes.__wrapped__(Ambient.sym(n), parts) == expect, parts
+            checked += len(classes)
+    assert checked == 675
 
 
 def test_refine_terms_rejects_refinements_across_factors():

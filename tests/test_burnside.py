@@ -548,3 +548,28 @@ def test_eval_burnside_matches_a_cleared_memo():
     assert results(False) == warm
     assert results(True) == warm
     assert warm.count(None) < len(warm) // 4
+
+
+def test_gsets_over_equal_groups_with_other_generators_do_not_combine():
+    """The Klein group and the same group with its generators reversed are
+    equal as PermGroups, but a G-set's rows follow its group's generators.
+    Combining G-sets over the two used to zip rows of different generators:
+    orbit_decompose(x * y) gave [G/e] where x * x and y * y give two copies
+    of G/<(0 1)>.  Product, sum and beta2 now refuse, and equality sees the
+    generators."""
+    klein = klein_group()
+    flipped = PermGroup(4, klein.generators[::-1], klein.elements)
+    sub = PermGroup.generate(4, [klein.generators[0]])
+    x, y = GSet.coset_space(klein, sub), GSet.coset_space(flipped, sub)
+    for z in (x, y):
+        square = orbit_decompose(z * z)
+        assert sorted(square.coords) == [0] * (len(square.coords) - 1) + [2]
+        assert square.catalog.classes[square.coords.index(2)].rep == sub
+    for combine in (GSet.__mul__, GSet.__add__):
+        with pytest.raises(ValueError, match="generators"):
+            combine(x, y)
+    pair11 = get_catalog(Ambient.pair(1, 1)).class_of("e")
+    with pytest.raises(ValueError, match="generators"):
+        beta2_on_gsets(pair11, x, y)
+    assert GSet(flipped, x.size, x.gen_action) != x
+    assert GSet(klein, x.size, x.gen_action) == x

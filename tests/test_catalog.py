@@ -744,6 +744,76 @@ def test_builds_and_reuses_are_logged(tmp_path, caplog):
     assert caplog.records[0].getMessage().startswith("catalog S3 (no cache file): 4 classes, 6 subgroups in ")
 
 
+def test_a_warm_load_closes_each_generating_set_once(tmp_path, monkeypatch):
+    """Loading every cache file closes each distinct (degree, generators)
+    once: the 39 files of the cold ambients and of the longer products that
+    star splits along hold 474 representatives and 177 generating sets.
+    Each class still gets a group object of its own, with its own file's
+    generators, and the elements of a fresh closure."""
+    longer = ((1, 1, 1), (1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1))
+    ambients = COLD_AMBIENTS + [Ambient.prod(p) for p in longer]
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        for ambient in ambients:
+            get_catalog(ambient)
+        cat.clear_memo()
+        closed = []
+        generate = PermGroup.generate.__func__
+
+        def counted(cls, degree, generators, cap=cat.GROUP_CAP):
+            closed.append((degree, tuple(g.images for g in generators)))
+            return generate(cls, degree, generators, cap)
+
+        monkeypatch.setattr(PermGroup, "generate", classmethod(counted))
+        loaded = [get_catalog(a) for a in ambients]
+        monkeypatch.undo()
+    cat.clear_memo()
+    assert len(closed) == len(set(closed)) == 177
+    assert sum(len(c.classes) for c in loaded) == 474
+    reps = [cls.rep for c in loaded for cls in c.classes]
+    assert len({id(rep) for rep in reps}) == len(reps)
+    for ambient, c in zip(ambients, loaded):
+        data = json.loads((tmp_path / f"{ambient.descriptor()}_v1.json").read_text())
+        for cls, entry in zip(c.classes, data["classes"]):
+            assert [list(g.images) for g in cls.rep.generators] == entry["generators"]
+            fresh = PermGroup.generate(cls.rep.degree, cls.rep.generators)
+            assert cls.rep.elements == fresh.elements
+
+
+def test_a_bad_order_is_caught_after_the_same_generators_loaded(tmp_path, caplog):
+    """S0 x S3 is written with the representatives of S3.  With one class's
+    order changed in its file, it is still rebuilt when S3 was loaded first,
+    and clear_memo forgets the closed generating sets."""
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        get_catalog(Ambient.sym(3))
+        get_catalog(Ambient.pair(0, 3))
+        path = tmp_path / "S0xS3_v1.json"
+        clean = path.read_text()
+        data = json.loads(clean)
+        s3_classes = json.loads((tmp_path / "S3_v1.json").read_text())["classes"]
+        assert [c["generators"] for c in data["classes"]] == [c["generators"] for c in s3_classes]
+        data["classes"][2]["order"] += 1
+        path.write_text(json.dumps(data))
+        cat.clear_memo()
+        assert cat._CLOSURES == {}
+        get_catalog(Ambient.sym(3))
+        assert cat._CLOSURES
+        with caplog.at_level(logging.INFO, "betaring"):
+            get_catalog(Ambient.pair(0, 3))
+        assert [(r.ambient, r.reason) for r in caplog.records] == [("S0xS3", "invalid cache file")]
+        assert path.read_text() == clean
+        cat.clear_memo()
+        assert cat._CLOSURES == {}
+
+
+def test_degree_ambients_are_interned():
+    assert Ambient.sym(3) is Ambient.prod([3]) is Ambient.prod((3,))
+    assert Ambient.prod([2, 3]) is Ambient.pair(2, 3)
+    assert Ambient.prod(iter([1, 1, 1])) is Ambient.prod((1, 1, 1))
+    assert Ambient.sym(2) is not Ambient.pair(2, 0)
+
+
 def test_degree_cap_holds_on_a_memo_hit():
     get_catalog(Ambient.sym(4))
     with config.override(max_degree=3):
