@@ -10,25 +10,27 @@ through the table of marks: the marks of Res(S_n/H) are row H of the
 table of S_n read at the S_n-classes of the subgroups of S_p x S_q, and
 `BurnsideElement.from_marks` solves them over the table of S_p x S_q.
 The composition sends (beta_H, beta_K) to the class of the wreath product
-with H permuting deg(H) blocks and K acting inside each block, extended
-to sums by splitting H over the summands (a restriction along a longer
-Young subgroup, read off the marks the same way) and to virtual arguments
-by Newton extrapolation in each degree.  The diagonal, composition and
-evaluations take one-factor classes: unpacking `(n,) = degrees` raises
-ValueError for any other arity.
+with H permuting deg(H) blocks and K acting inside each block.  For any
+integral b, effective or virtual, the marks of beta_H * b are sums over
+block systems of products of marks of beta_H and of b (the cycle-index
+composition of species; see `star`), solved by `from_marks`.  The
+diagonal, composition and evaluations take one-factor classes: unpacking
+`(n,) = degrees` raises ValueError for any other arity.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .burnside import BurnsideElement, beta_virtual, extrapolate_to_minus_one, group_catalog
+from .burnside import BurnsideElement, beta_virtual, group_catalog
 from .catalog import Ambient, Catalog, get_catalog
 from .config import check_degree
 from .errors import IntegralityViolation, NotEffective
 from .exact import norm_coeff, quotient
-from .perms import Permutation, direct_embed, mixed_wreath
+from .perms import PermGroup, Permutation, _compose, direct_embed, wreath
 
 
 def sym_catalog(n: int) -> Catalog:
@@ -228,24 +230,28 @@ def _young_classes(ambient: Ambient, flat_parts: tuple[int, ...]) -> tuple[int, 
     G = prod(degrees): the G-class of each class of P, in P's catalog order.
 
     flat_parts must refine the ambient's factor degrees consecutively, so
-    P's representatives already act on G's points inside G.  A class of P
-    whose representative has the element set of a representative of G is
-    in that class of G, found by a dict lookup (loaded catalogs share the
-    element set of equal generating sets, so it often matches by identity);
-    only the other classes go through `Catalog.identify`.
+    P's representatives already act on G's points inside G.
     """
-    cat = get_catalog(ambient)
-    degrees = cat.ambient.degrees
+    degrees = ambient.degrees
     cuts = {sum(degrees[:k]) for k in range(len(degrees) + 1)}
     running = {sum(flat_parts[:k]) for k in range(len(flat_parts) + 1)}
     if sum(flat_parts) != sum(degrees) or not cuts <= running:
         raise ValueError(f"refinement {flat_parts} does not respect {degrees}")
-    by_elements = {cls.rep.elements: cls.index for cls in cat.classes}
-    fusion = []
-    for cls in get_catalog(Ambient.prod(flat_parts)).classes:
-        idx = by_elements.get(cls.rep.elements)
-        fusion.append(cat.identify(cls.rep) if idx is None else idx)
-    return tuple(fusion)
+    young = get_catalog(Ambient.prod(flat_parts))
+    return tuple(_class_of(ambient, cls.rep.elements) for cls in young.classes)
+
+
+@lru_cache(maxsize=None)
+def _class_of(ambient: Ambient, elements: frozenset) -> int:
+    """The class of the subgroup of the ambient with these elements (image
+    tuples), memoized across the Young-subgroup fusions and the block-system
+    tables: a class whose representative has these elements, else
+    `Catalog.identify`."""
+    cat = get_catalog(ambient)
+    idx = next((cls.index for cls in cat.classes if cls.rep.elements == elements), None)
+    if idx is None:
+        idx = cat.identify(PermGroup(cat.group.degree, map(Permutation, elements), elements))
+    return idx
 
 
 @lru_cache(maxsize=None)
@@ -280,83 +286,107 @@ def diagonal(a: BElement) -> BElement:
     return BElement(out)
 
 
-def _compositions(n: int, r: int):
-    if r == 0:
-        if n == 0:
-            yield ()
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, r - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
-def _wreath_key(sub_parts: tuple, cidx: int, inner_keys: tuple) -> tuple[tuple[int], int]:
-    """The class of the mixed wreath product in which class cidx of
-    prod(sub_parts) permutes the blocks and, for part t, class j of S_m
-    acts inside each of its blocks, where inner_keys[t] = (m, j)."""
-    l_rep = _catalog(sub_parts).classes[cidx].rep
-    inners = [sym_catalog(m).classes[j].rep for m, j in inner_keys]
-    grown = mixed_wreath(l_rep, sub_parts, inners)
-    return ((grown.degree,), sym_catalog(grown.degree).identify(grown))
+def _wreath_key(m: int, h: int, n: int, k: int) -> int:
+    """The S_mn-class of the wreath product of class k of S_n by class h of S_m."""
+    grown = wreath(sym_catalog(n).classes[k].rep, sym_catalog(m).classes[h].rep)
+    return sym_catalog(m * n).identify(grown)
 
 
 def star_basis(h_spec, k_spec) -> BElement:
     """The composition on basis classes, each given as (n, index/label/alias)
-    of S_n: the class of the wreath product."""
+    of S_n: the class of the wreath product, the definition of the
+    composition and the oracle for the marks formula of `star`."""
     (m, h), (n, k) = h_spec, k_spec
-    inner = (n, sym_catalog(n).class_index(k))
-    key = _wreath_key((m,), sym_catalog(m).class_index(h), (inner,))
-    check_degree(sum(key[0]))
-    return BElement({key: 1})
+    check_degree(m * n)
+    idx = _wreath_key(m, sym_catalog(m).class_index(h), n, sym_catalog(n).class_index(k))
+    return BElement({((m * n,), idx): 1})
 
 
-def star_effective(a: BElement, b: BElement) -> BElement:
-    """a * b for b a genuine sum of classes (nonnegative coefficients).
+def _set_partitions(points: tuple, sizes: tuple):
+    """Each partition of `points` into blocks of the multiset `sizes`, once."""
+    if not points:
+        yield ()
+    for s in set(sizes):  # the size of the block of the first point
+        left = sizes[: sizes.index(s)] + sizes[sizes.index(s) + 1 :]
+        for others in itertools.combinations(points[1:], s - 1):
+            rest = tuple(p for p in points[1:] if p not in others)
+            yield from (((points[0], *others), *tail) for tail in _set_partitions(rest, left))
 
-    Splits each beta_H over the list of summands of b with the iterated
-    diagonal, then assembles each term as a mixed wreath product: the
-    restricted class permutes same-size blocks and each summand acts
-    inside its own blocks.
-    """
-    if not b.is_effective():
-        raise NotEffective("second argument must have nonnegative integer coefficients")
-    summands = []
-    for key in sorted(b.terms):
-        ((m,), j) = key
-        summands.extend([(m, j)] * b.terms[key])
-    out = BElement.zero()
-    for ((n,), i), c in a.terms.items():
-        check_degree(n)
-        for comp in _compositions(n, len(summands)):
-            positions = [t for t, p in enumerate(comp) if p > 0]
-            if not positions:  # n == 0: beta_{S_0} is the unit
-                out = out + BElement.one().scale(c)
+
+@lru_cache(maxsize=None)
+def _block_systems(sizes: tuple[int, ...]) -> tuple:
+    """For each class K of S_N, N = sum(sizes): the K-invariant partitions of
+    {0..N-1} into blocks of these sizes (sorted), counted by (class of K^pi,
+    K acting on the blocks; ((|B|, class of K_B, the stabilizer of B acting
+    on B), ... one per K-orbit of blocks)).  S_N permutes the partitions
+    transitively, so K is skipped unless |K| divides N! / #partitions."""
+    degree, table, systems = sum(sizes), [], []
+    for blocks in _set_partitions(tuple(range(degree)), sizes):
+        block_of = tuple(b for x in range(degree) for b, block in enumerate(blocks) if x in block)
+        pos = tuple(block.index(x) for x in range(degree) for block in blocks if x in block)
+        systems.append((blocks, block_of, pos, tuple(block[0] for block in blocks)))
+    bound = math.factorial(degree) // len(systems)
+    for cls in sym_catalog(degree).classes:
+        counts: dict = {}
+        gens = [g.images for g in cls.rep.generators]
+        for blocks, block_of, pos, firsts in systems if bound % cls.order == 0 else ():
+            # g preserves the partition iff block_of(x) determines block_of(g(x))
+            if any(len(set(zip(block_of, _compose(block_of, g)))) > len(blocks) for g in gens):
                 continue
-            sub_parts = tuple(comp[t] for t in positions)
-            inner_keys = tuple(summands[t] for t in positions)
-            for cidx, mult in _refine_terms(Ambient.sym(n), i, sub_parts):
-                key = _wreath_key(sub_parts, cidx, inner_keys)
-                check_degree(sum(key[0]))
-                out = out + BElement({key: c * mult})
-    return out
+            moves = [(g, _compose(block_of, _compose(g, firsts))) for g in cls.rep.elements]
+            orbits = []
+            for b, block in enumerate(blocks):
+                if all(q[b] >= b for _, q in moves):  # the first block of its orbit
+                    stab = frozenset(_compose(pos, _compose(g, block)) for g, q in moves if q[b] == b)
+                    orbits.append((len(block), _class_of(Ambient.sym(len(block)), stab)))
+            key = (_class_of(Ambient.sym(len(blocks)), frozenset(q for _, q in moves)), tuple(orbits))
+            counts[key] = counts.get(key, 0) + 1
+        table.append(tuple(counts.items()))
+    return tuple(table)
+
+
+def _component_marks(x: BElement) -> dict[int, tuple[int, ...]]:
+    """The marks of each degree-n part of an integral one-factor x, over S_n."""
+    coords: dict[int, list] = {}
+    for ((n,), i), c in x.terms.items():
+        coords.setdefault(n, [0] * len(sym_catalog(n).classes))[i] = c
+    return {n: BurnsideElement(sym_catalog(n), v).marks() for n, v in coords.items()}
 
 
 def star(a: BElement, b: BElement) -> BElement:
-    """Composition, extended to virtual b by per-degree Newton extrapolation."""
-    if b.is_effective():
-        return star_effective(a, b)
+    """The composition a * b for an integral b, through marks: for a of degree
+    n and b without a constant term, the mark at K <= S_N sums, over the
+    K-invariant partitions pi of N points into n blocks with sizes among b's
+    degrees, the mark of a at K^pi times, per K-orbit of blocks B, the mark
+    of b_|B| at K_B.  A constant b = c gives eval_z(a, c); a constant beside
+    terms of positive degree is refused (blocks could then be empty)."""
     if not b.is_integral():
         raise NotEffective("composition needs integer coefficients in b")
-    plus = BElement({k: c for k, c in b.terms.items() if c > 0})
-    minus = BElement({k: -c for k, c in b.terms.items() if c < 0})
-    out = BElement.zero()
-    for key, c in a.terms.items():
-        ((n,), _) = key
-        basis = BElement({key: 1})
-        values = [star_effective(basis, plus + minus.scale(k)) for k in range(n + 1)]
-        out = out + extrapolate_to_minus_one(values).scale(c)
-    return out
+    den = math.lcm(*(c.denominator for c in a.terms.values()))
+    if den > 1:  # a * b is linear in a
+        return star(a.scale(den), b).scale(Fraction(1, den))
+    b_marks = _component_marks(b)
+    if 0 in b_marks:
+        if len(b_marks) > 1:
+            raise ValueError("composition with a constant term beside terms of positive degree")
+        return BElement.one().scale(eval_z(a, b_marks[0][0]))
+    marks: dict[int, list] = {}
+    for n, a_marks in _component_marks(a).items():
+        for sizes in itertools.combinations_with_replacement(sorted(b_marks), n):
+            vector = marks.setdefault(sum(sizes), [0] * len(sym_catalog(sum(sizes)).classes))
+            for k, systems in enumerate(_block_systems(sizes)):
+                for (q, orbits), count in systems:
+                    vector[k] += count * a_marks[q] * math.prod(b_marks[s][j] for s, j in orbits)
+    solved = {d: BurnsideElement.from_marks(sym_catalog(d), v).coords for d, v in marks.items()}
+    return BElement({((d,), i): c for d, coords in solved.items() for i, c in enumerate(coords)})
+
+
+def star_effective(a: BElement, b: BElement) -> BElement:
+    """a * b for b a genuine sum of classes (nonnegative coefficients)."""
+    if not b.is_effective():
+        raise NotEffective("second argument must have nonnegative integer coefficients")
+    return star(a, b)
 
 
 def eval_z(a: BElement, r: int):

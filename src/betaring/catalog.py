@@ -1,8 +1,8 @@
 """Conjugacy classes of subgroups, marks, and tables of marks.
 
 Ambients are the symmetric groups S_n, products S_p x S_q (and longer
-products, needed to split elements over several summands), or an
-arbitrary small permutation group G (the basis data for A(G)).
+products, to restrict along longer Young subgroups), or an arbitrary
+small permutation group G with its generators (the basis data for A(G)).
 
 Enumeration (`build_catalog`, the cold path) is Neubüser's cyclic
 extension with perfect seeds.  The elements of G are indexed by rank
@@ -95,6 +95,7 @@ class Ambient:
 
     degrees: tuple[int, ...] | None = None
     group: PermGroup | None = None
+    gens: tuple = ()  # the group's generator images, which PermGroup equality ignores
 
     @classmethod
     def sym(cls, n: int) -> Ambient:
@@ -116,7 +117,7 @@ class Ambient:
 
     @classmethod
     def of_group(cls, g: PermGroup) -> Ambient:
-        return cls(group=g)
+        return cls(group=g, gens=tuple(x.images for x in g.generators))
 
     @property
     def cacheable(self) -> bool:

@@ -2,12 +2,12 @@
 shared between the command line and the test suite.
 
 Each check returns a list of {identity, status, witness} records with
-status "pass" / "fail" (or "info" for observations reported without
-pass/fail semantics).  All comparisons are exact.
+status "pass" / "fail".  All comparisons are exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -16,7 +16,7 @@ from . import config
 from .adams import check_gcd, check_prop_adams, psi_upper, solve_psi_K
 from .bring import (
     BElement,
-    _compositions,
+    _component_marks,
     _refine_terms,
     beta_regular,
     beta_upper,
@@ -63,10 +63,6 @@ CHECK_GSET_CAP = 50_000
 
 def _report(identity: str, ok: bool, witness: str = "") -> dict:
     return {"identity": identity, "status": "pass" if ok else "fail", "witness": witness}
-
-
-def _info(identity: str, witness: str) -> dict:
-    return {"identity": identity, "status": "info", "witness": witness}
 
 
 def standard_groups() -> list[tuple[str, PermGroup]]:
@@ -300,7 +296,7 @@ def check_operator_ring() -> list[dict]:
     for n in range(1, 5):
         for idx in range(len(sym_catalog(n).classes)):
             direct: dict = {}
-            for comp in _compositions(n, 3):
+            for comp in (c for c in itertools.product(range(n + 1), repeat=3) if sum(c) == n):
                 for cidx, mult in _refine_terms(Ambient.sym(n), idx, comp):
                     key = (comp, cidx)
                     direct[key] = direct.get(key, 0) + mult
@@ -365,11 +361,15 @@ def check_adams(nmax: int = 5) -> list[dict]:
             )
         )
     for k, l in ((2, 2), (2, 3), (3, 2)):
-        same = star(psi_upper(k), psi_upper(l)) == psi_upper(k * l)
+        diff = star(psi_upper(k), psi_upper(l)) - psi_upper(k * l)
+        by_class = zip(sym_catalog(k * l).classes, _component_marks(diff).get(k * l, ()))
+        support = [(cls, m) for cls, m in by_class if m]
+        ok = all(len(cls.ptype) == 1 and not cls.rep.is_cyclic() for cls, _ in support)
         reports.append(
-            _info(
-                f"Psi^{k} o Psi^{l} vs Psi^{k * l} in the graded class ring",
-                "equal" if same else "NOT equal",
+            _report(
+                f"Psi^{k} o Psi^{l} - Psi^{k * l} is nonzero, lin 0, marks on noncyclic transitive classes",
+                ok and not diff.is_zero() and lin(diff).is_zero(),
+                "marks " + ", ".join(f"{cls.label}: {m}" for cls, m in support),
             )
         )
     return reports
@@ -453,8 +453,6 @@ def _lin_diagonal_compatible(a: BElement) -> bool:
 
 def _orbit_count_on_tuples(group: PermGroup, r: int) -> int:
     """Independent oracle: count H-orbits on maps {1..n} -> {1..r} by scan."""
-    import itertools
-
     n = group.degree
     inv_gens = [g.inverse().images for g in group.generators]
     seen = set()

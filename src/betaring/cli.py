@@ -174,7 +174,7 @@ def _cmd_check(args):
     else:
         for name, reports in results.items():
             for r in reports:
-                tag = {"pass": "PASS", "fail": "FAIL", "info": "INFO"}[r["status"]]
+                tag = {"pass": "PASS", "fail": "FAIL"}[r["status"]]
                 extra = f"  [{r['witness']}]" if r["witness"] else ""
                 print(f"{tag} {name} :: {r['identity']}{extra}")
                 if r["status"] == "fail":

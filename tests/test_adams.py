@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from betaring import adams, config
+from betaring import adams, checks, config
 from betaring.adams import check_gcd, check_prop_adams, psi_partition, psi_upper, solve_psi_K
 from betaring.bring import (
     BElement,
@@ -258,6 +258,16 @@ def test_non_integral_psi_K_names_its_class(monkeypatch):
     monkeypatch.setattr(adams, "sym_catalog", lambda n: doctored)
     with pytest.raises(IntegralityViolation, match="Psi_o2-"):
         solve_psi_K(3)
+
+
+def test_composed_adams_elements_differ_from_the_product_in_the_kernel_of_lin():
+    """Psi^k o Psi^l != Psi^{kl}, but the difference linearizes to 0 and its
+    marks sit at noncyclic transitive classes: three of S4 for (2, 2) and
+    nine of S6 each for (2, 3) and (3, 2)."""
+    reports = [r for r in checks.check_adams(nmax=1) if " o Psi^" in r["identity"]]
+    assert [r["status"] for r in reports] == ["pass"] * 3
+    assert reports[0]["witness"] == "marks o4-4-b: 8, o12-4: -4, o24-4: -4"
+    assert [r["witness"].count(":") for r in reports] == [3, 9, 9]
 
 
 @pytest.mark.skipif(

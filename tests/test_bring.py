@@ -1,12 +1,14 @@
+import itertools
+import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
 from betaring import config
 from betaring.bring import (
     BElement,
-    _compositions,
     _refine_terms,
     _young_classes,
     beta_regular,
@@ -25,6 +27,11 @@ from betaring.catalog import Ambient, get_catalog
 from betaring.errors import DegreeCap, NotEffective
 from betaring.perms import PermGroup, Permutation, are_conjugate, double_cosets
 from betaring.symfunc import lin
+
+
+def _compositions(n, r):
+    """Every composition of n into r nonnegative parts, in lexicographic order."""
+    return [c for c in itertools.product(range(n + 1), repeat=r) if sum(c) == n]
 
 
 def multiset_count(r, n):
@@ -282,6 +289,45 @@ def test_star_virtual_example():
     assert result == beta_regular(2) - BElement.basis(2, "S2")
     for r in range(5):
         assert eval_z(result, r) == (r * r - r) // 2
+
+
+def test_star_with_a_constant_argument_is_the_value_at_it():
+    """b = c gives the constant a(c) = eval_z(a, c); a constant beside terms
+    of positive degree is refused, since blocks could then be empty."""
+    a = BElement.basis(3, "C3") + BElement.basis(2, "S2").scale(2) - beta_upper(1)
+    for c in (-3, -1, 1, 2, 4):
+        assert star(a, BElement.one().scale(c)) == BElement.one().scale(eval_z(a, c))
+    with pytest.raises(ValueError, match="constant term"):
+        star(a, BElement.one() + beta_upper(1))
+    with pytest.raises(ValueError, match="constant term"):
+        star_effective(BElement.basis(2, "e"), BElement.one().scale(2) + BElement.basis(2, "S2"))
+
+
+def test_star_of_basis_classes_is_the_wreath_class():
+    """The marks formula against the wreath-product definition, on all 205
+    class pairs of S_m and S_n with mn <= 6."""
+    pairs = 0
+    for m in range(1, 7):
+        for n in range(1, 6 // m + 1):
+            for h in range(len(sym_catalog(m).classes)):
+                for k in range(len(sym_catalog(n).classes)):
+                    assert star(BElement.basis(m, h), BElement.basis(n, k)) == star_basis((m, h), (n, k))
+                    pairs += 1
+    assert pairs == 205
+
+
+def test_star_matches_the_pinned_newton_route():
+    """Values pinned from the Newton route that the marks formula replaced
+    (the composition walk on plus + k * minus for k = 0..n, extrapolated to
+    k = -1): every basis class of S_m, m <= 3, against every b = c1 * x + c2 * y
+    for two classes x, y of S_1..S_3 and c1, c2 in {1, -1, 2, -2, -3}, with
+    m * deg(b) <= 6."""
+    cases = json.loads((Path(__file__).parent / "fixtures" / "star_virtual.json").read_text())
+    assert len(cases) == 1875
+    for case in cases:
+        b = BElement({((d,), j): c for d, j, c in case["b"]})
+        expect = BElement({((d,), i): c for d, i, c in case["star"]})
+        assert star(BElement.basis(*case["a"]), b) == expect, case
 
 
 def test_star_matches_evaluation_composition():

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 from fractions import Fraction
 
@@ -573,3 +574,22 @@ def test_gsets_over_equal_groups_with_other_generators_do_not_combine():
         beta2_on_gsets(pair11, x, y)
     assert GSet(flipped, x.size, x.gen_action) != x
     assert GSet(klein, x.size, x.gen_action) == x
+
+
+def test_a_group_with_other_generators_gets_a_catalog_of_its_own(caplog):
+    """group_catalog of a group equal to an earlier one with other
+    generators is a catalog over that group object, so its basis G-sets act
+    through its own generators and combine with its other G-sets.  The
+    enumeration is still done once."""
+    klein = klein_group()
+    flipped = PermGroup(4, klein.generators[::-1], klein.elements)
+    sub = PermGroup.generate(4, [klein.generators[0]])
+    catalog.clear_memo()
+    with caplog.at_level(logging.INFO, logger="betaring.catalog"):
+        first, second = group_catalog(klein), group_catalog(flipped)
+    assert first.group is klein and second.group is flipped
+    assert [r.reason for r in caplog.records] == ["no cache file", "equal to an earlier build"]
+    assert group_catalog(PermGroup.generate(4, flipped.generators)) is second
+    for i in range(len(second.classes)):
+        x = BurnsideElement.basis(flipped, i).to_gset() * GSet.coset_space(flipped, sub)
+        assert orbit_decompose(x).catalog is second

@@ -1,7 +1,8 @@
 """The names the benchmark traces still exist, every demo runs, the
 query path never enumerates subgroups, the explicit G-set route
 never reads marks, the Adams elements never multiply classes, the
-diagonal and composition restrict without building stabilizers, and
+diagonal and composition restrict without building stabilizers, the
+composition neither extrapolates nor builds mixed wreath products, and
 integer arithmetic builds no Fraction."""
 
 import importlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import betaring.checks  # noqa: F401  (spans.FUNCTIONS names functions in it)
-from betaring import adams, bring, catalog
+from betaring import adams, bring, burnside, catalog, perms
 from betaring.adams import psi_upper, solve_psi_K
 from betaring.bring import BElement, diagonal, eval_z, product, star, star_basis, star_effective
 from betaring.burnside import BurnsideElement, GSet, beta2_on_gsets, beta_on_gset, orbit_decompose
@@ -36,22 +37,22 @@ CLASSMETHODS = {
 }
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_functions_resolve():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for modname, attr, _ in spans.FUNCTIONS:
         module = importlib.import_module(f"betaring.{modname}")
         assert callable(getattr(module, attr, None)), f"betaring.{modname}.{attr}"
 
 
 def test_traced_methods_resolve():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for modname, clsname, attr, _ in spans.METHODS:
         cls = getattr(importlib.import_module(f"betaring.{modname}"), clsname)
         assert attr in cls.__dict__, f"{clsname}.{attr}"
@@ -105,7 +106,8 @@ def test_queries_build_no_cayley_table(monkeypatch):
     assert sum(c * 4 // cls.order for c, cls in zip(expected["orbits"].coords, klein.classes)) == 4
     kept = {a: c for a, c in catalog._CATALOGS.items() if not a.cacheable}
     monkeypatch.setattr(catalog, "_CATALOGS", kept)
-    for cached in (bring._basis_product, bring._refine_terms, bring._wreath_key):
+    memos = (bring._basis_product, bring._refine_terms, bring._wreath_key, bring._class_of, bring._block_systems)
+    for cached in memos:
         cached.cache_clear()
 
     def refuse(group):
@@ -188,8 +190,9 @@ def _restriction_results():
 
 
 def test_restriction_builds_no_stabilizers(monkeypatch):
-    """The diagonal and composition read restrictions off the table of
-    marks, so they answer the same with PermGroup.from_elements disabled."""
+    """The diagonal reads restrictions off the table of marks and the
+    composition reads marks, so they answer the same with
+    PermGroup.from_elements disabled."""
     expected = _restriction_results()
 
     def refuse(*args, **kwargs):
@@ -200,6 +203,35 @@ def test_restriction_builds_no_stabilizers(monkeypatch):
         if hasattr(value, "cache_clear"):
             value.cache_clear()
     assert _restriction_results() == expected
+
+
+def _virtual_star_results():
+    workloads = load_perfbench("workloads")
+    out = []
+    for n, name in workloads.MIX["star"][1]:
+        b = BElement({((d,), i): c for d, i, c in workloads.VIRTUAL[name]})
+        out += [star(BElement.basis(n, i), b) for i in range(workloads.CLASS_COUNTS[n])]
+    return out
+
+
+def test_star_takes_no_newton_or_mixed_wreath_route(monkeypatch):
+    """star composes every class of each degree the warm-mix workload draws
+    with its virtual second arguments through marks alone: with Newton
+    extrapolation and mixed wreath products disabled in every module that
+    binds them, and the bring caches cleared, it answers as before."""
+    expected = _virtual_star_results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("star extrapolated or built a mixed wreath product")
+
+    for module in (bring, burnside, perms):
+        for name in ("extrapolate_to_minus_one", "mixed_wreath"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for value in vars(bring).values():  # a memoized answer would hide the route
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    assert _virtual_star_results() == expected
 
 
 def _integer_results():
