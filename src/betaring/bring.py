@@ -25,12 +25,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .burnside import BurnsideElement, beta_virtual, group_catalog
+from .burnside import BurnsideElement, beta_virtual
 from .catalog import Ambient, Catalog, get_catalog
 from .config import check_degree
 from .errors import IntegralityViolation, NotEffective
 from .exact import norm_coeff, quotient
-from .perms import PermGroup, Permutation, _compose, direct_embed, wreath
+from .perms import Permutation, _compose, direct_embed, wreath
 
 
 def sym_catalog(n: int) -> Catalog:
@@ -227,7 +227,8 @@ def _interleave(da: tuple, db: tuple) -> Permutation:
 @lru_cache(maxsize=None)
 def _young_classes(ambient: Ambient, flat_parts: tuple[int, ...]) -> tuple[int, ...]:
     """The class fusion of the Young subgroup P = prod(flat_parts) into
-    G = prod(degrees): the G-class of each class of P, in P's catalog order.
+    G = prod(degrees): the G-class of each class of P, in P's catalog order,
+    by `Catalog.identify` of each representative's element set.
 
     flat_parts must refine the ambient's factor degrees consecutively, so
     P's representatives already act on G's points inside G.
@@ -237,21 +238,8 @@ def _young_classes(ambient: Ambient, flat_parts: tuple[int, ...]) -> tuple[int, 
     running = {sum(flat_parts[:k]) for k in range(len(flat_parts) + 1)}
     if sum(flat_parts) != sum(degrees) or not cuts <= running:
         raise ValueError(f"refinement {flat_parts} does not respect {degrees}")
-    young = get_catalog(Ambient.prod(flat_parts))
-    return tuple(_class_of(ambient, cls.rep.elements) for cls in young.classes)
-
-
-@lru_cache(maxsize=None)
-def _class_of(ambient: Ambient, elements: frozenset) -> int:
-    """The class of the subgroup of the ambient with these elements (image
-    tuples), memoized across the Young-subgroup fusions and the block-system
-    tables: a class whose representative has these elements, else
-    `Catalog.identify`."""
     cat = get_catalog(ambient)
-    idx = next((cls.index for cls in cat.classes if cls.rep.elements == elements), None)
-    if idx is None:
-        idx = cat.identify(PermGroup(cat.group.degree, map(Permutation, elements), elements))
-    return idx
+    return tuple(cat.identify(cls.rep.elements) for cls in _catalog(flat_parts).classes)
 
 
 @lru_cache(maxsize=None)
@@ -319,9 +307,11 @@ def _block_systems(sizes: tuple[int, ...]) -> tuple:
     """For each class K of S_N, N = sum(sizes): the K-invariant partitions of
     {0..N-1} into blocks of these sizes (sorted), counted by (class of K^pi,
     K acting on the blocks; ((|B|, class of K_B, the stabilizer of B acting
-    on B), ... one per K-orbit of blocks)).  S_N permutes the partitions
+    on B), ... one per K-orbit of blocks)).  Each class is found by
+    `Catalog.identify` of an element set.  S_N permutes the partitions
     transitively, so K is skipped unless |K| divides N! / #partitions."""
     degree, table, systems = sum(sizes), [], []
+    on_blocks, inner = sym_catalog(len(sizes)), {s: sym_catalog(s) for s in sizes}
     for blocks in _set_partitions(tuple(range(degree)), sizes):
         block_of = tuple(b for x in range(degree) for b, block in enumerate(blocks) if x in block)
         pos = tuple(block.index(x) for x in range(degree) for block in blocks if x in block)
@@ -339,8 +329,8 @@ def _block_systems(sizes: tuple[int, ...]) -> tuple:
             for b, block in enumerate(blocks):
                 if all(q[b] >= b for _, q in moves):  # the first block of its orbit
                     stab = frozenset(_compose(pos, _compose(g, block)) for g, q in moves if q[b] == b)
-                    orbits.append((len(block), _class_of(Ambient.sym(len(block)), stab)))
-            key = (_class_of(Ambient.sym(len(blocks)), frozenset(q for _, q in moves)), tuple(orbits))
+                    orbits.append((len(block), inner[len(block)].identify(stab)))
+            key = (on_blocks.identify(q for _, q in moves), tuple(orbits))
             counts[key] = counts.get(key, 0) + 1
         table.append(tuple(counts.items()))
     return tuple(table)
@@ -408,9 +398,8 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
     """Act on A(G) through the polynomial beta operations."""
     if not a.is_integral():
         raise IntegralityViolation("eval on A(G) needs integer coefficients")
-    cat = group_catalog(x.group)
-    coords = [0] * len(cat.classes)
+    coords = [0] * len(x.catalog.classes)
     for ((n,), i), c in a.terms.items():
         term = beta_virtual(sym_catalog(n).classes[i], x).coords
         coords = [s + c * t for s, t in zip(coords, term)]
-    return BurnsideElement(cat, coords)
+    return BurnsideElement(x.catalog, coords)

@@ -17,11 +17,11 @@ time.
 
 What depends only on the group is kept on its catalog, not rebuilt per
 call: `BurnsideElement.to_gset` builds each transitive G/H once per catalog
-(`Catalog.coset_spaces`), and `orbit_decompose` identifies each stabilizer
-element set once per catalog (`Catalog.identify_elements`).  Both memos are
-keyed on the catalog object, so a G-set acts through the generators of that
-catalog's own group, never those of an equal group with other generators;
-`catalog.clear_memo` empties them.
+(`Catalog.coset_spaces`), and `orbit_decompose` hands each stabilizer's
+element set to `Catalog.identify`, which memoizes it per catalog and builds
+no group to identify it.  Both memos are keyed on the catalog object, so a
+G-set acts through the generators of that catalog's own group, never those
+of an equal group with other generators; `catalog.clear_memo` empties them.
 """
 
 from __future__ import annotations
@@ -394,8 +394,8 @@ def orbit_decompose(x: GSet) -> BurnsideElement:
 
     Each orbit is represented by its least point.  A stabilizer is the set
     of elements fixing that point, read as one mask over the elements of G;
-    orbits with equal masks share one lookup, and `identify_elements`
-    identifies each element set once per catalog.
+    orbits with equal masks share one lookup, and `Catalog.identify`, which
+    reads only that element set, memoizes it per catalog.
     """
     cat = group_catalog(x.group)
     coords = [0] * len(cat.classes)
@@ -406,7 +406,7 @@ def orbit_decompose(x: GSet) -> BurnsideElement:
     for mask in zip(*fixes):
         idx = class_of.get(mask)
         if idx is None:
-            idx = class_of[mask] = cat.identify_elements(itertools.compress(elems, mask))
+            idx = class_of[mask] = cat.identify(itertools.compress(elems, mask))
         coords[idx] += 1
     return BurnsideElement(cat, coords)
 

@@ -46,12 +46,15 @@ generators, and the order check and `_is_consistent` run on every file.
 `Ambient.sym`, `pair` and `prod` return one interned instance per degrees
 tuple, so a memo hit finds its key by identity.
 
-Queries on a built or loaded catalog never enumerate subgroups.  `identify`
-narrows the candidates by conjugacy invariants (order, orbit partition,
-census of per-factor cycle types, read from `Catalog.census`) and, only
-when candidates still tie, computes single marks by composing
-permutation tuples directly.  `lin` and `eval_z` read `Catalog.census`
-too; it is computed on first use.
+Queries on a built or loaded catalog never enumerate subgroups.
+`Catalog.identify` is the one route from a subgroup, given as a PermGroup
+or as its element set, to its class, and reads only the element set.  It
+narrows the candidates by conjugacy invariants (order, orbit sizes, census
+of per-factor cycle types, compared with `Catalog.census`) and, only when
+candidates still tie, computes single marks by containment in the set.
+Each answer is memoized per catalog by the element set, seeded with the
+representatives', so identification builds no group or permutation.
+`lin` and `eval_z` read `Catalog.census` too; it is computed on first use.
 """
 
 from __future__ import annotations
@@ -66,8 +69,8 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isqrt
 
-from .config import MAX_SUPPORTED_DEGREE, get_config
-from .errors import DegreeCap, NotASubgroup
+from .config import MAX_SUPPORTED_DEGREE, check_degree, get_config
+from .errors import NotASubgroup
 from .perms import (
     GROUP_CAP,
     Partition,
@@ -419,7 +422,8 @@ class Catalog:
         self.subgroup_count = subgroup_count
         self._blocks = ambient.blocks()
         self._censuses: dict[int, frozenset] = {}
-        self._identified: dict[frozenset, int] = {}
+        # `identify`'s answers by element set, seeded with the representatives.
+        self._identified = {cls.rep.elements: cls.index for cls in self.classes}
         # The transitive G-sets G/H that `burnside.BurnsideElement.to_gset`
         # builds, by class index.  They are kept per catalog because a G-set
         # acts through the generators of this catalog's own group object,
@@ -454,42 +458,42 @@ class Catalog:
     def mark(self, h, k) -> int:
         return self.matrix[self.class_index(h)][self.class_index(k)]
 
-    def identify(self, h: PermGroup) -> int:
-        """The class of the subgroup h: conjugacy invariants, then marks on ties.
+    def identify(self, h) -> int:
+        """The class of the subgroup h, given as a PermGroup or as its
+        element set (image tuples).  Only the element set is read, and the
+        answer is memoized by it, so a set seen before (or a representative's)
+        is one lookup and builds no group or permutation.
 
-        Candidates are narrowed by order, orbit partition and the census of
+        Candidates are narrowed by order, orbit sizes and the census of
         per-factor cycle types, cheapest first; classes that still tie are
         separated by the marks of h in columns where their rows differ.
+        A set without the identity or outside G raises NotASubgroup;
+        closure is not checked.
         """
-        if h.degree != self.group.degree or not h.elements <= self.group.elements:
+        members = h.elements if isinstance(h, PermGroup) else frozenset(h)
+        idx = self._identified.get(members)
+        if idx is not None:
+            return idx
+        if tuple(range(self.group.degree)) not in members or not members <= self.group.elements:
             raise NotASubgroup(f"not a subgroup of {self.ambient.descriptor()}")
-        found = self._by_order.get(h.order, [])
+        found = self._by_order.get(len(members), [])
         if len(found) > 1:
-            ptype = orbit_partition(h)
+            ptype = orbit_partition(members)
             found = [i for i in found if self.classes[i].ptype == ptype]
         if len(found) > 1:
-            census = cycle_census(h.elements, self._blocks)
+            census = cycle_census(members, self._blocks)
             found = [i for i in found if self.census(i) == census]
         while len(found) > 1:
             columns = zip(*(self.matrix[i] for i in found))
             j = next((j for j, column in enumerate(columns) if len(set(column)) > 1), None)
             if j is None:
                 raise NotASubgroup("classes with equal mark rows; inconsistent catalog")
-            m = self._mark_of_subgroup(h, j)
+            m = self._mark_of_subgroup(members, j)
             found = [i for i in found if self.matrix[i][j] == m]
         if not found:
-            raise NotASubgroup("invariants match no class; inconsistent catalog")
+            raise NotASubgroup("invariants match no class: not a group, or an inconsistent catalog")
+        self._identified[members] = found[0]
         return found[0]
-
-    def identify_elements(self, elements) -> int:
-        """`identify` of the subgroup whose element set (image tuples) is
-        `elements`, memoized by that set: a set seen before builds no group."""
-        key = frozenset(elements)
-        idx = self._identified.get(key)
-        if idx is None:
-            sub = PermGroup.from_elements(self.group.degree, key)
-            idx = self._identified[key] = self.identify(sub)
-        return idx
 
     def census(self, i: int) -> frozenset:
         """`perms.cycle_census` of class i's representative over the
@@ -498,17 +502,17 @@ class Catalog:
             self._censuses[i] = cycle_census(self.classes[i].rep.elements, self._blocks)
         return self._censuses[i]
 
-    def _mark_of_subgroup(self, h: PermGroup, j: int) -> int:
-        """Fixed points of class j's representative K on G/h:
-        #{g in G : g^-1 k g in h for every generator k of K} / |h|."""
+    def _mark_of_subgroup(self, members: frozenset, j: int) -> int:
+        """Fixed points of class j's representative K on G/h, h the subgroup
+        with these elements: #{g in G : g^-1 k g in h for every generator k
+        of K} / |h|."""
         gens = [k.images for k in self.classes[j].rep.generators]
-        members = h.elements
         count = 0
         for g in self.group.elements:
             ginv = _inverse(g)
             if all(_compose(_compose(ginv, k), g) in members for k in gens):
                 count += 1
-        return count // h.order
+        return count // len(members)
 
     def to_json(self):
         return {
@@ -613,11 +617,7 @@ def _assign_aliases(ambient, group, reps):
 
 def _check_cap(ambient: Ambient):
     if ambient.degrees is not None:
-        total = sum(ambient.degrees)
-        if total > get_config().max_degree:
-            raise DegreeCap(
-                f"ambient degree {total} exceeds max_degree {get_config().max_degree}"
-            )
+        check_degree(sum(ambient.degrees))
 
 
 def _check_generated(ambient: Ambient, group: PermGroup):
@@ -803,9 +803,9 @@ def _write_cache(path, cat: Catalog):
 
 def clear_memo():
     """Forget every memoized catalog, every earlier build and every closed
-    generating set, and empty the memos of each catalog
-    (`identify_elements`, `coset_spaces`), which elements built before may
-    still reach."""
+    generating set, and empty the memos of each catalog (`identify`'s
+    `_identified`, `coset_spaces`), which elements built before may still
+    reach."""
     for cat in [*_CATALOGS.values(), *_BUILT.values()]:
         cat._identified.clear()
         cat.coset_spaces.clear()
@@ -824,8 +824,9 @@ def mark(ambient: Ambient, h, k) -> int:
     return get_catalog(ambient).mark(h, k)
 
 
-def identify(ambient: Ambient, h: PermGroup) -> int:
-    """Index of the class of h: conjugacy invariants, then marks on ties."""
+def identify(ambient: Ambient, h) -> int:
+    """Index of the class of h, a PermGroup or its element set:
+    `Catalog.identify` on the ambient's catalog."""
     return get_catalog(ambient).identify(h)
 
 

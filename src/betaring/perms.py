@@ -13,8 +13,8 @@ import math
 from functools import lru_cache
 from operator import itemgetter
 
-from .config import get_config
-from .errors import CapExceeded, DegreeCap, NotASubgroup
+from .config import check_degree
+from .errors import CapExceeded, NotASubgroup
 
 # elements in any closure or direct product
 GROUP_CAP = math.factorial(10)
@@ -471,8 +471,7 @@ def mixed_wreath(l: PermGroup, parts: tuple[int, ...], inners) -> PermGroup:
     if len(inners) != len(parts):
         raise ValueError("need one inner group per part")
     degree = sum(p * k.degree for p, k in zip(parts, inners))
-    if degree > get_config().max_degree:
-        raise DegreeCap(f"wreath degree {degree} exceeds max {get_config().max_degree}")
+    check_degree(degree)
     slot_family = []
     for fam, p in enumerate(parts):
         slot_family += [fam] * p
@@ -535,29 +534,16 @@ def normalizer_order(g: PermGroup, h: PermGroup) -> int:
     return count
 
 
-def orbit_partition(h: PermGroup) -> Partition:
-    """Orbit sizes of H on its points; the partition-type of the subgroup."""
-    d = h.degree
-    seen = [False] * d
-    sizes = []
-    gen_images = [p.images for p in h.generators]
-    for start in range(d):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            new = []
-            for pt in frontier:
-                for g in gen_images:
-                    q = g[pt]
-                    if not seen[q]:
-                        seen[q] = True
-                        orbit.append(q)
-                        new.append(q)
-            frontier = new
-        sizes.append(len(orbit))
+def orbit_partition(h) -> Partition:
+    """Orbit sizes of H, a PermGroup or its element set (image tuples), on
+    its points; the partition-type of the subgroup.  The orbit of a point
+    is the set of its images: one column of the elements."""
+    seen, sizes = set(), []
+    for x, column in enumerate(zip(*(h.elements if isinstance(h, PermGroup) else h))):
+        if x not in seen:
+            orbit = set(column)
+            seen |= orbit
+            sizes.append(len(orbit))
     return Partition(sizes)
 
 

@@ -483,44 +483,45 @@ def test_coset_spaces_follow_each_catalogs_own_generators(monkeypatch):
                     assert lhs == orbit_decompose(m * induce(group, u, n))
 
 
-def _count_stabilizers(monkeypatch) -> list:
-    """Record the degree of every PermGroup.from_elements call."""
-    calls = []
-    build = PermGroup.from_elements.__func__
-
-    def counting(cls, degree, elements):
-        calls.append(degree)
-        return build(cls, degree, elements)
-
-    monkeypatch.setattr(PermGroup, "from_elements", classmethod(counting))
-    return calls
-
-
-def test_a_decomposition_seen_before_builds_no_stabilizer(monkeypatch):
+def test_a_decomposition_seen_before_builds_no_stabilizer():
+    """The stabilizers of G/K x G/K, for K a conjugate of the C2
+    representative of S3 other than it, are K and 1.  The first
+    decomposition identifies K past the representatives that seed the
+    memo; the same decomposition again identifies nothing new."""
     g = s3()
-    x = GSet.regular(g) * GSet.coset_space(g, group_catalog(g).class_of("C2").rep)
+    rep = group_catalog(g).class_of("C2").rep
+    k = rep.conjugate(Permutation.parse(3, "(0 1 2)"))
+    assert k != rep
+    x = GSet.coset_space(g, k) * GSet.coset_space(g, k)
     catalog.clear_memo()
-    calls = _count_stabilizers(monkeypatch)
+    cat = group_catalog(g)
     expected = orbit_decompose(x)
-    assert calls
-    calls.clear()
+    assert expected.catalog is cat and k.elements in cat._identified
+    identified = dict(cat._identified)
+    assert len(identified) > len(cat.classes)
     assert orbit_decompose(x) == expected
-    assert calls == []
+    assert cat._identified == identified
 
 
-def test_clear_memo_empties_the_gset_memos(monkeypatch):
-    """After clear_memo the explicit route builds its G-sets and stabilizers
-    again, so a test that disables some code after a first run still sees
-    that code's route."""
-    x = BurnsideElement.basis(c3(), "e")
-    expected = orbit_decompose(beta_on_gset(sym_class(2, "S2"), x.to_gset()))
+def test_clear_memo_empties_the_gset_memos():
+    """After clear_memo the explicit route builds its G-sets and identifies
+    its stabilizers again, so a test that disables some code after a first
+    run still sees that code's route.  X^2/S2 for X = S3/C2 has a point
+    whose stabilizer is a C2 other than the representative."""
+    x = BurnsideElement.basis(s3(), "C2")
+
+    def decomposed():
+        return orbit_decompose(beta_on_gset(sym_class(2, "S2"), x.to_gset()))
+
+    expected = decomposed()
     cat = x.catalog
-    assert cat.coset_spaces and cat._identified
+    assert cat.coset_spaces and len(cat._identified) > len(cat.classes)
     catalog.clear_memo()
     assert not cat.coset_spaces and not cat._identified
-    calls = _count_stabilizers(monkeypatch)
-    assert orbit_decompose(beta_on_gset(sym_class(2, "S2"), x.to_gset())) == expected
-    assert calls and cat.coset_spaces
+    assert decomposed() == expected
+    fresh = group_catalog(x.group)
+    assert fresh is not cat and len(fresh._identified) > len(fresh.classes)
+    assert cat.coset_spaces
 
 
 def test_eval_burnside_matches_a_cleared_memo():

@@ -101,10 +101,53 @@ def test_triangularity_and_diagonal():
 
 
 def test_identify_roundtrip():
+    """Each representative is identified as its own class from its
+    invariants, with the memo (seeded with the representatives) emptied."""
     for n in (2, 3, 4):
         c = sym(n)
         for cls in c.classes:
+            c._identified.clear()
             assert c.identify(cls.rep) == cls.index
+
+
+@pytest.mark.parametrize(
+    "ambient, outside",
+    [(Ambient.sym(4), PermGroup.symmetric(5)), (Ambient.pair(2, 2), PermGroup.cyclic(4))],
+    ids=["S4", "S2xS2"],
+)
+def test_identify_reads_the_element_set_and_memoizes_it(ambient, outside, monkeypatch):
+    """Every subgroup of S4 and of S2 x S2, given as a PermGroup and as its
+    element set, each first on an emptied memo: both forms land in the
+    class whose representative is conjugate to it, and the other form is
+    then a memo hit that computes no census or mark.  The empty set and a
+    group outside the ambient, in either form, raise NotASubgroup and are
+    not memoized."""
+    c = get_catalog(ambient)
+    g = c.group
+    computed = []
+    census, mark_of = cat.cycle_census, cat.Catalog._mark_of_subgroup
+    monkeypatch.setattr(cat, "cycle_census", lambda *a: computed.append("census") or census(*a))
+    monkeypatch.setattr(
+        cat.Catalog, "_mark_of_subgroup", lambda *a: computed.append("mark") or mark_of(*a)
+    )
+    censuses = 0
+    for elements in all_subgroups(g):
+        h = PermGroup.from_elements(g.degree, elements)
+        (expected,) = [cls.index for cls in c.classes if are_conjugate(g, h, cls.rep)]
+        for first, second in ((h, elements), (elements, h)):
+            c._identified.clear()
+            computed.clear()
+            assert c.identify(first) == expected
+            censuses += computed.count("census")
+            computed.clear()
+            assert c.identify(second) == expected
+            assert computed == []
+    assert censuses  # some classes tie in order and orbit sizes
+    memo = dict(c._identified)
+    for bad in (frozenset(), outside, outside.elements):
+        with pytest.raises(NotASubgroup):
+            c.identify(bad)
+    assert c._identified == memo
 
 
 def test_identify_agrees_with_conjugacy_testing():

@@ -2,8 +2,9 @@
 query path never enumerates subgroups, the explicit G-set route
 never reads marks, the Adams elements never multiply classes, the
 diagonal and composition restrict without building stabilizers, the
-composition neither extrapolates nor builds mixed wreath products, and
-integer arithmetic builds no Fraction."""
+composition neither extrapolates nor builds mixed wreath products,
+identification builds no group or permutation, and integer arithmetic
+builds no Fraction."""
 
 import importlib
 import importlib.util
@@ -106,9 +107,9 @@ def test_queries_build_no_cayley_table(monkeypatch):
     assert sum(c * 4 // cls.order for c, cls in zip(expected["orbits"].coords, klein.classes)) == 4
     kept = {a: c for a, c in catalog._CATALOGS.items() if not a.cacheable}
     monkeypatch.setattr(catalog, "_CATALOGS", kept)
-    memos = (bring._basis_product, bring._refine_terms, bring._wreath_key, bring._class_of, bring._block_systems)
-    for cached in memos:
-        cached.cache_clear()
+    for value in vars(bring).values():  # a memoized answer would hide the route
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
     def refuse(group):
         raise AssertionError("subgroups were enumerated on the query path")
@@ -232,6 +233,46 @@ def test_star_takes_no_newton_or_mixed_wreath_route(monkeypatch):
         if hasattr(value, "cache_clear"):
             value.cache_clear()
     assert _virtual_star_results() == expected
+
+
+def _identification_results(products):
+    diagonals = [
+        diagonal(BElement.basis(n, i))
+        for n in range(1, 7)
+        for i in range(len(catalog.get_catalog(Ambient.sym(n)).classes))
+    ]
+    b = BElement.basis(2, "S2") - BElement.basis(1, "e")
+    stars = [
+        star(BElement.basis(n, i), b)
+        for n in range(1, 4)
+        for i in range(len(catalog.get_catalog(Ambient.sym(n)).classes))
+    ]
+    return diagonals, stars, [orbit_decompose(x) for x in products]
+
+
+def test_identification_builds_no_group_or_permutation(monkeypatch):
+    """Catalog.identify reads element sets: with the catalogs memoized but
+    the bring caches and every catalog's identify memo emptied, the
+    diagonal of every class of S1..S6, the composition of every class of
+    S1..S3 with b[S2:S2] - b^1 and the orbit decomposition of every product
+    of two transitive V4-sets answer as before with PermGroup and
+    Permutation construction disabled."""
+    klein = klein_group()
+    sets = [GSet.coset_space(klein, cls.rep) for cls in catalog.get_catalog(Ambient.of_group(klein)).classes]
+    products = [x * y for x in sets for y in sets]
+    expected = _identification_results(products)
+    for value in vars(bring).values():  # a memoized answer would hide the route
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    for cat in [*catalog._CATALOGS.values(), *catalog._BUILT.values()]:
+        cat._identified.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("identification built a group or a permutation")
+
+    monkeypatch.setattr(PermGroup, "__init__", refuse)
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    assert _identification_results(products) == expected
 
 
 def _integer_results():
