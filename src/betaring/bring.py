@@ -13,8 +13,12 @@ The composition sends (beta_H, beta_K) to the class of the wreath product
 with H permuting deg(H) blocks and K acting inside each block.  For any
 integral b, effective or virtual, the marks of beta_H * b are sums over
 block systems of products of marks of beta_H and of b (the cycle-index
-composition of species; see `star`), solved by `from_marks`.  The
-diagonal, composition and evaluations take one-factor classes: unpacking
+composition of species; see `star`), solved by `from_marks`.  Evaluation
+on A(G) of a cyclic G reads marks too: the mark at <g> of X^n/H is H's
+cycle index at the marks of X at the powers of g (see `eval_burnside`).
+A noncyclic G takes the explicit route, `burnside.beta_virtual`, which is
+also the oracle of the cyclic case.  The diagonal, composition and
+evaluations take one-factor classes: unpacking
 `(n,) = degrees` raises ValueError for any other arity.
 """
 
@@ -395,11 +399,41 @@ def eval_z(a: BElement, r: int):
 
 
 def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
-    """Act on A(G) through the polynomial beta operations."""
+    """Act on A(G) through the polynomial beta operations.
+
+    A cyclic G goes through marks, which are ring maps: every K <= G is
+    cyclic, K = <g>, and phi_K(X^n/H) is H's cycle index at
+    p_l -> phi_<g^l>(X) (Polya), with <g^l> the subgroup of order
+    |K| / gcd(|K|, l).  So the marks of a(x) are sums over the cycle
+    censuses of a's classes, for an effective or a virtual x alike, and
+    `from_marks` solves them: no G-set is built and `gset_cap` does not
+    apply.  Any other G takes the explicit route, `beta_virtual`.
+    """
     if not a.is_integral():
         raise IntegralityViolation("eval on A(G) needs integer coefficients")
-    coords = [0] * len(x.catalog.classes)
+    cat = x.catalog
+    if cat.group.is_cyclic():
+        return BurnsideElement.from_marks(cat, _cyclic_eval_marks(a, x))
+    coords = [0] * len(cat.classes)
     for ((n,), i), c in a.terms.items():
         term = beta_virtual(sym_catalog(n).classes[i], x).coords
         coords = [s + c * t for s, t in zip(coords, term)]
-    return BurnsideElement(x.catalog, coords)
+    return BurnsideElement(cat, coords)
+
+
+def _cyclic_eval_marks(a: BElement, x: BurnsideElement) -> list:
+    """The marks of a(x) over a cyclic G, one per class K (one subgroup per
+    order): sum over the terms c*beta_H of c/|H| times the sum over H's cycle
+    census of count * prod over the cycle lengths l of phi_<g^l>(x)."""
+    cat, x_marks = x.catalog, x.marks()
+    of_order = {cls.order: cls.index for cls in cat.classes}
+    marks = [0] * len(cat.classes)
+    for ((n,), i), c in a.terms.items():
+        sym = sym_catalog(n)
+        census, order = sym.census(i), sym.classes[i].order
+        for k, cls in enumerate(cat.classes):
+            d = cls.order
+            at = [x_marks[of_order[d // math.gcd(d, l)]] for l in range(n + 1)]
+            count = sum(m * math.prod(at[l] for l in lengths) for (lengths,), m in census)
+            marks[k] += c * quotient(count, order)
+    return marks

@@ -8,9 +8,11 @@ code path with the A(S_n) building blocks.
 
 GSet, beta_on_gset, beta2_on_gsets and orbit_decompose are the explicit
 route, an oracle for operations computed from marks, so none of them reads
-marks.  A G-set's points are 0..size-1 and each group generator acts by a
-tuple of images.  X^n/H (and (X^p x Y^q)/L) never builds a tuple of X^n: a
-point of a product of G-sets is its integer code in mixed radix (the
+marks.  `bring.eval_burnside` takes this route, through `beta_virtual`,
+only for a noncyclic G; for a cyclic G it reads marks, and this route is
+its oracle.  A G-set's points are 0..size-1 and each group generator acts
+by a tuple of images.  X^n/H (and (X^p x Y^q)/L) never builds a tuple of
+X^n: a point of a product of G-sets is its integer code in mixed radix (the
 itertools.product order), and coordinate permutations and the diagonal
 G-action are flat code-to-code lists, built one coordinate (digit) at a
 time.

@@ -323,12 +323,9 @@ def check_operator_ring() -> list[dict]:
         (BElement.basis(2, "S2"), -beta_upper(1)),
     ]
     ok = True
-    with config.override(gset_cap=CHECK_GSET_CAP):
-        for a, b in pairs:
-            lhs = eval_burnside(star(a, b), x_reg)
-            rhs = eval_burnside(a, eval_burnside(b, x_reg))
-            if lhs != rhs:
-                ok = False
+    for a, b in pairs:
+        if eval_burnside(star(a, b), x_reg) != eval_burnside(a, eval_burnside(b, x_reg)):
+            ok = False
     reports.append(_report("eval on A(C3) is a composition action", ok))
     return reports
 
@@ -506,6 +503,18 @@ def check_beta_z() -> list[dict]:
         if not any(top) or any(diffs):
             ok = False
     reports.append(_report("beta_H has polynomial degree exactly deg(H)", ok))
+    bad = []
+    with config.override(gset_cap=CHECK_GSET_CAP):
+        for k in range(2, 7):
+            cat = group_catalog(PermGroup.cyclic(k))
+            for j in range(len(cat.classes)):
+                x = BurnsideElement.basis(cat.group, j)
+                for n in range(1, 5):
+                    for idx, cls in enumerate(sym_catalog(n).classes):
+                        if eval_burnside(BElement.basis(n, idx), x) != beta_virtual(cls, x):
+                            bad.append(f"S{n}:{cls.label} on [C{k}/{cat.classes[j].label}]")
+    identity = "eval on A(C2..C6) through marks equals the explicit route (n<=4)"
+    reports.append(_report(identity, not bad, repr(bad[:2])))
     return reports
 
 

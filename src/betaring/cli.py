@@ -238,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evalg", help="value of a class operation on A(G)")
     p.add_argument("--class", dest="cls", required=True)
     p.add_argument("--group", choices=sorted(NAMED_GROUPS), required=True)
-    p.add_argument("--coords", default=None, help="coordinates over the A(G) basis")
+    p.add_argument(
+        "--coords", default=None, help="comma-separated coordinates over the A(G) basis, e.g. -1,0"
+    )
     p.set_defaults(func=_cmd_evalg)
 
     p = sub.add_parser("witt", help="Witt vector arithmetic")
@@ -256,9 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_coords(argv: list[str]) -> list[str]:
+    """`--coords -1,0` as `--coords=-1,0`: argparse takes a separate value
+    that starts with '-' and is not a plain number for an option."""
+    out, k = [], 0
+    while k < len(argv):
+        if argv[k] == "--coords" and k + 1 < len(argv) and not argv[k + 1].startswith("--"):
+            out.append(f"--coords={argv[k + 1]}")
+            k += 2
+        else:
+            out.append(argv[k])
+            k += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_coords(sys.argv[1:] if argv is None else list(argv)))
     overrides = {}
     if args.max_degree is not None:
         overrides["max_degree"] = args.max_degree

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from betaring import catalog, config
-from betaring.bring import BElement, eval_burnside
+from betaring.bring import BElement, eval_burnside, eval_z
 from betaring.burnside import (
     BurnsideElement,
     GSet,
@@ -550,6 +550,49 @@ def test_eval_burnside_matches_a_cleared_memo():
     assert results(False) == warm
     assert results(True) == warm
     assert warm.count(None) < len(warm) // 4
+
+
+def test_eval_burnside_on_cyclic_groups_matches_the_explicit_route():
+    """On A(C1..C6) eval_burnside reads marks, and beta_virtual builds X^n
+    and quotients it.  They agree for every class of S0..S6 on every [G/H]
+    whose n-th power fits in gset_cap, and for every class of S0..S3 on the
+    virtual [G/H] - [G/G], which beta_virtual reaches by extrapolation."""
+    cap = config.get_config().gset_cap
+    cases = 0
+    for k in range(1, 7):
+        g = PermGroup.cyclic(k)
+        for cls_x in group_catalog(g).classes:
+            x = BurnsideElement.basis(g, cls_x.index)
+            virtual = x - BurnsideElement.unit(g)
+            for n in range(7):
+                for cls in get_catalog(Ambient.sym(n)).classes:
+                    a = BElement.basis(n, cls.index)
+                    if x.size() ** n <= cap:
+                        assert eval_burnside(a, x) == beta_virtual(cls, x)
+                        cases += 1
+                    if n <= 3:
+                        assert eval_burnside(a, virtual) == beta_virtual(cls, virtual)
+                        cases += 1
+    assert cases == 1372
+
+
+def test_eval_burnside_on_cyclic_groups_passes_the_gset_cap():
+    """Every class of S6 on every [G/H] of A(C2..C6): the size of the value
+    is eval_z at |G/H|, the orbit count of H on |G/H|^6 tuples.  The explicit
+    route refuses [C6/e]^6, 46,656 points."""
+    cases = 0
+    for k in range(2, 7):
+        g = PermGroup.cyclic(k)
+        for cls_x in group_catalog(g).classes:
+            x = BurnsideElement.basis(g, cls_x.index)
+            for cls in get_catalog(Ambient.sym(6)).classes:
+                a = BElement.basis(6, cls.index)
+                assert eval_burnside(a, x).size() == eval_z(a, x.size())
+                cases += 1
+    assert cases == 728
+    free = BurnsideElement.basis(PermGroup.cyclic(6), "e")
+    with pytest.raises(SizeCap):
+        beta_virtual(sym_class(6, "e"), free)
 
 
 def test_gsets_over_equal_groups_with_other_generators_do_not_combine():

@@ -64,6 +64,24 @@ def test_evalg(capsys):
     assert "2*[G/e]" in out
 
 
+@pytest.mark.parametrize("coords", [["--coords", "-1,0"], ["--coords=-1,0"]])
+def test_evalg_on_a_virtual_x(capsys, coords):
+    """S^2(-[C3/e]) has marks ((-3)^2 + (-3)) / 2 = 3 at e and 0 at C3: one
+    [C3/e].  The coordinates may follow --coords as a separate argument,
+    though argparse alone would read -1,0 as an option."""
+    code, out, _ = run(capsys, "--json", "evalg", "--class", "S2:S2", "--group", "C3", *coords)
+    assert code == 0
+    assert json.loads(out)["coords"] == [1, 0]
+
+
+def test_evalg_past_the_gset_cap(capsys):
+    """[C6/e]^6 has 6^6 = 46,656 points, more than the default gset_cap, and
+    every mark but the one at e is 0: 6^6 / 6 = 7,776 free orbits."""
+    code, out, _ = run(capsys, "--json", "evalg", "--class", "S6:e", "--group", "C6")
+    assert code == 0
+    assert json.loads(out)["coords"] == [7776, 0, 0, 0]
+
+
 def test_witt_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "witt", "--op", "mul", "--a", "1,0", "--b", "1,0")
     data = json.loads(out)

@@ -1,9 +1,10 @@
 """The names the benchmark traces still exist, every demo runs, the
 query path never enumerates subgroups, the explicit G-set route
-never reads marks, the Adams elements never multiply classes, the
-diagonal and composition restrict without building stabilizers, the
-composition neither extrapolates nor builds mixed wreath products,
-identification builds no group or permutation, and integer arithmetic
+never reads marks, evaluation on a cyclic group builds no G-set, the
+Adams elements never multiply classes, the diagonal and composition
+restrict without building stabilizers, the composition neither
+extrapolates nor builds mixed wreath products, identification builds
+no group or permutation, and integer arithmetic
 builds no Fraction."""
 
 import importlib
@@ -151,6 +152,29 @@ def test_explicit_gset_route_reads_no_marks(monkeypatch):
     monkeypatch.setattr(BurnsideElement, "from_marks", refuse)
     monkeypatch.setattr(bring, "eval_burnside", refuse)
     assert _explicit_results() == expected
+
+
+def test_eval_on_cyclic_groups_builds_no_gset(monkeypatch):
+    """eval_burnside on a cyclic G reads marks only: with the tuple quotient
+    and G-set construction disabled, every class of S1..S6 still evaluates
+    on every basis element of A(C2..C6).  A(S3) and A(V4) take the explicit
+    route, so there the disabled code is hit."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval_burnside built a G-set")
+
+    monkeypatch.setattr(burnside, "_tuple_orbit_quotient", refuse)
+    monkeypatch.setattr(GSet, "__init__", refuse)
+    classes = [BElement.basis(n, i) for n in range(1, 7) for i in range(len(bring.sym_catalog(n)))]
+    for k in range(2, 7):
+        g = PermGroup.cyclic(k)
+        for i in range(len(burnside.group_catalog(g))):
+            x = BurnsideElement.basis(g, i)
+            for a in classes:
+                bring.eval_burnside(a, x)
+    for g in (PermGroup.symmetric(3), klein_group()):
+        with pytest.raises(AssertionError, match="built a G-set"):
+            bring.eval_burnside(BElement.basis(2, "S2"), BurnsideElement.basis(g, "e"))
 
 
 def _adams_results():
