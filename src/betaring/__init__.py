@@ -30,7 +30,6 @@ from .catalog import (
     Ambient,
     Catalog,
     SubgroupClass,
-    TableOfMarks,
     enumerate_classes,
     get_catalog,
     identify,
@@ -53,7 +52,6 @@ from .perms import (
     PermGroup,
     Permutation,
     all_subgroups,
-    cycle_type,
     direct_embed,
     double_cosets,
     mixed_wreath,

@@ -83,6 +83,11 @@ def solve_psi_K(n: int) -> AdamsTable:
     return AdamsTable(n, cat, tuple(rows))
 
 
+def _report(identity: str, ok: bool, witness: str = "") -> dict:
+    """One check record, as every verification suite returns them."""
+    return {"identity": identity, "status": "pass" if ok else "fail", "witness": witness}
+
+
 def check_prop_adams(n: int) -> list[dict]:
     """Both parts of the averaging/cyclic relations between the Adams elements.
 
@@ -101,59 +106,34 @@ def check_prop_adams(n: int) -> list[dict]:
         for cls in cat.classes:
             if cls.ptype == pi:
                 acc = acc + table.element(cls.index).scale(Fraction(znorm, cls.norm_order))
-        status = acc == expected
-        reports.append(
-            {
-                "identity": f"part1 n={n} pi={pi.parts}",
-                "status": "pass" if status else "fail",
-                "witness": repr(acc) if not status else "",
-            }
-        )
+        ok = acc == expected
+        reports.append(_report(f"part1 n={n} pi={pi.parts}", ok, "" if ok else repr(acc)))
     for cls in cat.classes:
         image = lin(table.element(cls.index))
         cyclic = cls.rep.is_cyclic()
         if cyclic:
             znorm = cls.ptype.centralizer_order()
-            target = SymFunc.monomial("p", cls.ptype, Fraction(cls.norm_order, znorm))
-            status = image == target
+            ok = image == SymFunc.monomial("p", cls.ptype, Fraction(cls.norm_order, znorm))
         else:
-            status = image.is_zero()
-        reports.append(
-            {
-                "identity": f"part2 n={n} K={cls.label}" + (" (cyclic)" if cyclic else ""),
-                "status": "pass" if status else "fail",
-                "witness": repr(image) if not status else "",
-            }
-        )
+            ok = image.is_zero()
+        identity = f"part2 n={n} K={cls.label}" + (" (cyclic)" if cyclic else "")
+        reports.append(_report(identity, ok, "" if ok else repr(image)))
     return reports
 
 
 def check_gcd(group: PermGroup, k: int) -> list[dict]:
     """Psi^k = Psi^gcd(k, |G|) as operations on A(G), on every [G/H]."""
     d = math.gcd(k, group.order)
-    reports = []
-    cat = group_catalog(group)
     if d == k:
-        reports.append(
-            {
-                "identity": f"gcd |G|={group.order} k={k}",
-                "status": "pass",
-                "witness": "d = k, trivial",
-            }
-        )
-        return reports
+        return [_report(f"gcd |G|={group.order} k={k}", True, "d = k, trivial")]
     pk = psi_upper(k)
     pd = psi_upper(d)
-    for cls in cat.classes:
+    reports = []
+    for cls in group_catalog(group).classes:
         x = BurnsideElement.basis(group, cls.index)
         lhs = eval_burnside(pk, x)
         rhs = eval_burnside(pd, x)
-        status = lhs == rhs
-        reports.append(
-            {
-                "identity": f"gcd |G|={group.order} k={k} d={d} on [G/{cls.label}]",
-                "status": "pass" if status else "fail",
-                "witness": f"{lhs!r} vs {rhs!r}" if not status else "",
-            }
-        )
+        ok = lhs == rhs
+        identity = f"gcd |G|={group.order} k={k} d={d} on [G/{cls.label}]"
+        reports.append(_report(identity, ok, "" if ok else f"{lhs!r} vs {rhs!r}"))
     return reports

@@ -84,7 +84,6 @@ from .perms import (
     cycle_census,
     direct_embed,
     orbit_partition,
-    symmetric,
 )
 
 CATALOG_VERSION = 1
@@ -134,7 +133,7 @@ class Ambient:
     def build_group(self) -> PermGroup:
         if self.group is not None:
             return self.group
-        groups = [symmetric(d) for d in self.degrees]
+        groups = [PermGroup.symmetric(d) for d in self.degrees]
         return reduce(direct_embed, groups) if groups else PermGroup.trivial(0)
 
     def blocks(self) -> tuple[range, ...]:
@@ -171,7 +170,7 @@ def _seed_conjugates(seed: int, degree: int) -> dict:
     """{element set: generators} of every S_degree-conjugate of
     PERFECT_SEEDS[seed], as image tuples: its orbit under conjugation by
     the generators of S_degree."""
-    movers = [(s.images, _inverse(s.images)) for s in symmetric(degree).generators]
+    movers = [(s.images, _inverse(s.images)) for s in PermGroup.symmetric(degree).generators]
     gens = tuple(Permutation.parse(degree, c).images for c in PERFECT_SEEDS[seed][2])
     orbit = {frozenset(_mulclose(degree, gens, GROUP_CAP)): gens}
     todo = list(orbit)
@@ -396,19 +395,6 @@ class SubgroupClass:
             "ptype": self.ptype.to_json(),
             "marks": list(self.marks),
         }
-
-
-@dataclass(frozen=True)
-class TableOfMarks:
-    ambient: Ambient
-    classes: tuple[SubgroupClass, ...]
-    matrix: tuple[tuple[int, ...], ...]
-
-    def determinant(self) -> int:
-        det = 1
-        for i in range(len(self.matrix)):
-            det *= self.matrix[i][i]
-        return det
 
 
 class Catalog:
@@ -826,13 +812,16 @@ def mark(ambient: Ambient, h, k) -> int:
 
 def identify(ambient: Ambient, h) -> int:
     """Index of the class of h, a PermGroup or its element set:
-    `Catalog.identify` on the ambient's catalog."""
+    `Catalog.identify` on the ambient's catalog.  h must be a subgroup:
+    its closure under composition is not checked, so a set that is not a
+    group may still be given (and memoized as) some class."""
     return get_catalog(ambient).identify(h)
 
 
-def table_of_marks(ambient: Ambient) -> TableOfMarks:
-    cat = get_catalog(ambient)
-    return TableOfMarks(ambient, tuple(cat.classes), tuple(cat.matrix))
+def table_of_marks(ambient: Ambient) -> Catalog:
+    """The ambient's catalog: `.classes` and `.matrix` (row H, column K) are
+    its table of marks."""
+    return get_catalog(ambient)
 
 
 def subgroup_count_from_classes(cat: Catalog) -> int:

@@ -165,20 +165,14 @@ def _cmd_witt(args):
 def _cmd_check(args):
     names = args.suites or sorted(checks.SUITES)
     results = checks.run_suites(names, n=args.n)
-    failed = 0
+    failed = sum(1 for reports in results.values() for r in reports if r["status"] == "fail")
     if args.json:
         print(json.dumps(results, indent=2, default=str))
-        failed = sum(
-            1 for reports in results.values() for r in reports if r["status"] == "fail"
-        )
     else:
         for name, reports in results.items():
             for r in reports:
-                tag = {"pass": "PASS", "fail": "FAIL"}[r["status"]]
                 extra = f"  [{r['witness']}]" if r["witness"] else ""
-                print(f"{tag} {name} :: {r['identity']}{extra}")
-                if r["status"] == "fail":
-                    failed += 1
+                print(f"{r['status'].upper()} {name} :: {r['identity']}{extra}")
         print(f"{'OK' if not failed else 'FAILED'}: {failed} failing checks")
     return 1 if failed else 0
 

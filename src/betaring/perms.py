@@ -174,6 +174,7 @@ class Permutation:
         return out
 
     def cycle_type(self) -> Partition:
+        """Cycle lengths, fixed points included; parts sum to the degree."""
         return Partition(len(c) for c in self.cycles())
 
     def cycle_string(self) -> str:
@@ -196,11 +197,6 @@ class Permutation:
         if "images" in data:
             return cls(data["images"])
         return cls.parse(data["degree"], data["cycles"])
-
-
-def cycle_type(p: Permutation) -> Partition:
-    """Cycle lengths of p, fixed points included; parts sum to the degree."""
-    return p.cycle_type()
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -337,7 +333,9 @@ class PermGroup:
         return cls(degree, (), {tuple(range(degree))})
 
     @classmethod
+    @lru_cache(maxsize=None)
     def symmetric(cls, n: int) -> PermGroup:
+        """S_n; cached, since the group is immutable."""
         if n <= 1:
             return cls.trivial(n)
         gens = [Permutation.from_cycles(n, [(0, 1)]), Permutation.from_cycles(n, [tuple(range(n))])]
@@ -586,9 +584,3 @@ def all_subgroups(g: PermGroup) -> list[frozenset]:
                     new.append(joined)
         frontier = new
     return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-@lru_cache(maxsize=None)
-def symmetric(n: int) -> PermGroup:
-    """Cached S_n."""
-    return PermGroup.symmetric(n)

@@ -311,12 +311,7 @@ def coproduct(f: SymFunc) -> SymFunc:
                     )
                     step[key] = step.get(key, 0) + w * comb(m, j)
             splits = step
-        for key, w in splits.items():
-            v = out.get(key, 0) + c * w
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+        _poly_add(out, splits, scale=c)
     return SymFunc("p", out, arity=2).convert(f.basis)
 
 

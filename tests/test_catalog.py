@@ -161,16 +161,6 @@ def test_identify_agrees_with_conjugacy_testing():
             assert are_conjugate(g, conj, cls.rep)
 
 
-def test_table_of_marks_determinant():
-    from betaring.catalog import table_of_marks
-
-    tom = table_of_marks(Ambient.sym(4))
-    det = 1
-    for i in range(len(tom.classes)):
-        det *= tom.matrix[i][i]
-    assert tom.determinant() == det != 0
-
-
 def _totient(n):
     count = 0
     for k in range(1, n + 1):

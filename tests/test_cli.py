@@ -127,6 +127,27 @@ def test_check_suite_exit_codes(capsys):
     assert "PASS" in out and "FAIL" not in out.replace("0 failing", "")
 
 
+def test_a_raising_suite_is_one_fail_line(capsys, monkeypatch):
+    from betaring import checks
+    from betaring.errors import IntegralityViolation
+
+    def raising(n=None):
+        raise IntegralityViolation("marks vector is not in the image of A(G)")
+
+    monkeypatch.setitem(checks.SUITES, "beta-z", raising)
+    code, out, _ = run(capsys, "check", "beta-z", "mod2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == (
+        "FAIL beta-z :: beta-z suite ran to completion"
+        "  [IntegralityViolation: marks vector is not in the image of A(G)]"
+    )
+    assert any(line.startswith("PASS mod2 :: ") for line in lines)
+    assert lines[-1] == "FAILED: 1 failing checks"
+    with pytest.raises(KeyError):
+        checks.run_suites(["no-such-suite"])
+
+
 def test_check_catalog_suite(capsys):
     from betaring import checks
 

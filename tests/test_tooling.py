@@ -47,19 +47,28 @@ def load_perfbench(name):
 
 
 def test_traced_functions_resolve():
+    """Every unresolved name is listed, with the span it feeds."""
     spans = load_perfbench("spans")
-    for modname, attr, _ in spans.FUNCTIONS:
-        module = importlib.import_module(f"betaring.{modname}")
-        assert callable(getattr(module, attr, None)), f"betaring.{modname}.{attr}"
+    missing = [
+        f"betaring.{modname}.{attr} (span {span})"
+        for modname, attr, span in spans.FUNCTIONS
+        if not callable(getattr(importlib.import_module(f"betaring.{modname}"), attr, None))
+    ]
+    assert not missing, "traced functions that do not resolve: " + ", ".join(missing)
 
 
 def test_traced_methods_resolve():
+    """Every missing method, and every one whose classmethod kind differs
+    from CLASSMETHODS, is listed, with the span it feeds."""
     spans = load_perfbench("spans")
-    for modname, clsname, attr, _ in spans.METHODS:
-        cls = getattr(importlib.import_module(f"betaring.{modname}"), clsname)
-        assert attr in cls.__dict__, f"{clsname}.{attr}"
-        is_classmethod = isinstance(cls.__dict__[attr], classmethod)
-        assert is_classmethod == ((modname, clsname, attr) in CLASSMETHODS), f"{clsname}.{attr}"
+    missing = []
+    for modname, clsname, attr, span in spans.METHODS:
+        cls = getattr(importlib.import_module(f"betaring.{modname}"), clsname, None)
+        if cls is None or attr not in cls.__dict__:
+            missing.append(f"betaring.{modname}.{clsname}.{attr} (span {span}): missing")
+        elif isinstance(cls.__dict__[attr], classmethod) != ((modname, clsname, attr) in CLASSMETHODS):
+            missing.append(f"betaring.{modname}.{clsname}.{attr} (span {span}): classmethod kind differs")
+    assert not missing, "traced methods that do not resolve: " + "; ".join(missing)
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
