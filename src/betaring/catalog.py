@@ -5,46 +5,30 @@ products, to restrict along longer Young subgroups), or an arbitrary
 small permutation group G with its generators (the basis data for A(G)).
 
 Enumeration (`build_catalog`, the cold path) is Neubüser's cyclic
-extension with perfect seeds.  The elements of G are indexed by rank
-(sorted image tuples and a dict); products are composed from the tuples
-on demand, and conjugation by each generator of G is one index list, so
-no Cayley table is formed.  One breadth-first queue over the classes
-starts with the trivial class and the S_d-conjugates of the perfect
-subgroups in `PERFECT_SEEDS` that lie in G.  Each class H is extended
-only by the g in N(H) outside H whose coset gH has prime order p, and
-<H, g> is the union of the cosets g^i H, so no closure is needed; a g
-inside an extension already formed for H is skipped.  Every subgroup
-that is not perfect has a normal subgroup of prime index, so this is
-exhaustive.  Past the seed table (degree above MAX_SUPPORTED_DEGREE) a
-group is enumerated only when it is solvable, so that it has no
-nontrivial perfect subgroup.  Each new class records all its
-conjugates, found as its orbit under conjugation by the generators of G,
-which makes deduplication a set lookup; N(H) is closed from the
-Schreier generators of that orbit until it reaches its known order
-|G| / #conjugates.  Each representative keeps a short generating set
-(`perms._short_gens`).  Marks come from one pass of containment over
-every pair of classes: mark(H, K) = #{conjugates of H containing K} *
-|N(H)|/|H|; the class ordering and the final matrix both read that pass.
+extension with perfect seeds over the elements of G indexed by rank
+(`_enumerate_raw`): no Cayley table and no closure is formed, and each
+class records its conjugates and its normalizer.  Marks come from one
+pass of containment over every pair of classes (`_raw_marks`), which
+both the class order (`_class_order`) and the final matrix read.
 
-`get_catalog` enumerates each group at most once per process.  An ambient
-whose group (degree and element set) equals that of an earlier build,
-such as S0 x Sn and Sn x S0 after Sn, takes that build's representatives,
-labels and marks and adds only its own aliases and group object.  The
-enumeration reads only the element set, so this is what a build would
-give; `build_catalog` itself always enumerates.  Each build or reuse is
+A `Catalog` is made in one place, `_assemble`, from the representatives
+in catalog order, the marks matrix and the subgroup count.  Every class
+field is derived there: order |H|, normalizer order diagonal * |H|, orbit
+partition, label and aliases.  A build, the reuse of an earlier build and
+a load all call it.  `get_catalog` enumerates each group at most once
+per process: an ambient whose group (degree and element set) equals that
+of an earlier build, such as S0 x Sn and Sn x S0 after Sn, is assembled
+from that build's representatives and marks.  Each build or reuse is
 logged at INFO on the `betaring.catalog` logger.
 
-A catalog read from the JSON cache is checked against invariants every
-table of marks satisfies (`_is_consistent`) and rebuilt if it fails.  It
-is never reused for another ambient, so each file is checked on its own.
-Loads in one process share only the closed element set of each (degree,
-generator images): a file whose representative has the generators of one
-closed before takes that frozenset instead of closing them again.  Every
-class still gets a group object of its own, with its own file's
-generators, and the order check and `_is_consistent` run on every file.
-`max_degree` is checked before the memo, the cache, a reuse or a build.
-`Ambient.sym`, `pair` and `prod` return one interned instance per degrees
-tuple, so a memo hit finds its key by identity.
+A cache file keeps the header, each class's generators and the marks
+matrix.  A load closes the generators (each (degree, generator images)
+once per process, `_closed`) and assembles; the catalog must then pass
+`_is_consistent`, the invariants of every table of marks and the build's
+class order, or it is rebuilt.  A loaded catalog is never reused for
+another ambient.  `max_degree` is checked before the memo, the cache, a
+reuse or a build.  `Ambient.sym`, `pair` and `prod` return one interned
+instance per degrees tuple, so a memo hit finds its key by identity.
 
 Queries on a built or loaded catalog never enumerate subgroups.
 `Catalog.identify` is the one route from a subgroup, given as a PermGroup
@@ -65,9 +49,10 @@ import os
 import tempfile
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import isqrt
+from math import gcd, isqrt
 
 from .config import MAX_SUPPORTED_DEGREE, check_degree, get_config
 from .errors import NotASubgroup
@@ -187,15 +172,13 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
+@dataclass(slots=True)
 class _RawClass:
-    __slots__ = ("rep", "gens", "order", "conjugates", "normalizer")
-
-    def __init__(self, rep, gens, order, conjugates, normalizer):
-        self.rep = rep
-        self.gens = gens
-        self.order = order
-        self.conjugates = conjugates
-        self.normalizer = normalizer
+    rep: frozenset  # element ranks
+    gens: tuple
+    order: int
+    conjugates: list
+    normalizer: list | None
 
     @property
     def n_conj(self) -> int:
@@ -345,24 +328,22 @@ def _raw_marks(order: int, raw) -> list[list[int]]:
     return rows
 
 
-def _order_raw_classes(raw, marks, ptypes) -> list[int]:
-    """Sort: subgroup order ascending, ties by the lexicographic mark row,
-    then by the diagonal and the orbit partition."""
+def _class_order(keys, marks) -> list[int]:
+    """The catalog order of classes given by their marks (marks[i][j] for
+    any two) and keys (subgroup order, number of conjugates, orbit
+    partition's parts): subgroup order ascending, ties by the lexicographic
+    mark row over the classes of smaller order, then by the number of
+    conjugates (which fixes the diagonal) and the orbit partition.  Full
+    ties keep their order."""
     ordered: list[int] = []
     by_order: dict[int, list[int]] = {}
-    for i, cls in enumerate(raw):
-        by_order.setdefault(cls.order, []).append(i)
+    for i, (order, *_) in enumerate(keys):
+        by_order.setdefault(order, []).append(i)
     for order in sorted(by_order):
         batch = by_order[order]
         if len(batch) > 1:
             prefix = list(ordered)
-
-            def key(i):
-                diag = raw[i].n_conj  # |G| / ||H||, fixes the diagonal entry
-                row = tuple(marks[i][j] for j in prefix)
-                return (row, diag, ptypes[i].parts, i)
-
-            batch = sorted(batch, key=key)
+            batch.sort(key=lambda i: (tuple(marks[i][j] for j in prefix), *keys[i][1:]))
         ordered.extend(batch)
     return ordered
 
@@ -404,7 +385,7 @@ class Catalog:
         self.ambient = ambient
         self.group = group
         self.classes = list(classes)
-        self.matrix = [tuple(row) for row in matrix]
+        self.matrix = matrix  # row tuples, each also its class's `marks`
         self.subgroup_count = subgroup_count
         self._blocks = ambient.blocks()
         self._censuses: dict[int, frozenset] = {}
@@ -514,28 +495,13 @@ class Catalog:
 
     @classmethod
     def from_json(cls, data) -> Catalog:
+        """The catalog of a cache file, or of `to_json()`: only the header,
+        each class's generators and the marks matrix are read, and
+        `_assemble` derives the rest."""
         ambient = Ambient.prod(data["ambient"])
-        group = ambient.build_group()
         degree = data["degree"]
-        classes = []
-        for c in data["classes"]:
-            rep = _closed(degree, [Permutation(im) for im in c["generators"]])
-            if rep.order != c["order"]:
-                raise ValueError("catalog cache is inconsistent")
-            classes.append(
-                SubgroupClass(
-                    ambient=ambient,
-                    index=c["index"],
-                    rep=rep,
-                    order=c["order"],
-                    norm_order=c["norm_order"],
-                    ptype=Partition(c["ptype"]),
-                    marks=tuple(c["marks"]),
-                    label=c["label"],
-                    aliases=tuple(c["aliases"]),
-                )
-            )
-        return cls(ambient, group, classes, data["marks_matrix"], data["subgroup_count"])
+        reps = [_closed(degree, [Permutation(im) for im in c["generators"]]) for c in data["classes"]]
+        return _assemble(ambient, ambient.build_group(), reps, data["marks_matrix"], data["subgroup_count"])
 
 
 # Element sets closed by `_closed` in this process, by degree and generator
@@ -555,50 +521,39 @@ def _closed(degree: int, gens: list[Permutation]) -> PermGroup:
 
 
 def _assign_labels(entries):
-    """Systematic labels o<order>-<ptype> plus -a/-b disambiguators and aliases."""
-    counts = {}
-    for order, ptype in entries:
-        counts[(order, ptype)] = counts.get((order, ptype), 0) + 1
-    seen = {}
-    labels = []
-    for order, ptype in entries:
-        base = f"o{order}-" + ".".join(map(str, ptype.parts))
-        if counts[(order, ptype)] > 1:
-            suffix = seen.get((order, ptype), 0)
-            seen[(order, ptype)] = suffix + 1
-            base += "-" + chr(ord("a") + suffix)
+    """Systematic labels o<order>-<ptype> of (order, ptype) entries, with
+    -a, -b, ... where an entry repeats."""
+    bases = [f"o{order}-" + ".".join(map(str, ptype.parts)) for order, ptype in entries]
+    counts, seen, labels = Counter(bases), Counter(), []
+    for base in bases:
+        if counts[base] > 1:
+            seen[base] += 1
+            base += "-" + chr(ord("a") + seen[base] - 1)
         labels.append(base)
     return labels
 
 
 def _assign_aliases(ambient, group, reps):
     """e / full-group / An / unique-cyclic aliases of the classes with
-    these representatives."""
+    these representatives, in that order.  A_n is the subgroup of index 2
+    in S_n whose generators are even: n minus their number of cycles is even."""
     n = group.degree
-    aliases = [[] for _ in reps]
-    cyclic_orders = {}
-    for i, rep in enumerate(reps):
-        if rep.order == 1:
-            aliases[i].append("e")
+    full = ambient.descriptor() if ambient.degrees is not None else "G"
+    alternating = ambient.degrees is not None and len(ambient.degrees) == 1 and group.order > 2
+    cyclic = [rep.order > 1 and rep.is_cyclic() for rep in reps]
+    cyclic_orders = Counter(rep.order for rep, c in zip(reps, cyclic) if c)
+    aliases = []
+    for rep, c in zip(reps, cyclic):
+        names = ["e"] if rep.order == 1 else []
         if rep.order == group.order:
-            aliases[i].append(ambient.descriptor() if ambient.degrees is not None else "G")
-        if rep.is_cyclic():
-            cyclic_orders.setdefault(rep.order, []).append(i)
-        if (
-            ambient.degrees is not None
-            and len(ambient.degrees) == 1
-            and group.order > 2
-            and rep.order * 2 == group.order
-            and all(  # even: n minus the number of cycles is even
-                (n - len(lengths)) % 2 == 0
-                for (lengths,), _ in cycle_census(rep.elements, (range(n),))
-            )
-        ):
-            aliases[i].append(f"A{n}")
-    for order, idxs in cyclic_orders.items():
-        if len(idxs) == 1 and order > 1:
-            aliases[idxs[0]].append(f"C{order}")
-    return [tuple(a) for a in aliases]
+            names.append(full)
+        if alternating and rep.order * 2 == group.order:
+            if all((n - len(g.cycle_type())) % 2 == 0 for g in rep.generators):
+                names.append(f"A{n}")
+        if c and cyclic_orders[rep.order] == 1:
+            names.append(f"C{rep.order}")
+        aliases.append(tuple(names))
+    return aliases
 
 
 def _check_cap(ambient: Ambient):
@@ -634,35 +589,40 @@ def build_catalog(ambient: Ambient) -> Catalog:
     ]
     ptypes = [orbit_partition(rep) for rep in reps]
     marks = _raw_marks(group.order, raw)
-    order_map = _order_raw_classes(raw, marks, ptypes)
-    matrix = [[marks[i][j] for j in order_map] for i in order_map]
-    labels = _assign_labels([(raw[i].order, ptypes[i]) for i in order_map])
-    parts = [
-        (reps[i], raw[i].order, group.order // raw[i].n_conj, ptypes[i], label)
-        for i, label in zip(order_map, labels)
-    ]
-    return _assemble(ambient, group, parts, matrix, subgroup_count)
+    order_map = _class_order([(c.order, c.n_conj, p.parts) for c, p in zip(raw, ptypes)], marks)
+    matrix = [tuple(marks[i][j] for j in order_map) for i in order_map]
+    return _assemble(ambient, group, [reps[i] for i in order_map], matrix, subgroup_count)
 
 
-def _assemble(ambient, group, parts, matrix, subgroup_count) -> Catalog:
-    """The catalog of `ambient`, whose group is `group`, from data that
-    depends on the group's element set alone: `parts` holds (rep, order,
-    norm_order, ptype, label) of each class in catalog order.  Only the
-    aliases depend on the ambient."""
-    aliases = _assign_aliases(ambient, group, [rep for rep, *_ in parts])
+def _assemble(ambient, group, reps, matrix, subgroup_count) -> Catalog:
+    """The one constructor of a `Catalog`: the catalog of `ambient`, whose
+    group is `group`, from its class representatives in catalog order, the
+    marks matrix (rows in that order) and the subgroup count.  Each class's
+    order is |rep|, its normalizer order is the diagonal mark times that,
+    and its orbit partition, label and aliases are derived from the
+    representatives; only the aliases depend on the ambient beyond its
+    group.  Each row becomes one tuple, which is both `Catalog.matrix[i]`
+    and class i's `marks`.  A matrix that is not square over the classes
+    raises ValueError before any diagonal is read."""
+    matrix = [tuple(row) for row in matrix]
+    if len(matrix) != len(reps) or any(len(row) != len(reps) for row in matrix):
+        raise ValueError(f"a marks matrix of {len(matrix)} rows does not fit {len(reps)} classes")
+    ptypes = [orbit_partition(rep) for rep in reps]
+    labels = _assign_labels([(rep.order, ptype) for rep, ptype in zip(reps, ptypes)])
+    aliases = _assign_aliases(ambient, group, reps)
     classes = [
         SubgroupClass(
             ambient=ambient,
             index=i,
             rep=rep,
-            order=order,
-            norm_order=norm_order,
-            ptype=ptype,
-            marks=tuple(matrix[i]),
-            label=label,
+            order=rep.order,
+            norm_order=matrix[i][i] * rep.order,
+            ptype=ptypes[i],
+            marks=matrix[i],
+            label=labels[i],
             aliases=aliases[i],
         )
-        for i, (rep, order, norm_order, ptype, label) in enumerate(parts)
+        for i, rep in enumerate(reps)
     ]
     return Catalog(ambient, group, classes, matrix, subgroup_count)
 
@@ -720,8 +680,8 @@ def get_catalog(ambient: Ambient) -> Catalog:
             cat = _BUILT[group] = build_catalog(ambient)
         else:
             _check_generated(ambient, group)
-            parts = [(c.rep, c.order, c.norm_order, c.ptype, c.label) for c in source.classes]
-            cat = _assemble(ambient, group, parts, source.matrix, source.subgroup_count)
+            reps = [c.rep for c in source.classes]
+            cat = _assemble(ambient, group, reps, source.matrix, source.subgroup_count)
             reason = "equal to an earlier build"
         fields = {
             "ambient": ambient.descriptor(),
@@ -743,40 +703,44 @@ def get_catalog(ambient: Ambient) -> Catalog:
 
 
 def _is_consistent(cat: Catalog) -> bool:
-    """Invariants of every table of marks, checked without a rebuild: the
-    matrix is square and lower-triangular in catalog order, each class row
-    equals its matrix row, the diagonal is [N(H):H], every mark in row H is
-    a multiple of it (N(H)/H acts freely on the K-fixed cosets), column 0
-    is [G:H], and sum [G:N(H)] is the subgroup count."""
-    size = len(cat.classes)
-    if len(cat.matrix) != size:
-        return False
+    """Invariants of every table of marks, checked without a rebuild, on a
+    catalog from `_assemble` (so its matrix is square and its class fields
+    are derived): each representative lies in G, the matrix is
+    lower-triangular in catalog order, the diagonal is at least 1 and is
+    the gcd of its row (N(H)/H acts freely on the K-fixed cosets, so every
+    mark in row H is a multiple of it), column 0 is [G:H], sum [G:N(H)] is
+    the subgroup count and at least 1 (a table without classes is refused),
+    and the classes are in the order a build gives them (`_class_order`),
+    so that derived labels name the classes a build names."""
     for i, (cls, row) in enumerate(zip(cat.classes, cat.matrix)):
         if (
-            cls.index != i
-            or len(row) != size
-            or any(row[i + 1 :])
-            or cls.marks != row
-            or row[i] != cls.norm_order // cls.order
+            any(row[i + 1 :])
             or row[i] < 1
-            or any(m % row[i] for m in row)
+            or gcd(*row) != row[i]
             or row[0] != cat.group.order // cls.order
+            or not cls.rep.elements <= cat.group.elements
         ):
             return False
-    return subgroup_count_from_classes(cat) == cat.subgroup_count
+    keys = [(c.order, cat.group.order // c.norm_order, c.ptype.parts) for c in cat.classes]
+    in_order = _class_order(keys, cat.matrix) == list(range(len(keys)))
+    return in_order and 0 < subgroup_count_from_classes(cat) == cat.subgroup_count
 
 
 def _write_cache(path, cat: Catalog):
     """Write through a temporary file of this writer's own, then rename it
     into place, so concurrent writers never share or clobber a partial file.
-    A cache that cannot be written is skipped with a warning naming it."""
+    A cache that cannot be written is skipped with a warning naming it.
+    The file keeps the header, each class's generators and the marks matrix
+    of `Catalog.to_json()`; a load derives the rest."""
+    data = cat.to_json()
+    data["classes"] = [{"generators": c["generators"]} for c in data["classes"]]
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
         os.fchmod(fd, 0o644)  # mkstemp makes 0600; the cache stays readable as before
         with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(cat.to_json()))
+            handle.write(json.dumps(data))
         os.replace(tmp, path)
     except OSError as exc:
         warnings.warn(f"catalog cache {path} not written: {exc}", stacklevel=3)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from . import config
 from .adams import _report, check_gcd, check_prop_adams, psi_upper, solve_psi_K
@@ -39,7 +41,14 @@ from .burnside import (
     induce,
     orbit_decompose,
 )
-from .catalog import Ambient, build_catalog, get_catalog, subgroup_count_from_classes
+from .catalog import (
+    Ambient,
+    _load,
+    _write_cache,
+    build_catalog,
+    get_catalog,
+    subgroup_count_from_classes,
+)
 from .perms import PermGroup, all_subgroups, are_conjugate, direct_embed, partitions
 from .symfunc import (
     SymFunc,
@@ -118,7 +127,27 @@ def check_catalog() -> list[dict]:
                     f"scan found {classes} classes / {subs} subgroups",
                 )
             )
+    reports.append(_check_cache_round_trip())
     return reports
+
+
+def _check_cache_round_trip() -> dict:
+    """Each of S1..S5 built, written to a cache file in a temporary
+    directory and read back by the loader, which derives every class field."""
+    differ = []
+    with tempfile.TemporaryDirectory() as directory:
+        for n in range(1, 6):
+            built = build_catalog(Ambient.sym(n))
+            path = Path(directory) / f"S{n}.json"
+            _write_cache(path, built)
+            loaded = _load(path)
+            if loaded is None or loaded.to_json() != built.to_json():
+                differ.append(f"S{n}")
+    return _report(
+        "S1..S5 catalogs read back from a freshly written cache file equal their builds",
+        not differ,
+        f"differ: {', '.join(differ)}" if differ else "all 5 equal",
+    )
 
 
 # ---------------------------------------------------------------- A(G) axioms

@@ -392,8 +392,11 @@ class PermGroup:
         return PermGroup(self.degree, gens, elements)
 
     def is_cyclic(self) -> bool:
-        """Some element's order, the lcm of its cycle lengths, is |H|; no
-        element of S_degree has order above `_max_element_order`."""
+        """At most one generator, or some element's order, the lcm of its
+        cycle lengths, is |H|; no element of S_degree has order above
+        `_max_element_order`."""
+        if len(self.generators) <= 1:
+            return True
         if self.order > _max_element_order(self.degree):
             return False
         return any(_element_order(e) == self.order for e in self.elements)

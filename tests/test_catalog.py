@@ -17,6 +17,7 @@ from betaring.catalog import (
     get_catalog,
     subgroup_count_from_classes,
 )
+from betaring.bring import BElement, eval_z
 from betaring.errors import DegreeCap, NotASubgroup
 from betaring.checks import klein_group
 from betaring.perms import (
@@ -97,6 +98,7 @@ def test_triangularity_and_diagonal():
                 if c.classes[j].order > c.classes[i].order:
                     assert c.matrix[i][j] == 0
             assert c.matrix[i][i] == c.classes[i].norm_order // c.classes[i].order
+            assert c.classes[i].marks is c.matrix[i]  # one tuple per row
         assert len({cls.marks for cls in c.classes}) == size
 
 
@@ -605,12 +607,15 @@ def test_representatives_keep_short_generating_sets():
 
 def _set_mark(data, i, j, value):
     data["marks_matrix"][i][j] = value
-    data["classes"][i]["marks"][j] = value
 
 
-def _zero_diagonal(data):
-    _set_mark(data, 5, 5, 0)
-    data["classes"][5]["norm_order"] = 0
+def _swap_classes(data, i, j):
+    """Renumber classes i and j consistently: generators, rows and columns."""
+    classes, matrix = data["classes"], data["marks_matrix"]
+    classes[i], classes[j] = classes[j], classes[i]
+    matrix[i], matrix[j] = matrix[j], matrix[i]
+    for row in matrix:
+        row[i], row[j] = row[j], row[i]
 
 
 CORRUPTIONS = {
@@ -618,11 +623,14 @@ CORRUPTIONS = {
     "above-diagonal": lambda data: _set_mark(data, 2, 5, 1),
     # row 6 becomes (6, 6, 1, ...): 1 is not a multiple of the diagonal mark
     "below-diagonal": lambda data: _set_mark(data, 6, 2, data["marks_matrix"][6][2] + 1),
-    "zero-diagonal": _zero_diagonal,
+    "zero-diagonal": lambda data: _set_mark(data, 5, 5, 0),
     "column-0": lambda data: _set_mark(data, 3, 0, data["marks_matrix"][3][0] + 2),
-    "class-row": lambda data: data["classes"][4]["marks"].__setitem__(1, 7),
     "subgroup-count": lambda data: data.__setitem__("subgroup_count", data["subgroup_count"] + 1),
     "missing-row": lambda data: data["marks_matrix"].pop(),
+    "no-classes": lambda data: data.update(classes=[], marks_matrix=[], subgroup_count=0),
+    # C4 (o4-4-a) and the normal V4 (o4-4-b) exchanged: every table-of-marks
+    # invariant still holds, but a build orders them by their mark rows
+    "swapped-classes": lambda data: _swap_classes(data, 4, 6),
 }
 
 
@@ -646,6 +654,61 @@ def test_corrupt_cache_is_rebuilt_and_repaired(tmp_path, corrupt):
     assert loaded.matrix == fresh.matrix
     assert loaded.subgroup_count == fresh.subgroup_count
     assert path.read_text() == clean
+
+
+def test_a_representative_outside_the_ambient_is_rebuilt(tmp_path):
+    """In S2 x S2, <(0 1)(2 3)> replaced in the file by <(0 2)(1 3)>, of the
+    same order and orbit partition but outside the group, is refused."""
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        fresh = get_catalog(Ambient.pair(2, 2))
+        path = tmp_path / "S2xS2_v1.json"
+        clean = path.read_text()
+        data = json.loads(clean)
+        i = fresh.class_index("o2-2.2")
+        data["classes"][i]["generators"] = [[2, 3, 0, 1]]
+        path.write_text(json.dumps(data))
+        cat.clear_memo()
+        loaded = get_catalog(Ambient.pair(2, 2))
+        assert loaded.classes[i].rep == fresh.classes[i].rep
+        assert path.read_text() == clean
+    cat.clear_memo()
+
+
+def _move_alias(classes, alias, source, target):
+    classes[source]["aliases"].remove(alias)
+    classes[target]["aliases"].append(alias)
+
+
+# Edits of the fields a full v1 file (`Catalog.to_json()` of S4) holds but a
+# load derives from generators and marks; class 9 is A4 and class 4 is C4.
+DERIVED_FIELD_EDITS = {
+    "alias": lambda classes: _move_alias(classes, "A4", 9, 4),
+    "label": lambda classes: classes[4].__setitem__("label", "o12-4"),
+    "ptype": lambda classes: classes[9].__setitem__("ptype", [3, 1]),
+    "order": lambda classes: classes[9].__setitem__("order", 6),
+    "norm_order": lambda classes: classes[9].__setitem__("norm_order", 12),
+    "marks": lambda classes: classes[9]["marks"].__setitem__(1, 7),
+}
+
+
+@pytest.mark.parametrize("edit", DERIVED_FIELD_EDITS.values(), ids=DERIVED_FIELD_EDITS.keys())
+def test_a_full_v1_file_is_read_through_generators_and_marks(tmp_path, monkeypatch, edit):
+    """A file that still holds every field of `to_json()`, one of its
+    derived fields edited, loads without a rebuild as the catalog a build
+    gives: the edited field is never read."""
+    fresh = build_catalog(Ambient.sym(4))
+    data = fresh.to_json()
+    edit(data["classes"])
+    (tmp_path / "S4_v1.json").write_text(json.dumps(data))
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        monkeypatch.setattr(cat, "build_catalog", lambda ambient: pytest.fail("rebuilt"))
+        loaded = get_catalog(Ambient.sym(4))
+        assert loaded.to_json() == fresh.to_json()
+        assert loaded.class_of("A4").order == 12
+        assert eval_z(BElement.basis(4, "A4"), 2) == 5
+    cat.clear_memo()
 
 
 def test_valid_cache_loads_without_a_rebuild(tmp_path, monkeypatch):
@@ -688,18 +751,22 @@ def _assert_same_catalog(a, b):
 
 def test_shared_builds_are_the_pinned_catalogs(tmp_path, monkeypatch):
     """Filling an empty directory enumerates each of the 22 distinct groups
-    once; the reused catalogs' files are the pinned ones, and concrete
-    groups equal to S2, S3 and S4 take those builds too, with their own
-    generators."""
+    once; each file, reused catalogs' too, holds no derived field and loads
+    back as the pinned catalog, and concrete groups equal to S2, S3 and S4
+    take those builds too, with their own generators."""
     pinned = json.loads(PINNED_CATALOGS.read_text())
+    header = {"ambient", "descriptor", "version", "degree", "group_order", "subgroup_count"}
     with config.override(catalog_dir=str(tmp_path)):
         cat.clear_memo()
         built = _counted_builds(monkeypatch)
         for ambient in COLD_AMBIENTS:
             get_catalog(ambient)
         for ambient in COLD_AMBIENTS:
-            text = (tmp_path / f"{ambient.descriptor()}_v1.json").read_bytes()
-            assert hashlib.sha256(text).hexdigest() == pinned[ambient.descriptor()], ambient
+            data = json.loads((tmp_path / f"{ambient.descriptor()}_v1.json").read_text())
+            assert set(data) == header | {"classes", "marks_matrix"}
+            assert all(set(c) == {"generators"} for c in data["classes"])
+            text = json.dumps(cat.Catalog.from_json(data).to_json())
+            assert hashlib.sha256(text.encode()).hexdigest() == pinned[ambient.descriptor()], ambient
         assert len(built) == 22
         assert Ambient.pair(0, 6) not in built and Ambient.pair(6, 0) not in built
         other_gens = [Permutation.parse(4, "(0 1 2 3)"), Permutation.parse(4, "(1 2)")]
@@ -814,9 +881,10 @@ def test_a_warm_load_closes_each_generating_set_once(tmp_path, monkeypatch):
 
 
 def test_a_bad_order_is_caught_after_the_same_generators_loaded(tmp_path, caplog):
-    """S0 x S3 is written with the representatives of S3.  With one class's
-    order changed in its file, it is still rebuilt when S3 was loaded first,
-    and clear_memo forgets the closed generating sets."""
+    """S0 x S3 is written with the representatives of S3.  With its C3
+    class given the generator of C2 in its file, so that both closures come
+    from the S3 load, it is still rebuilt when S3 was loaded first, and
+    clear_memo forgets the closed generating sets."""
     with config.override(catalog_dir=str(tmp_path)):
         cat.clear_memo()
         get_catalog(Ambient.sym(3))
@@ -826,7 +894,7 @@ def test_a_bad_order_is_caught_after_the_same_generators_loaded(tmp_path, caplog
         data = json.loads(clean)
         s3_classes = json.loads((tmp_path / "S3_v1.json").read_text())["classes"]
         assert [c["generators"] for c in data["classes"]] == [c["generators"] for c in s3_classes]
-        data["classes"][2]["order"] += 1
+        data["classes"][2]["generators"] = data["classes"][1]["generators"]
         path.write_text(json.dumps(data))
         cat.clear_memo()
         assert cat._CLOSURES == {}

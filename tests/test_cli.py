@@ -155,6 +155,7 @@ def test_check_catalog_suite(capsys):
     code, out, _ = run(capsys, "check", "catalog")
     assert code == 0
     assert "Sym(6) class count = 56" in out and "FAIL" not in out
+    assert "PASS catalog :: S1..S5 catalogs read back from a freshly written cache file" in out
 
 
 def test_check_adams_n1(capsys):
