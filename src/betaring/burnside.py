@@ -17,13 +17,10 @@ itertools.product order), and coordinate permutations and the diagonal
 G-action are flat code-to-code lists, built one coordinate (digit) at a
 time.
 
-What depends only on the group is kept on its catalog, not rebuilt per
-call: `BurnsideElement.to_gset` builds each transitive G/H once per catalog
-(`Catalog.coset_spaces`), and `orbit_decompose` hands each stabilizer's
-element set to `Catalog.identify`, which memoizes it per catalog and builds
-no group to identify it.  Both memos are keyed on the catalog object, so a
-G-set acts through the generators of that catalog's own group, never those
-of an equal group with other generators; `catalog.clear_memo` empties them.
+A G-set is its action by element, `elem_action`; rows per generator are
+only how it is given, so G-sets over equal groups combine whatever
+generators each lists.  `orbit_decompose` hands each stabilizer's element
+set to `Catalog.identify`, which memoizes it per catalog.
 """
 
 from __future__ import annotations
@@ -43,8 +40,9 @@ class GSet:
     """A finite left G-set given by the action of each group generator.
 
     The generator table is closed into a full element-action map on
-    construction, which simultaneously verifies that the table respects
-    every relation of the group.
+    construction, which verifies that the table respects every relation
+    of the group and that the generators generate it.  Equal G-sets have
+    equal groups and element actions.
     """
 
     __slots__ = ("group", "size", "gen_action", "elem_action")
@@ -84,6 +82,8 @@ class GSet:
                     elif known != nact:
                         raise ValueError("action table violates a group relation")
             frontier = new
+        if len(action) != self.group.order:
+            raise ValueError(f"the generators of {self.group!r} do not generate it")
         return action
 
     @classmethod
@@ -110,26 +110,30 @@ class GSet:
         return self.elem_action[images][point]
 
     def __add__(self, other: GSet) -> GSet:
-        if not _same_generators(self.group, other.group):
-            raise ValueError("disjoint union needs a common group and generators")
+        if self.group != other.group:
+            raise ValueError("disjoint union needs a common group")
         return _disjoint_union(self.group, [self, other])
 
     def __mul__(self, other: GSet) -> GSet:
         """Cartesian product with the diagonal action."""
-        if not _same_generators(self.group, other.group):
-            raise ValueError("product needs a common group and generators")
+        if self.group != other.group:
+            raise ValueError("product needs a common group")
         rows = [
             _code_map([[a * other.size for a in row], orow])
-            for row, orow in zip(self.gen_action, other.gen_action)
+            for row, orow in zip(self.gen_action, other._rows(self.group))
         ]
         return GSet(self.group, self.size * other.size, rows)
+
+    def _rows(self, sub: PermGroup) -> list:
+        """The row of each generator of `sub`, a subgroup of (or a group
+        equal to) this G-set's group."""
+        return [self.elem_action[g.images] for g in sub.generators]
 
     def restrict(self, sub: PermGroup) -> GSet:
         """The same points viewed as a U-set for U <= G."""
         if not sub.is_subgroup_of(self.group):
             raise NotASubgroup("restriction needs U <= G")
-        rows = [self.elem_action[g.images] for g in sub.generators]
-        return GSet(sub, self.size, rows)
+        return GSet(sub, self.size, self._rows(sub))
 
     def _orbit_starts(self) -> list[int]:
         """The least point of each orbit, in increasing order.  Each start
@@ -158,15 +162,14 @@ class GSet:
     def fixed_count(self, sub: PermGroup) -> int:
         if not sub.is_subgroup_of(self.group):
             raise NotASubgroup("fixed points need U <= G")
-        rows = [self.elem_action[g.images] for g in sub.generators]
+        rows = self._rows(sub)
         return sum(1 for x in range(self.size) if all(row[x] == x for row in rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, GSet)
-            and _same_generators(self.group, other.group)
-            and self.size == other.size
-            and self.gen_action == other.gen_action
+            and self.group == other.group
+            and self.elem_action == other.elem_action
         )
 
     def __repr__(self):
@@ -184,13 +187,6 @@ class GSet:
         return cls(PermGroup.from_json(data["group"]), data["size"], data["action"])
 
 
-def _same_generators(g: PermGroup, h: PermGroup) -> bool:
-    """Equal groups with equal generator lists.  A G-set's rows follow its
-    group's generators, and PermGroup equality ignores them, so rows of
-    two G-sets line up only when this holds."""
-    return g is h or (g == h and g.generators == h.generators)
-
-
 def _disjoint_union(group: PermGroup, parts) -> GSet:
     """The disjoint union of G-sets over one group, closed once: the points
     of each part follow those of the parts before it.  A single part is
@@ -200,7 +196,7 @@ def _disjoint_union(group: PermGroup, parts) -> GSet:
     rows = [[] for _ in group.generators]
     size = 0
     for x in parts:
-        for row, xrow in zip(rows, x.gen_action):
+        for row, xrow in zip(rows, x._rows(group)):
             row.extend(p + size for p in xrow)
         size += x.size
     return GSet(group, size, rows)
@@ -357,19 +353,14 @@ class BurnsideElement:
         )
 
     def to_gset(self) -> GSet:
-        """The disjoint union of c copies of G/H for each coordinate c at H.
-        Each G/H is built once per catalog and kept in its `coset_spaces`,
-        over the catalog's own group object."""
+        """The disjoint union of c copies of G/H for each coordinate c at H."""
         if not self.is_effective():
             raise NotEffective("only effective elements are realizable")
         cat = self.catalog
         parts = []
-        for i, c in enumerate(self.coords):
+        for c, cls in zip(self.coords, cat.classes):
             if c:
-                gset = cat.coset_spaces.get(i)
-                if gset is None:
-                    gset = cat.coset_spaces[i] = GSet.coset_space(cat.group, cat.classes[i].rep)
-                parts += [gset] * c
+                parts += [GSet.coset_space(cat.group, cls.rep)] * c
         return _disjoint_union(cat.group, parts)
 
     def __repr__(self):
@@ -468,8 +459,8 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
         for g in w_gens
     ]
     g_maps = (
-        _code_map([d * stride for d in f.gen_action[gi]] for f, stride in zip(factors, strides))
-        for gi in range(len(group.generators))
+        _code_map([d * stride for d in row] for row, stride in zip(rows, strides))
+        for rows in zip(*(f._rows(group) for f in factors))
     )
     if not w_maps:
         # every code is its own orbit, so the G rows are the code maps themselves
@@ -509,8 +500,8 @@ def beta2_on_gsets(l, x: GSet, y: GSet) -> GSet:
         w = l.rep
     else:
         raise TypeError("beta2 needs a SubgroupClass of a pair ambient")
-    if not _same_generators(x.group, y.group):
-        raise ValueError("X and Y must be sets over the same group and generators")
+    if x.group != y.group:
+        raise ValueError("X and Y must be sets over the same group")
     if p + q == 0:
         return GSet.point(x.group)
     return _tuple_orbit_quotient([x] * p + [y] * q, w)

@@ -2,7 +2,8 @@
 
 Ambients are the symmetric groups S_n, products S_p x S_q (and longer
 products, to restrict along longer Young subgroups), or an arbitrary
-small permutation group G with its generators (the basis data for A(G)).
+small permutation group G (the basis data for A(G)), keyed on its degree
+and element set alone: equal groups with other generators share a catalog.
 
 Enumeration (`build_catalog`, the cold path) is Neubüser's cyclic
 extension with perfect seeds over the elements of G indexed by rank
@@ -14,12 +15,13 @@ both the class order (`_class_order`) and the final matrix read.
 A `Catalog` is made in one place, `_assemble`, from the representatives
 in catalog order, the marks matrix and the subgroup count.  Every class
 field is derived there: order |H|, normalizer order diagonal * |H|, orbit
-partition, label and aliases.  A build, the reuse of an earlier build and
-a load all call it.  `get_catalog` enumerates each group at most once
-per process: an ambient whose group (degree and element set) equals that
-of an earlier build, such as S0 x Sn and Sn x S0 after Sn, is assembled
-from that build's representatives and marks.  Each build or reuse is
-logged at INFO on the `betaring.catalog` logger.
+sizes per factor and the orbit partition they merge into, label and
+aliases.  A build, the reuse of an earlier build and a load all call it.
+`get_catalog` enumerates each group at most once per process: an ambient
+whose group (degree and element set) equals that of an earlier build, such
+as S0 x Sn and Sn x S0 after Sn, is assembled from that build's
+representatives and marks.  Each build or reuse is logged at INFO on the
+`betaring.catalog` logger.
 
 A cache file keeps the header, each class's generators and the marks
 matrix.  A load closes the generators (each (degree, generator images)
@@ -66,6 +68,7 @@ from .perms import (
     _inverse,
     _mulclose,
     _short_gens,
+    block_orbits,
     cycle_census,
     direct_embed,
     orbit_partition,
@@ -82,7 +85,6 @@ class Ambient:
 
     degrees: tuple[int, ...] | None = None
     group: PermGroup | None = None
-    gens: tuple = ()  # the group's generator images, which PermGroup equality ignores
 
     @classmethod
     def sym(cls, n: int) -> Ambient:
@@ -104,7 +106,7 @@ class Ambient:
 
     @classmethod
     def of_group(cls, g: PermGroup) -> Ambient:
-        return cls(group=g, gens=tuple(x.images for x in g.generators))
+        return cls(group=g)
 
     @property
     def cacheable(self) -> bool:
@@ -331,10 +333,11 @@ def _raw_marks(order: int, raw) -> list[list[int]]:
 def _class_order(keys, marks) -> list[int]:
     """The catalog order of classes given by their marks (marks[i][j] for
     any two) and keys (subgroup order, number of conjugates, orbit
-    partition's parts): subgroup order ascending, ties by the lexicographic
-    mark row over the classes of smaller order, then by the number of
-    conjugates (which fixes the diagonal) and the orbit partition.  Full
-    ties keep their order."""
+    partition's parts, orbit sizes per factor): subgroup order ascending,
+    ties by the lexicographic mark row over the classes of smaller order,
+    then by the number of conjugates (which fixes the diagonal), the orbit
+    partition and the orbit sizes per factor (which part classes that a
+    swap of two factors exchanges).  Full ties keep their order."""
     ordered: list[int] = []
     by_order: dict[int, list[int]] = {}
     for i, (order, *_) in enumerate(keys):
@@ -358,6 +361,7 @@ class SubgroupClass:
     order: int
     norm_order: int
     ptype: Partition
+    factor_orbits: tuple[tuple[int, ...], ...]  # ascending orbit sizes per factor block
     marks: tuple[int, ...]
     label: str
     aliases: tuple[str, ...]
@@ -391,11 +395,6 @@ class Catalog:
         self._censuses: dict[int, frozenset] = {}
         # `identify`'s answers by element set, seeded with the representatives.
         self._identified = {cls.rep.elements: cls.index for cls in self.classes}
-        # The transitive G-sets G/H that `burnside.BurnsideElement.to_gset`
-        # builds, by class index.  They are kept per catalog because a G-set
-        # acts through the generators of this catalog's own group object,
-        # and PermGroup equality ignores generators.
-        self.coset_spaces: dict = {}
         self._by_order: dict[int, list[int]] = {}
         self._by_label = {}
         for cls in self.classes:
@@ -587,27 +586,34 @@ def build_catalog(ambient: Ambient) -> Catalog:
         )
         for cls in raw
     ]
-    ptypes = [orbit_partition(rep) for rep in reps]
+    blocks = ambient.blocks()
+    orbits = [block_orbits(rep.elements, blocks) for rep in reps]
     marks = _raw_marks(group.order, raw)
-    order_map = _class_order([(c.order, c.n_conj, p.parts) for c, p in zip(raw, ptypes)], marks)
+    keys = [(c.order, c.n_conj, Partition(sum(o, ())).parts, o) for c, o in zip(raw, orbits)]
+    order_map = _class_order(keys, marks)
     matrix = [tuple(marks[i][j] for j in order_map) for i in order_map]
-    return _assemble(ambient, group, [reps[i] for i in order_map], matrix, subgroup_count)
+    reps, orbits = [reps[i] for i in order_map], [orbits[i] for i in order_map]
+    return _assemble(ambient, group, reps, matrix, subgroup_count, orbits)
 
 
-def _assemble(ambient, group, reps, matrix, subgroup_count) -> Catalog:
+def _assemble(ambient, group, reps, matrix, subgroup_count, orbits=None) -> Catalog:
     """The one constructor of a `Catalog`: the catalog of `ambient`, whose
     group is `group`, from its class representatives in catalog order, the
     marks matrix (rows in that order) and the subgroup count.  Each class's
     order is |rep|, its normalizer order is the diagonal mark times that,
-    and its orbit partition, label and aliases are derived from the
-    representatives; only the aliases depend on the ambient beyond its
-    group.  Each row becomes one tuple, which is both `Catalog.matrix[i]`
-    and class i's `marks`.  A matrix that is not square over the classes
-    raises ValueError before any diagonal is read."""
+    its orbit sizes per factor block are `orbits` (one scan of each
+    representative's points when None), its orbit partition merges them,
+    and its label and aliases are derived from the representatives.  Each
+    row becomes one tuple, which is both `Catalog.matrix[i]` and class i's
+    `marks`.  A matrix that is not square over the classes raises
+    ValueError before any diagonal is read."""
     matrix = [tuple(row) for row in matrix]
     if len(matrix) != len(reps) or any(len(row) != len(reps) for row in matrix):
         raise ValueError(f"a marks matrix of {len(matrix)} rows does not fit {len(reps)} classes")
-    ptypes = [orbit_partition(rep) for rep in reps]
+    if orbits is None:
+        blocks = ambient.blocks()
+        orbits = [block_orbits(rep.elements, blocks) for rep in reps]
+    ptypes = [Partition(sum(o, ())) for o in orbits]
     labels = _assign_labels([(rep.order, ptype) for rep, ptype in zip(reps, ptypes)])
     aliases = _assign_aliases(ambient, group, reps)
     classes = [
@@ -618,6 +624,7 @@ def _assemble(ambient, group, reps, matrix, subgroup_count) -> Catalog:
             order=rep.order,
             norm_order=matrix[i][i] * rep.order,
             ptype=ptypes[i],
+            factor_orbits=orbits[i],
             marks=matrix[i],
             label=labels[i],
             aliases=aliases[i],
@@ -660,8 +667,8 @@ def get_catalog(ambient: Ambient) -> Catalog:
     catalog that fails `_is_consistent` is rebuilt and rewritten.  Missing
     both, an ambient whose group (degree and element set) equals that of an
     earlier build in this process, such as S0 x Sn after Sn, takes that
-    build's classes and marks with its own aliases and group object (G-sets
-    act through its generators), so each group is enumerated at most once.
+    build's classes and marks with its own aliases and group object, so
+    each group is enumerated at most once.
     A catalog loaded from a file is never reused.  Each build or reuse is
     logged at INFO with its ambient, reason, class and subgroup counts and
     seconds (fields of the record, too)."""
@@ -721,7 +728,8 @@ def _is_consistent(cat: Catalog) -> bool:
             or not cls.rep.elements <= cat.group.elements
         ):
             return False
-    keys = [(c.order, cat.group.order // c.norm_order, c.ptype.parts) for c in cat.classes]
+    order = cat.group.order
+    keys = [(c.order, order // c.norm_order, c.ptype.parts, c.factor_orbits) for c in cat.classes]
     in_order = _class_order(keys, cat.matrix) == list(range(len(keys)))
     return in_order and 0 < subgroup_count_from_classes(cat) == cat.subgroup_count
 
@@ -753,12 +761,10 @@ def _write_cache(path, cat: Catalog):
 
 def clear_memo():
     """Forget every memoized catalog, every earlier build and every closed
-    generating set, and empty the memos of each catalog (`identify`'s
-    `_identified`, `coset_spaces`), which elements built before may still
-    reach."""
+    generating set, and empty each catalog's `identify` memo
+    (`_identified`), which elements built before may still reach."""
     for cat in [*_CATALOGS.values(), *_BUILT.values()]:
         cat._identified.clear()
-        cat.coset_spaces.clear()
     _CATALOGS.clear()
     _BUILT.clear()
     _CLOSURES.clear()

@@ -9,13 +9,16 @@ a suite that raises as one "fail" record and runs the next.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
-from . import config
+from . import catalog, config
 from .adams import _report, check_gcd, check_prop_adams, psi_upper, solve_psi_K
 from .bring import (
     BElement,
@@ -43,6 +46,8 @@ from .burnside import (
 )
 from .catalog import (
     Ambient,
+    _assemble,
+    _cache_path,
     _load,
     _write_cache,
     build_catalog,
@@ -128,6 +133,7 @@ def check_catalog() -> list[dict]:
                 )
             )
     reports.append(_check_cache_round_trip())
+    reports.append(_check_swapped_factor_classes())
     return reports
 
 
@@ -150,14 +156,43 @@ def _check_cache_round_trip() -> dict:
     )
 
 
+def _check_swapped_factor_classes() -> dict:
+    """S2xS2's o2-2.1.1-a = <(2 3)> and o2-2.1.1-b = <(0 1)>, exchanged in a
+    cache file in a temporary directory, pass every table-of-marks
+    invariant.  Their orbit sizes per factor must get the file refused, and
+    `get_catalog` must rewrite it as built; the memoized S2xS2 catalog is
+    set aside for that call."""
+    ambient = Ambient.pair(2, 2)
+    built = build_catalog(ambient)
+    i, j = built.class_index("o2-2.1.1-a"), built.class_index("o2-2.1.1-b")
+    order = list(range(len(built.classes)))
+    order[i], order[j] = j, i
+    reps = [built.classes[k].rep for k in order]
+    matrix = [[built.matrix[r][c] for c in order] for r in order]
+    swapped = _assemble(ambient, built.group, reps, matrix, built.subgroup_count)
+    with tempfile.TemporaryDirectory() as directory, config.override(catalog_dir=directory):
+        path = _cache_path(ambient)
+        _write_cache(path, built)
+        clean = path.read_text()
+        _write_cache(path, swapped)
+        refused = _load(path) is None
+        memoized = catalog._CATALOGS.pop(ambient, None)
+        get_catalog(ambient)
+        if memoized is not None:
+            catalog._CATALOGS[ambient] = memoized
+        rewritten = path.read_text() == clean
+    return _report(
+        "an S2xS2 cache file with its factor-swapped classes exchanged is refused and rewritten",
+        refused and rewritten,
+        f"refused: {refused}, rewritten as built: {rewritten}",
+    )
+
+
 # ---------------------------------------------------------------- A(G) axioms
 
 
-def _transitive_gsets(group: PermGroup) -> list[tuple[str, GSet]]:
-    cat = group_catalog(group)
-    return [
-        (cls.label, GSet.coset_space(group, cls.rep)) for cls in cat.classes
-    ]
+def _transitive_gsets(group: PermGroup) -> list[GSet]:
+    return [GSet.coset_space(group, cls.rep) for cls in group_catalog(group).classes]
 
 
 def _addition_axiom(group: PermGroup, n: int, class_idx: int, x: GSet, y: GSet) -> bool:
@@ -192,8 +227,8 @@ def check_ag_axioms(max_h_degree: int = 3) -> list[dict]:
                 for idx in range(len(sym_catalog(n).classes)):
                     ok = all(
                         _addition_axiom(group, n, idx, x, y)
-                        for _, x in transitive
-                        for _, y in transitive
+                        for x in transitive
+                        for y in transitive
                     )
                     label = sym_catalog(n).classes[idx].label
                     reports.append(
@@ -207,13 +242,12 @@ def check_ag_axioms(max_h_degree: int = 3) -> list[dict]:
                 for i in range(len(sym_catalog(m).classes))
                 for j in range(len(sym_catalog(n).classes))
             ]
-            ok = True
-            for m, i, n, j in pairs:
-                for _, x in transitive:
-                    if x.size**(m * n) > CHECK_GSET_CAP:
-                        continue
-                    if not _composition_axiom(group, (m, i), (n, j), x):
-                        ok = False
+            ok = all(
+                _composition_axiom(group, (m, i), (n, j), x)
+                for m, i, n, j in pairs
+                for x in transitive
+                if x.size**(m * n) <= CHECK_GSET_CAP
+            )
             reports.append(
                 _report(f"composition axiom deg<= {max_h_degree} on A({gname})", ok)
             )
@@ -224,32 +258,40 @@ def check_ag_axioms(max_h_degree: int = 3) -> list[dict]:
             for p in range(3):
                 for q in range(3 - p):
                     pair_cat = get_catalog(Ambient.pair(p, q))
-                    for a_idx in range(len(sym_catalog(p).classes)):
-                        for b_idx in range(len(sym_catalog(q).classes)):
-                            a_cls = sym_catalog(p).classes[a_idx]
-                            b_cls = sym_catalog(q).classes[b_idx]
-                            embedded = pair_cat.identify(direct_embed(a_cls.rep, b_cls.rep))
-                            pair_cls = pair_cat.classes[embedded]
-                            for _, x in transitive:
-                                for _, y in transitive:
-                                    lhs = orbit_decompose(beta2_on_gsets(pair_cls, x, y))
-                                    rhs = orbit_decompose(beta_on_gset(a_cls, x)) * orbit_decompose(
-                                        beta_on_gset(b_cls, y)
-                                    )
-                                    ok = ok and lhs == rhs
+                    for a, b in itertools.product(sym_catalog(p).classes, sym_catalog(q).classes):
+                        pair_cls = pair_cat.classes[pair_cat.identify(direct_embed(a.rep, b.rep))]
+                        ok = ok and all(
+                            orbit_decompose(beta2_on_gsets(pair_cls, x, y))
+                            == orbit_decompose(beta_on_gset(a, x)) * orbit_decompose(beta_on_gset(b, y))
+                            for x, y in itertools.product(transitive, repeat=2)
+                        )
             reports.append(_report(f"product-subgroup rule on A({gname})", ok))
         # transfer identity (M|_U x N)^{U -> G} = M x N^{U -> G} on the Klein group
         group = klein_group()
-        ok = True
-        for ucls in group_catalog(group).classes:
-            u = ucls.rep
-            for _, m in _transitive_gsets(group):
-                for nucls in group_catalog(u).classes:
-                    nset = GSet.coset_space(u, nucls.rep)
-                    lhs = orbit_decompose(induce(group, u, m.restrict(u) * nset))
-                    rhs = orbit_decompose(m * induce(group, u, nset))
-                    ok = ok and lhs == rhs
+        ok = all(
+            orbit_decompose(induce(group, u, m.restrict(u) * n))
+            == orbit_decompose(m * induce(group, u, n))
+            for u in (ucls.rep for ucls in group_catalog(group).classes)
+            for m in _transitive_gsets(group)
+            for n in (GSet.coset_space(u, ncls.rep) for ncls in group_catalog(u).classes)
+        )
         reports.append(_report("transfer identity on C2xC2", ok))
+        # A G-set is its action by element: rows for reversed generators
+        # combine as the same action.
+        flipped = PermGroup(4, group.generators[::-1], group.elements)
+        pair = get_catalog(Ambient.pair(1, 1)).class_of("e")
+        both = list(zip(_transitive_gsets(group), _transitive_gsets(flipped)))
+        ok = all(
+            op(x, y) == op(x, y_flipped) == op(x_flipped, y)
+            for x, x_flipped in both
+            for y, y_flipped in both
+            for op in (GSet.__add__, GSet.__mul__, lambda a, b: beta2_on_gsets(pair, a, b))
+        )
+        identity = (
+            "G-sets over C2xC2 and over C2xC2 with reversed generators add, multiply "
+            "and beta2-combine as over C2xC2"
+        )
+        reports.append(_report(identity, ok))
     return reports
 
 
@@ -278,16 +320,12 @@ def check_operator_ring() -> list[dict]:
     ]
     ok = all(star(a, e) == a and star(e, a) == a for a in _sample_elements())
     reports.append(_report("beta^1 is a two-sided unit for composition", ok))
-    ok = True
-    for a1 in _sample_elements()[:3]:
-        for a2 in _sample_elements()[:3]:
-            for b in b_samples:
-                if (a1.max_degree() + a2.max_degree()) * max(b.max_degree(), 1) > 6:
-                    continue
-                if star(a1 + a2, b) != star(a1, b) + star(a2, b):
-                    ok = False
-                if star(product(a1, a2), b) != product(star(a1, b), star(a2, b)):
-                    ok = False
+    ok = all(
+        star(a1 + a2, b) == star(a1, b) + star(a2, b)
+        and star(product(a1, a2), b) == product(star(a1, b), star(a2, b))
+        for a1, a2, b in itertools.product(_sample_elements()[:3], _sample_elements()[:3], b_samples)
+        if (a1.max_degree() + a2.max_degree()) * max(b.max_degree(), 1) <= 6
+    )
     reports.append(_report("composition is left-additive and left-multiplicative", ok))
     triples = [
         ((2, "S2"), (3, "S3"), (1, 0)),
@@ -296,25 +334,18 @@ def check_operator_ring() -> list[dict]:
         ((3, "S3"), (2, "S2"), (1, 0)),
         ((2, "S2"), (2, "S2"), (1, 0)),
     ]
-    ok = True
-    for ka, kb, kc in triples:
-        a = BElement.basis(*ka)
-        b = BElement.basis(*kb)
-        c = BElement.basis(*kc)
-        if star(star(a, b), c) != star(a, star(b, c)):
-            ok = False
+    ok = all(
+        star(star(a, b), c) == star(a, star(b, c))
+        for a, b, c in ([BElement.basis(*key) for key in keys] for keys in triples)
+    )
     a = BElement.basis(2, "S2")
-    waffle = star(a, star(a, -beta_upper(1)))
-    other = star(star(a, a), -beta_upper(1))
-    ok = ok and waffle == other
+    ok = star(a, star(a, -beta_upper(1))) == star(star(a, a), -beta_upper(1)) and ok
     reports.append(_report("composition associates on the test grid", ok))
-    ok = True
     basis_pairs = [((1, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 1), (2, 0)), ((2, 1), (2, 1))]
-    for (n, i), (m, j) in basis_pairs:
-        a = BElement.basis(n, i)
-        b = BElement.basis(m, j)
-        if diagonal(product(a, b)) != diagonal(a) * diagonal(b):
-            ok = False
+    ok = all(
+        diagonal(product(a, b)) == diagonal(a) * diagonal(b)
+        for a, b in ((BElement.basis(*ka), BElement.basis(*kb)) for ka, kb in basis_pairs)
+    )
     reports.append(_report("diagonal is a ring homomorphism", ok))
     ok = True
     for n in range(1, 5):
@@ -346,10 +377,7 @@ def check_operator_ring() -> list[dict]:
         (beta_regular(2), BElement.basis(2, "S2")),
         (BElement.basis(2, "S2"), -beta_upper(1)),
     ]
-    ok = True
-    for a, b in pairs:
-        if eval_burnside(star(a, b), x_reg) != eval_burnside(a, eval_burnside(b, x_reg)):
-            ok = False
+    ok = all(eval_burnside(star(a, b), x_reg) == eval_burnside(a, eval_burnside(b, x_reg)) for a, b in pairs)
     reports.append(_report("eval on A(C3) is a composition action", ok))
     return reports
 
@@ -438,35 +466,20 @@ def check_polya(max_product: int = 6) -> list[dict]:
             instance == target and plethysm(h_(2), h_(2)) == target,
         )
     )
-    ok = True
-    for n in range(6 + 1):
-        for idx in range(len(sym_catalog(n).classes)):
-            a = BElement.basis(n, idx)
-            if n <= 5 and not _lin_diagonal_compatible(a):
-                ok = False
+    ok = all(
+        lin2(diagonal(a)) == coproduct(lin(a))
+        for n in range(6)
+        for a in (BElement.basis(n, idx) for idx in range(len(sym_catalog(n).classes)))
+    )
     reports.append(_report("lin intertwines the two diagonals (degree <= 5)", ok))
-    ok = True
-    for n in range(1, 7):
-        for pi in partitions(n):
-            image = lin(_young_class(pi))
-            expect = SymFunc.one("h")
-            for part in pi.parts:
-                expect = expect * h_(part)
-            if image != expect:
-                ok = False
+    ok = all(
+        lin(reduce(product, map(beta_upper, pi.parts), BElement.one()))
+        == math.prod(map(h_, pi.parts), start=SymFunc.one("h"))
+        for n in range(1, 7)
+        for pi in partitions(n)
+    )
     reports.append(_report("h_pi classes realize every h monomial (degree <= 6)", ok))
     return reports
-
-
-def _young_class(pi) -> BElement:
-    acc = BElement.one()
-    for part in pi.parts:
-        acc = product(acc, beta_upper(part))
-    return acc
-
-
-def _lin_diagonal_compatible(a: BElement) -> bool:
-    return lin2(diagonal(a)) == coproduct(lin(a))
 
 
 # ---------------------------------------------------------------- beta on Z
@@ -498,22 +511,17 @@ def _orbit_count_on_tuples(group: PermGroup, r: int) -> int:
 
 def check_beta_z() -> list[dict]:
     reports = []
-    ok = True
-    for n in range(1, 5):
-        for idx, cls in enumerate(sym_catalog(n).classes):
-            for r in range(5):
-                direct = _orbit_count_on_tuples(cls.rep, r)
-                if eval_z(BElement.basis(n, idx), r) != direct:
-                    ok = False
+    ok = all(
+        eval_z(BElement.basis(n, idx), r) == _orbit_count_on_tuples(cls.rep, r)
+        for n in range(1, 5)
+        for idx, cls in enumerate(sym_catalog(n).classes)
+        for r in range(5)
+    )
     reports.append(_report("eval on Z matches direct orbit counting (n<=4, r<=4)", ok))
     trivial = PermGroup.trivial(1)
     cat = group_catalog(trivial)
     s2 = sym_catalog(2).class_of("S2")
-    ok = True
-    for r in range(6):
-        value = beta_virtual(s2, BurnsideElement(cat, [-r]))
-        if value.coords[0] != (r * r - r) // 2:
-            ok = False
+    ok = all(beta_virtual(s2, BurnsideElement(cat, [-r])).coords[0] == (r * r - r) // 2 for r in range(6))
     reports.append(_report("Newton-extrapolated negatives: beta_S2(-r) = (r^2 - r)/2", ok))
     ok = True
     for h in [(2, "S2"), (3, "S3"), (2, "e")]:
@@ -550,11 +558,7 @@ def check_gcd_suite(kmax: int = 6) -> list[dict]:
     groups = standard_groups() + [("C2xC2", klein_group())]
     with config.override(gset_cap=CHECK_GSET_CAP):
         for name, group in groups:
-            bad = []
-            for k in range(1, kmax + 1):
-                for r in check_gcd(group, k):
-                    if r["status"] == "fail":
-                        bad.append(r)
+            bad = [r for k in range(1, kmax + 1) for r in check_gcd(group, k) if r["status"] == "fail"]
             reports.append(
                 _report(f"Psi^k = Psi^gcd(k,|G|) on A({name}), k <= {kmax}", not bad, repr(bad[:2]))
             )
@@ -587,15 +591,12 @@ def check_lambda_structure(nmax: int = 6) -> list[dict]:
                 f"dets {result['det_e_in_h']}, {result['det_h_in_e']}",
             )
         )
-    ok = True
-    for n in range(nmax + 1):
-        expect_h = SymFunc.zero("p", arity=2)
-        expect_e = SymFunc.zero("p", arity=2)
-        for p in range(n + 1):
-            expect_h = expect_h + SymFunc.tensor(h_(p), h_(n - p))
-            expect_e = expect_e + SymFunc.tensor(e_(p), e_(n - p))
-        if coproduct(h_(n)) != expect_h or coproduct(e_(n)) != expect_e:
-            ok = False
+    ok = all(
+        coproduct(b(n))
+        == sum((SymFunc.tensor(b(p), b(n - p)) for p in range(n + 1)), SymFunc.zero("p", arity=2))
+        for n in range(nmax + 1)
+        for b in (h_, e_)
+    )
     reports.append(_report(f"diagonal of h_n and e_n is the full convolution (n <= {nmax})", ok))
     return reports
 
@@ -648,22 +649,13 @@ def check_witt(samples: int = 100, seed: int = 2024) -> list[dict]:
     reports.append(_report("product polynomials are integral through degree 8", ok))
     ok = True
     for n in range(1, 6):
-        table = delta_m(n)
-        left: dict = {}
-        right: dict = {}
-        for (mu, nu), c in table.coeffs.items():
-            inner_mu = _delta_m_of_monomial(mu)
-            for (m1, m2), c2 in inner_mu.coeffs.items():
-                key = (m1, m2, nu)
-                left[key] = left.get(key, 0) + c * c2
-            inner_nu = _delta_m_of_monomial(nu)
-            for (m1, m2), c2 in inner_nu.coeffs.items():
-                key = (mu, m1, m2)
-                right[key] = right.get(key, 0) + c * c2
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
-        if left != right:
-            ok = False
+        left, right = Counter(), Counter()
+        for (mu, nu), c in delta_m(n).coeffs.items():
+            for (m1, m2), c2 in _delta_m_of_monomial(mu).coeffs.items():
+                left[m1, m2, nu] += c * c2
+            for (m1, m2), c2 in _delta_m_of_monomial(nu).coeffs.items():
+                right[mu, m1, m2] += c * c2
+        ok = ok and {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
     reports.append(_report("second diagonal is coassociative on generators (degree <= 5)", ok))
     return reports
 

@@ -537,15 +537,25 @@ def normalizer_order(g: PermGroup, h: PermGroup) -> int:
 
 def orbit_partition(h) -> Partition:
     """Orbit sizes of H, a PermGroup or its element set (image tuples), on
-    its points; the partition-type of the subgroup.  The orbit of a point
-    is the set of its images: one column of the elements."""
-    seen, sizes = set(), []
-    for x, column in enumerate(zip(*(h.elements if isinstance(h, PermGroup) else h))):
-        if x not in seen:
-            orbit = set(column)
-            seen |= orbit
-            sizes.append(len(orbit))
-    return Partition(sizes)
+    its points; the partition-type of the subgroup."""
+    elements = h.elements if isinstance(h, PermGroup) else h
+    return Partition(block_orbits(elements, [range(len(next(iter(elements))))])[0])
+
+
+def block_orbits(elements, blocks) -> tuple:
+    """Ascending orbit sizes on each block of points, which every element
+    (image tuple) preserves.  The orbit of a point is one column."""
+    columns = list(zip(*elements))
+    seen, out = set(), []
+    for block in blocks:
+        sizes = []
+        for x in block:
+            if x not in seen:
+                orbit = set(columns[x])
+                seen |= orbit
+                sizes.append(len(orbit))
+        out.append(tuple(sorted(sizes)))
+    return tuple(out)
 
 
 def are_conjugate(g: PermGroup, h1: PermGroup, h2: PermGroup) -> bool:

@@ -504,9 +504,9 @@ def test_a_decomposition_seen_before_builds_no_stabilizer():
 
 
 def test_clear_memo_empties_the_gset_memos():
-    """After clear_memo the explicit route builds its G-sets and identifies
-    its stabilizers again, so a test that disables some code after a first
-    run still sees that code's route.  X^2/S2 for X = S3/C2 has a point
+    """After clear_memo the explicit route identifies its stabilizers
+    again, so a test that disables some code after a first run still sees
+    that code's route.  X^2/S2 for X = S3/C2 has a point
     whose stabilizer is a C2 other than the representative."""
     x = BurnsideElement.basis(s3(), "C2")
 
@@ -515,19 +515,18 @@ def test_clear_memo_empties_the_gset_memos():
 
     expected = decomposed()
     cat = x.catalog
-    assert cat.coset_spaces and len(cat._identified) > len(cat.classes)
+    assert len(cat._identified) > len(cat.classes)
     catalog.clear_memo()
-    assert not cat.coset_spaces and not cat._identified
+    assert not cat._identified
     assert decomposed() == expected
     fresh = group_catalog(x.group)
     assert fresh is not cat and len(fresh._identified) > len(fresh.classes)
-    assert cat.coset_spaces
 
 
 def test_eval_burnside_matches_a_cleared_memo():
     """Every class of S1..S4 on every basis element of A(C2..C6), A(S3),
-    A(S4) and A(V4): the same with warm G-set memos as with memos emptied
-    before each call."""
+    A(S4) and A(V4): the same with a warm identify memo as with the memo
+    emptied before each call."""
     groups = [PermGroup.cyclic(k) for k in range(2, 7)]
     groups += [s3(), PermGroup.symmetric(4), klein_group()]
     classes = [BElement.basis(n, i) for n in range(1, 5) for i in range(len(get_catalog(Ambient.sym(n))))]
@@ -538,7 +537,6 @@ def test_eval_burnside_matches_a_cleared_memo():
             for x in _basis_elements(group_catalog(g)):
                 for a in classes:
                     if fresh:
-                        x.catalog.coset_spaces.clear()
                         x.catalog._identified.clear()
                     try:
                         out.append(eval_burnside(a, x).coords)
@@ -595,45 +593,59 @@ def test_eval_burnside_on_cyclic_groups_passes_the_gset_cap():
         beta_virtual(sym_class(6, "e"), free)
 
 
-def test_gsets_over_equal_groups_with_other_generators_do_not_combine():
+def test_gsets_over_equal_groups_with_other_generators_combine():
     """The Klein group and the same group with its generators reversed are
-    equal as PermGroups, but a G-set's rows follow its group's generators.
-    Combining G-sets over the two used to zip rows of different generators:
-    orbit_decompose(x * y) gave [G/e] where x * x and y * y give two copies
-    of G/<(0 1)>.  Product, sum and beta2 now refuse, and equality sees the
-    generators."""
+    equal as PermGroups, and G/<(0 1)> over each is one action given by
+    rows for other generators.  A G-set is its action by element, so
+    product, sum and beta2 of G-sets over the two decompose as over one
+    generator list; G-sets over unequal groups are still refused.  The same
+    rows over the other generator list are another action."""
     klein = klein_group()
     flipped = PermGroup(4, klein.generators[::-1], klein.elements)
     sub = PermGroup.generate(4, [klein.generators[0]])
     x, y = GSet.coset_space(klein, sub), GSet.coset_space(flipped, sub)
-    for z in (x, y):
-        square = orbit_decompose(z * z)
-        assert sorted(square.coords) == [0] * (len(square.coords) - 1) + [2]
-        assert square.catalog.classes[square.coords.index(2)].rep == sub
-    for combine in (GSet.__mul__, GSet.__add__):
-        with pytest.raises(ValueError, match="generators"):
-            combine(x, y)
+    assert x == y and x.gen_action != y.gen_action
+    square = orbit_decompose(x * y)
+    assert sorted(square.coords) == [0] * (len(square.coords) - 1) + [2]
+    assert square.catalog.classes[square.coords.index(2)].rep == sub
     pair11 = get_catalog(Ambient.pair(1, 1)).class_of("e")
-    with pytest.raises(ValueError, match="generators"):
-        beta2_on_gsets(pair11, x, y)
+    other = GSet.point(PermGroup.cyclic(4))
+    for combine in (GSet.__mul__, GSet.__add__, lambda a, b: beta2_on_gsets(pair11, a, b)):
+        assert orbit_decompose(combine(x, y)) == orbit_decompose(combine(x, x))
+        assert orbit_decompose(combine(y, x)) == orbit_decompose(combine(y, y))
+        with pytest.raises(ValueError, match="same group|common group"):
+            combine(x, other)
     assert GSet(flipped, x.size, x.gen_action) != x
     assert GSet(klein, x.size, x.gen_action) == x
 
 
-def test_a_group_with_other_generators_gets_a_catalog_of_its_own(caplog):
+def test_a_group_with_other_generators_shares_the_catalog(caplog):
     """group_catalog of a group equal to an earlier one with other
-    generators is a catalog over that group object, so its basis G-sets act
-    through its own generators and combine with its other G-sets.  The
-    enumeration is still done once."""
+    generators is the earlier catalog, enumerated and logged once.  Its
+    basis G-sets, over the earlier group object, combine with G-sets over
+    the other, and decompose as the product in A(G) says."""
     klein = klein_group()
     flipped = PermGroup(4, klein.generators[::-1], klein.elements)
     sub = PermGroup.generate(4, [klein.generators[0]])
     catalog.clear_memo()
     with caplog.at_level(logging.INFO, logger="betaring.catalog"):
-        first, second = group_catalog(klein), group_catalog(flipped)
-    assert first.group is klein and second.group is flipped
-    assert [r.reason for r in caplog.records] == ["no cache file", "equal to an earlier build"]
-    assert group_catalog(PermGroup.generate(4, flipped.generators)) is second
-    for i in range(len(second.classes)):
-        x = BurnsideElement.basis(flipped, i).to_gset() * GSet.coset_space(flipped, sub)
-        assert orbit_decompose(x).catalog is second
+        first = group_catalog(klein)
+        assert group_catalog(flipped) is first
+    assert [r.reason for r in caplog.records] == ["no cache file"]
+    assert group_catalog(PermGroup.generate(4, flipped.generators)) is first
+    coset = BurnsideElement.basis(klein, first.identify(sub))
+    for i in range(len(first.classes)):
+        basis = BurnsideElement.basis(flipped, i)
+        x = basis.to_gset() * GSet.coset_space(flipped, sub)
+        assert orbit_decompose(x) == basis * coset
+
+
+def test_a_gset_over_generators_that_miss_elements_is_refused():
+    """A G-set is read by element, so its group's generators must generate
+    the group: over S4 given only by (0 1), even the point is refused."""
+    transposition = Permutation.parse(4, "(0 1)")
+    group = PermGroup(4, [transposition], PermGroup.symmetric(4).elements)
+    with pytest.raises(ValueError, match="do not generate it"):
+        GSet.point(group)
+    with pytest.raises(ValueError, match="do not generate it"):
+        GSet(group, 2, [(1, 0)])

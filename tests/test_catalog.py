@@ -27,6 +27,7 @@ from betaring.perms import (
     all_subgroups,
     are_conjugate,
     direct_embed,
+    orbit_partition,
     wreath,
 )
 
@@ -631,22 +632,29 @@ CORRUPTIONS = {
     # C4 (o4-4-a) and the normal V4 (o4-4-b) exchanged: every table-of-marks
     # invariant still holds, but a build orders them by their mark rows
     "swapped-classes": lambda data: _swap_classes(data, 4, 6),
+    # S2 x S2's o2-2.1.1-a = <(2 3)> and o2-2.1.1-b = <(0 1)> exchanged: the
+    # factor swap maps one table onto the other, so only their orbit sizes
+    # per factor tell them apart
+    "swapped-factor-classes": lambda data: _swap_classes(data, 1, 2),
 }
+# The ambient of each corrupted file, S4 unless named here.
+CORRUPTED_AMBIENTS = {"swapped-factor-classes": Ambient.pair(2, 2)}
 
 
-@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
-def test_corrupt_cache_is_rebuilt_and_repaired(tmp_path, corrupt):
-    fresh = build_catalog(Ambient.sym(4))
-    path = tmp_path / "S4_v1.json"
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_corrupt_cache_is_rebuilt_and_repaired(tmp_path, name):
+    ambient = CORRUPTED_AMBIENTS.get(name, Ambient.sym(4))
+    fresh = build_catalog(ambient)
+    path = tmp_path / f"{ambient.descriptor()}_v1.json"
     with config.override(catalog_dir=str(tmp_path)):
         cat.clear_memo()
-        get_catalog(Ambient.sym(4))
+        get_catalog(ambient)
         clean = path.read_text()
         data = json.loads(clean)
-        corrupt(data)
+        CORRUPTIONS[name](data)
         path.write_text(json.dumps(data))
         cat.clear_memo()
-        loaded = get_catalog(Ambient.sym(4))
+        loaded = get_catalog(ambient)
     cat.clear_memo()
     assert [c.label for c in loaded.classes] == [c.label for c in fresh.classes]
     assert [c.rep for c in loaded.classes] == [c.rep for c in fresh.classes]
@@ -654,6 +662,34 @@ def test_corrupt_cache_is_rebuilt_and_repaired(tmp_path, corrupt):
     assert loaded.matrix == fresh.matrix
     assert loaded.subgroup_count == fresh.subgroup_count
     assert path.read_text() == clean
+
+
+def test_a_build_and_a_load_scan_each_class_for_orbits_once(tmp_path, monkeypatch):
+    """The orbit sizes per factor order the classes and give the orbit
+    partition, so a build and a load each scan every representative's
+    points once.  Merged, they are the orbit partition of the whole group."""
+    scanned = []
+    real = cat.block_orbits
+
+    def counted(elements, blocks):
+        scanned.append(elements)
+        return real(elements, blocks)
+
+    monkeypatch.setattr(cat, "block_orbits", counted)
+    with config.override(catalog_dir=str(tmp_path)):
+        cat.clear_memo()
+        built = get_catalog(Ambient.pair(3, 3))
+        assert len(scanned) == len(built.classes)
+        cat.clear_memo()
+        scanned.clear()
+        builds = _counted_builds(monkeypatch)
+        loaded = get_catalog(Ambient.pair(3, 3))
+        assert builds == [] and len(scanned) == len(loaded.classes)
+    cat.clear_memo()
+    assert loaded.to_json() == built.to_json()
+    for cls in loaded.classes:
+        assert cls.ptype == orbit_partition(cls.rep)
+        assert [sum(sizes) for sizes in cls.factor_orbits] == [3, 3]
 
 
 def test_a_representative_outside_the_ambient_is_rebuilt(tmp_path):

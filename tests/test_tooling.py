@@ -30,6 +30,15 @@ from betaring.symfunc import coproduct, lin, lin2, p_, plethysm
 
 ROOT = Path(__file__).resolve().parents[1]
 
+
+def _clear_caches(module):
+    """Empty every `lru_cache` that `module` binds, so that a memoized
+    answer does not hide the route a test checks."""
+    for value in vars(module).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 # METHODS entries that are classmethods: the tracer rewraps them as such.
 CLASSMETHODS = {
     ("catalog", "Catalog", "from_json"),
@@ -117,9 +126,7 @@ def test_queries_build_no_cayley_table(monkeypatch):
     assert sum(c * 4 // cls.order for c, cls in zip(expected["orbits"].coords, klein.classes)) == 4
     kept = {a: c for a, c in catalog._CATALOGS.items() if not a.cacheable}
     monkeypatch.setattr(catalog, "_CATALOGS", kept)
-    for value in vars(bring).values():  # a memoized answer would hide the route
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    _clear_caches(bring)
 
     def refuse(group):
         raise AssertionError("subgroups were enumerated on the query path")
@@ -201,9 +208,7 @@ def test_adams_elements_multiply_no_classes(monkeypatch):
     for module in (bring, adams):
         monkeypatch.setattr(module, "product", refuse)
     monkeypatch.setattr(bring, "_basis_product", refuse)
-    for value in vars(adams).values():  # a memoized answer would hide the route
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    _clear_caches(adams)
     assert _adams_results() == expected
 
 
@@ -233,9 +238,7 @@ def test_restriction_builds_no_stabilizers(monkeypatch):
         raise AssertionError("a restriction built a stabilizer subgroup")
 
     monkeypatch.setattr(PermGroup, "from_elements", classmethod(refuse))
-    for value in vars(bring).values():  # a memoized answer would hide the route
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    _clear_caches(bring)
     assert _restriction_results() == expected
 
 
@@ -262,9 +265,7 @@ def test_star_takes_no_newton_or_mixed_wreath_route(monkeypatch):
         for name in ("extrapolate_to_minus_one", "mixed_wreath"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    for value in vars(bring).values():  # a memoized answer would hide the route
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    _clear_caches(bring)
     assert _virtual_star_results() == expected
 
 
@@ -294,9 +295,7 @@ def test_identification_builds_no_group_or_permutation(monkeypatch):
     sets = [GSet.coset_space(klein, cls.rep) for cls in catalog.get_catalog(Ambient.of_group(klein)).classes]
     products = [x * y for x in sets for y in sets]
     expected = _identification_results(products)
-    for value in vars(bring).values():  # a memoized answer would hide the route
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    _clear_caches(bring)
     for cat in [*catalog._CATALOGS.values(), *catalog._BUILT.values()]:
         cat._identified.clear()
 
