@@ -11,11 +11,11 @@ route, an oracle for operations computed from marks, so none of them reads
 marks.  `bring.eval_burnside` takes this route, through `beta_virtual`,
 only for a noncyclic G; for a cyclic G it reads marks, and this route is
 its oracle.  A G-set's points are 0..size-1 and each group generator acts
-by a tuple of images.  X^n/H (and (X^p x Y^q)/L) never builds a tuple of
-X^n: a point of a product of G-sets is its integer code in mixed radix (the
-itertools.product order), and coordinate permutations and the diagonal
-G-action are flat code-to-code lists, built one coordinate (digit) at a
-time.
+by a tuple of images, which the closure over G proves a bijection.  X^n/H
+(and (X^p x Y^q)/L) never builds a tuple of X^n: a point of a product of
+G-sets is its integer code in mixed radix (the itertools.product order),
+and coordinate permutations and the diagonal G-action are flat
+code-to-code lists, built one coordinate (digit) at a time.
 
 A G-set is its action by element, `elem_action`; rows per generator are
 only how it is given, so G-sets over equal groups combine whatever
@@ -41,8 +41,10 @@ class GSet:
 
     The generator table is closed into a full element-action map on
     construction, which verifies that the table respects every relation
-    of the group and that the generators generate it.  Equal G-sets have
-    equal groups and element actions.
+    of the group and that the generators generate it.  It is also the
+    bijection check: the row of a generator g of order k composed with the
+    action of g^(k-1) must be the identity.  Equal G-sets have equal groups
+    and element actions.
     """
 
     __slots__ = ("group", "size", "gen_action", "elem_action")
@@ -51,14 +53,18 @@ class GSet:
         gen_action = tuple(tuple(row) for row in gen_action)
         if len(gen_action) != len(group.generators):
             raise ValueError("need one action row per group generator")
-        points = set(range(size))
-        for row in gen_action:
-            if len(row) != size or set(row) != points:
-                raise ValueError("generator action is not a bijection of the points")
+        if any(len(row) != size for row in gen_action):
+            raise ValueError("generator action is not a bijection of the points")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "gen_action", gen_action)
-        object.__setattr__(self, "elem_action", self._close())
+        try:
+            elem_action = self._close()
+        except (ValueError, IndexError, TypeError) as exc:
+            if isinstance(exc, ValueError) and all(set(row) == set(range(size)) for row in gen_action):
+                raise
+            raise ValueError("generator action is not a bijection of the points") from None
+        object.__setattr__(self, "elem_action", elem_action)
 
     def __setattr__(self, name, value):
         raise AttributeError("GSet is immutable")

@@ -15,7 +15,7 @@ import tempfile
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 from . import catalog, config
@@ -195,45 +195,55 @@ def _transitive_gsets(group: PermGroup) -> list[GSet]:
     return [GSet.coset_space(group, cls.rep) for cls in group_catalog(group).classes]
 
 
-def _addition_axiom(group: PermGroup, n: int, class_idx: int, x: GSet, y: GSet) -> bool:
-    cls = sym_catalog(n).classes[class_idx]
-    lhs = orbit_decompose(beta_on_gset(cls, x + y))
-    rhs = BurnsideElement.zero(group)
-    for ((p, q), idx), c in diagonal(BElement.basis(n, class_idx)).terms.items():
-        pair_cls = get_catalog(Ambient.pair(p, q)).classes[idx]
-        rhs = rhs + orbit_decompose(beta2_on_gsets(pair_cls, x, y)).scale(c)
+def _explicit(memo: dict, gname: str, xs, key, points: tuple, decompose: bool = True):
+    """X^n/H for one point index, (X^p x Y^q)/L for two: the class key =
+    (degrees, index) acting on the G-sets xs[i], i in points, decomposed
+    unless `decompose` is false.  Kept in memo by group name, key and points."""
+    memo_key = (gname, key, points, decompose)
+    if memo_key not in memo:
+        cls = get_catalog(Ambient.prod(key[0])).classes[key[1]]
+        value = (beta_on_gset if len(points) == 1 else beta2_on_gsets)(cls, *(xs[i] for i in points))
+        memo[memo_key] = orbit_decompose(value) if decompose else value
+    return memo[memo_key]
+
+
+def _addition_axiom(explicit, xs, n: int, class_idx: int, xi: int, yi: int) -> bool:
+    lhs = orbit_decompose(beta_on_gset(sym_catalog(n).classes[class_idx], xs[xi] + xs[yi]))
+    rhs = BurnsideElement.zero(xs[xi].group)
+    for key, c in diagonal(BElement.basis(n, class_idx)).terms.items():
+        rhs = rhs + explicit(key, (xi, yi)).scale(c)
     return lhs == rhs
 
 
-def _composition_axiom(group: PermGroup, hkey, kkey, x: GSet) -> bool:
-    composed = star_basis(hkey, kkey)
-    (((deg,), widx), coeff), = composed.terms.items()
+def _composition_axiom(explicit, hkey, kkey, xi: int) -> bool:
+    (key, coeff), = star_basis(hkey, kkey).terms.items()
     assert coeff == 1
-    wreath_cls = sym_catalog(deg).classes[widx]
-    lhs = orbit_decompose(beta_on_gset(wreath_cls, x))
     h_cls = sym_catalog(hkey[0]).class_of(hkey[1])
-    k_cls = sym_catalog(kkey[0]).class_of(kkey[1])
-    rhs = orbit_decompose(beta_on_gset(h_cls, beta_on_gset(k_cls, x)))
-    return lhs == rhs
+    inner = explicit(((kkey[0],), kkey[1]), (xi,), decompose=False)  # X^n/K, at most 6^3 points
+    return explicit(key, (xi,)) == orbit_decompose(beta_on_gset(h_cls, inner))
 
 
 def check_ag_axioms(max_h_degree: int = 3) -> list[dict]:
-    """The defining axioms of the operations on A(G), on explicit G-sets."""
+    """The defining axioms of the operations on A(G), on explicit G-sets.
+
+    Each value of `_explicit` is computed once per call, in a dict local to
+    it, keyed by the group's name, class indices and the index of X (and Y)
+    in `_transitive_gsets(group)`, never by an `id()`, which a freed G-set
+    hands on.  It keeps decompositions and the inner G-sets X^n/K only.
+    """
     reports = []
+    memo: dict = {}
     with config.override(gset_cap=CHECK_GSET_CAP):
         for gname, group in standard_groups():
-            transitive = _transitive_gsets(group)
+            xs = _transitive_gsets(group)
+            explicit = partial(_explicit, memo, gname, xs)
+            points = range(len(xs))
             for n in range(1, max_h_degree + 1):
-                for idx in range(len(sym_catalog(n).classes)):
+                for idx, cls in enumerate(sym_catalog(n).classes):
                     ok = all(
-                        _addition_axiom(group, n, idx, x, y)
-                        for x in transitive
-                        for y in transitive
+                        _addition_axiom(explicit, xs, n, idx, xi, yi) for xi in points for yi in points
                     )
-                    label = sym_catalog(n).classes[idx].label
-                    reports.append(
-                        _report(f"addition axiom S{n}:{label} on A({gname})", ok)
-                    )
+                    reports.append(_report(f"addition axiom S{n}:{cls.label} on A({gname})", ok))
             pairs = [
                 (m, i, n, j)
                 for m in range(1, max_h_degree + 1)
@@ -243,27 +253,28 @@ def check_ag_axioms(max_h_degree: int = 3) -> list[dict]:
                 for j in range(len(sym_catalog(n).classes))
             ]
             ok = all(
-                _composition_axiom(group, (m, i), (n, j), x)
+                _composition_axiom(explicit, (m, i), (n, j), xi)
                 for m, i, n, j in pairs
-                for x in transitive
-                if x.size**(m * n) <= CHECK_GSET_CAP
+                for xi in points
+                if xs[xi].size**(m * n) <= CHECK_GSET_CAP
             )
-            reports.append(
-                _report(f"composition axiom deg<= {max_h_degree} on A({gname})", ok)
-            )
+            reports.append(_report(f"composition axiom deg<= {max_h_degree} on A({gname})", ok))
         # product-subgroup rule: beta_{A x B}(X, Y) = beta_A(X) * beta_B(Y)
         for gname, group in [("C2", PermGroup.cyclic(2)), ("C3", PermGroup.cyclic(3))]:
-            transitive = _transitive_gsets(group)
+            xs = _transitive_gsets(group)
+            explicit = partial(_explicit, memo, gname, xs)
             ok = True
             for p in range(3):
                 for q in range(3 - p):
                     pair_cat = get_catalog(Ambient.pair(p, q))
-                    for a, b in itertools.product(sym_catalog(p).classes, sym_catalog(q).classes):
-                        pair_cls = pair_cat.classes[pair_cat.identify(direct_embed(a.rep, b.rep))]
+                    for (i, a), (j, b) in itertools.product(
+                        enumerate(sym_catalog(p).classes), enumerate(sym_catalog(q).classes)
+                    ):
+                        key = ((p, q), pair_cat.identify(direct_embed(a.rep, b.rep)))
                         ok = ok and all(
-                            orbit_decompose(beta2_on_gsets(pair_cls, x, y))
-                            == orbit_decompose(beta_on_gset(a, x)) * orbit_decompose(beta_on_gset(b, y))
-                            for x, y in itertools.product(transitive, repeat=2)
+                            explicit(key, (xi, yi))
+                            == explicit(((p,), i), (xi,)) * explicit(((q,), j), (yi,))
+                            for xi, yi in itertools.product(range(len(xs)), repeat=2)
                         )
             reports.append(_report(f"product-subgroup rule on A({gname})", ok))
         # transfer identity (M|_U x N)^{U -> G} = M x N^{U -> G} on the Klein group
@@ -428,26 +439,23 @@ def check_adams(nmax: int = 5) -> list[dict]:
 
 
 def check_polya(max_product: int = 6) -> list[dict]:
+    """Polya's plethysm identity, lin on diagonals and h monomials.  The cycle
+    index of each class is computed once per call, by degree and index."""
     reports = []
-    ok = True
-    checked = 0
-    for m in range(1, max_product + 1):
-        for n in range(1, max_product // m + 1):
-            for i in range(len(sym_catalog(m).classes)):
-                for j in range(len(sym_catalog(n).classes)):
-                    left = lin(star_basis((m, i), (n, j)))
-                    right = plethysm(
-                        cycle_index(sym_catalog(m).classes[i].rep),
-                        cycle_index(sym_catalog(n).classes[j].rep),
-                    )
-                    checked += 1
-                    if left != right:
-                        ok = False
+    indices = {m: [cycle_index(c.rep) for c in sym_catalog(m).classes] for m in range(1, max_product + 1)}
+    pairs = [
+        (m, i, n, j)
+        for m in range(1, max_product + 1)
+        for n in range(1, max_product // m + 1)
+        for i in range(len(indices[m]))
+        for j in range(len(indices[n]))
+    ]
+    ok = all(lin(star_basis((m, i), (n, j))) == plethysm(indices[m][i], indices[n][j]) for m, i, n, j in pairs)
     reports.append(
         _report(
             f"lin(beta_H * beta_K composition) = plethysm, products <= {max_product}",
             ok,
-            f"{checked} class pairs",
+            f"{len(pairs)} class pairs",
         )
     )
     target = SymFunc(

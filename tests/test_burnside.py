@@ -49,6 +49,19 @@ def test_action_table_validation():
     for row in [(1, 2), (0, 1, 3), (0, 1, 1, 2), (0, 1, "a")]:  # short, out of range,
         with pytest.raises(ValueError):  # duplicate, not an integer
             GSet(c3(), 3, [row])
+    # Rows of the right length that only the closure refuses: an entry out
+    # of range or negative in S3's second row (the 3-cycle; (-1, 0, 1) is
+    # a permutation of the positions read modulo 3), a negative entry over
+    # C2, and a float entry.
+    cases = [
+        (s3(), 3, [(1, 0, 2), (1, 2, 3)]),
+        (s3(), 3, [(1, 0, 2), (-1, 0, 1)]),
+        (c2(), 2, [(-1, 0)]),
+        (c2(), 2, [(1.5, 0)]),
+    ]
+    for group, size, rows in cases:
+        with pytest.raises(ValueError, match="not a bijection"):
+            GSet(group, size, rows)
 
 
 def test_orbit_decompose_basics():
@@ -454,26 +467,24 @@ def _basis_elements(cat):
     return [BurnsideElement(cat, [int(j == i) for j in range(size)]) for i in range(size)]
 
 
-def test_coset_spaces_follow_each_catalogs_own_generators(monkeypatch):
+def test_coset_spaces_follow_each_groups_own_generators():
     """Two Klein groups equal as sets, with their generators in opposite
-    orders, each have their own catalog.  Every G/H that to_gset returns acts
-    through the generators of its own catalog's group, also after the other
-    catalog's G-sets were built, and the transfer identity
-    (M|_U x N)^{U -> G} = M x N^{U -> G} holds over both."""
+    orders, share one catalog.  The coset spaces of each act through that
+    group's own generators, equal the other group's and what to_gset
+    returns as element actions, also after the other group's G-sets were
+    built, and the transfer identity (M|_U x N)^{U -> G} = M x N^{U -> G}
+    holds over both."""
     klein = klein_group()
     flipped = PermGroup(4, klein.generators[::-1], klein.elements)
     assert flipped == klein and flipped.generators != klein.generators
-    first = group_catalog(klein)
-    monkeypatch.setattr(catalog, "_CATALOGS", {})  # so the flipped group gets a catalog of its own
-    second = group_catalog(flipped)
-    assert second is not first and second.group is flipped
-    assert first.group.generators == klein.generators
-    for cat in (first, second, first):
-        group = cat.group
-        transitive = [x.to_gset() for x in _basis_elements(cat)]
-        for cls, m in zip(cat.classes, transitive):
+    cat = group_catalog(klein)
+    assert group_catalog(flipped) is cat
+    for group in (klein, flipped, klein):
+        transitive = [GSet.coset_space(group, cls.rep) for cls in cat.classes]
+        for x, cls, m in zip(_basis_elements(cat), cat.classes, transitive):
             assert m.group is group
-            assert m.gen_action == GSet.coset_space(group, cls.rep).gen_action, cls.label
+            other = GSet.coset_space(klein if group is flipped else flipped, cls.rep)
+            assert m.gen_action == other.gen_action[::-1] and m == other == x.to_gset(), cls.label
         for ucls in cat.classes:
             u = ucls.rep
             for m in transitive:

@@ -193,6 +193,63 @@ def test_eval_on_cyclic_groups_builds_no_gset(monkeypatch):
             bring.eval_burnside(BElement.basis(2, "S2"), BurnsideElement.basis(g, "e"))
 
 
+def _statuses(reports, prefix):
+    return {r["identity"]: r["status"] for r in reports if r["identity"].startswith(prefix)}
+
+
+def test_composition_checks_see_a_wrong_wreath_class(monkeypatch):
+    """With the wreath class of S2 composed with S2 replaced by another
+    class of S4, the composition axiom on A(S3) and the plethysm line of
+    the polya suite fail: the memoized explicit values hide no mutation."""
+    s2 = bring.sym_catalog(2).class_index("S2")
+    wrong = bring.sym_catalog(4).class_index("C4")
+    real = bring._wreath_key
+
+    def mutated(m, h, n, k):
+        return wrong if (m, h, n, k) == (2, s2, 2, s2) else real(m, h, n, k)
+
+    monkeypatch.setattr(bring, "_wreath_key", mutated)
+    assert wrong != real(2, s2, 2, s2)
+    axioms = _statuses(betaring.checks.check_ag_axioms(), "composition axiom")
+    assert axioms["composition axiom deg<= 3 on A(S3)"] == "fail"
+    polya = _statuses(betaring.checks.check_polya(), "lin(beta_H * beta_K composition) = plethysm")
+    assert list(polya.values()) == ["fail"]
+
+
+def test_addition_axiom_sees_a_dropped_diagonal_term(monkeypatch):
+    """With one term dropped from the diagonal of the S2 class, its addition
+    axiom lines fail and the other addition lines still pass."""
+    s2 = bring.sym_catalog(2).class_of("S2")
+    target = BElement.basis(2, "S2")
+
+    def dropped(a):
+        terms = dict(diagonal(a).terms)
+        if a == target:
+            terms.popitem()
+        return BElement(terms)
+
+    monkeypatch.setattr(betaring.checks, "diagonal", dropped)
+    statuses = _statuses(betaring.checks.check_ag_axioms(), "addition axiom")
+    failed = {identity for identity, status in statuses.items() if status == "fail"}
+    assert failed == {f"addition axiom S2:{s2.label} on A({g})" for g in ("C2", "C3", "C4", "S3")}
+
+
+def test_axioms_count_their_tuple_quotients(monkeypatch):
+    """One axioms-AG run computes each explicit value once: 1,659 tuple
+    quotients, where computing every value where it is used took 2,373."""
+    real = burnside._tuple_orbit_quotient
+    calls = []
+
+    def counted(factors, w):
+        calls.append(w.degree)
+        return real(factors, w)
+
+    monkeypatch.setattr(burnside, "_tuple_orbit_quotient", counted)
+    reports = betaring.checks.check_ag_axioms()
+    assert all(r["status"] == "pass" for r in reports)
+    assert len(calls) == 1659
+
+
 def _adams_results():
     return [psi_upper(k) for k in range(7)], [solve_psi_K(n).psi for n in range(1, 7)]
 
