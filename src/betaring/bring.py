@@ -15,11 +15,11 @@ integral b, effective or virtual, the marks of beta_H * b are sums over
 block systems of products of marks of beta_H and of b (the cycle-index
 composition of species; see `star`), solved by `from_marks`.  Evaluation
 on A(G) of a cyclic G reads marks too: the mark at <g> of X^n/H is H's
-cycle index at the marks of X at the powers of g (see `eval_burnside`).
-A noncyclic G takes the explicit route, `burnside.beta_virtual`, which is
-also the oracle of the cyclic case.  The diagonal, composition and
-evaluations take one-factor classes: unpacking
-`(n,) = degrees` raises ValueError for any other arity.
+cycle index at the marks of X at the powers of g (see `eval_burnside`);
+`eval_z` is the same Polya sum (`_polya`) at p_l -> r.  A noncyclic G
+takes the explicit route, `burnside.beta_virtual`, also the cyclic one's
+oracle.  The diagonal, composition and evaluations take one-factor
+classes: unpacking `(n,) = degrees` raises ValueError for any other arity.
 """
 
 from __future__ import annotations
@@ -383,16 +383,24 @@ def star_effective(a: BElement, b: BElement) -> BElement:
     return star(a, b)
 
 
-def eval_z(a: BElement, r: int):
-    """The ring map to Z: beta_H(r) = (1/|H|) sum over h in H of r^(cycles of h),
-    read off the class's cycle census.  That sum counts the orbits of H on
-    r-colourings, so each class's value is an integer."""
-    total = 0
+def _polya(a: BElement, *values) -> list:
+    """Polya's sum for each monomial value v in `values`: over the terms
+    c*beta_H of a one-factor a, c/|H| times the sum of count * v(pi) over H's
+    cycle census, H's cycle index at p_pi -> v(pi).  One lookup per term."""
+    totals = [0] * len(values)
     for ((n,), i), c in a.terms.items():
         cat = sym_catalog(n)
-        count = sum(k * r ** len(lengths) for (lengths,), k in cat.census(i))
-        total += c * quotient(count, cat.classes[i].order)
-    total = norm_coeff(total)
+        census, order = cat.census(i), cat.classes[i].order
+        for k, value in enumerate(values):
+            totals[k] += c * quotient(sum([m * value(pi) for pi, m in census]), order)
+    return totals
+
+
+def eval_z(a: BElement, r: int):
+    """The ring map to Z: beta_H(r) = (1/|H|) sum over h in H of r^(cycles of h),
+    Polya's sum at p_l -> r.  That sum counts the orbits of H on
+    r-colourings, so each class's value is an integer."""
+    total = norm_coeff(_polya(a, lambda pi: r ** len(pi.parts))[0])
     if type(total) is not int:
         raise IntegralityViolation(f"eval_z produced {total}")
     return total
@@ -404,36 +412,21 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
     A cyclic G goes through marks, which are ring maps: every K <= G is
     cyclic, K = <g>, and phi_K(X^n/H) is H's cycle index at
     p_l -> phi_<g^l>(X) (Polya), with <g^l> the subgroup of order
-    |K| / gcd(|K|, l).  So the marks of a(x) are sums over the cycle
-    censuses of a's classes, for an effective or a virtual x alike, and
-    `from_marks` solves them: no G-set is built and `gset_cap` does not
-    apply.  Any other G takes the explicit route, `beta_virtual`.
+    |K| / gcd(|K|, l).  So the marks of a(x) are Polya sums, one per K,
+    for an effective or a virtual x alike, and `from_marks` solves them:
+    no G-set is built and `gset_cap` does not apply.  Any other G takes
+    the explicit route, `beta_virtual`.
     """
     if not a.is_integral():
         raise IntegralityViolation("eval on A(G) needs integer coefficients")
     cat = x.catalog
     if cat.group.is_cyclic():
-        return BurnsideElement.from_marks(cat, _cyclic_eval_marks(a, x))
+        at = {cls.order: m for cls, m in zip(cat.classes, x.marks())}  # one subgroup per order
+        values = [lambda pi, d=cls.order: math.prod(at[d // math.gcd(d, l)] for l in pi.parts)
+                  for cls in cat.classes]
+        return BurnsideElement.from_marks(cat, _polya(a, *values))
     coords = [0] * len(cat.classes)
     for ((n,), i), c in a.terms.items():
         term = beta_virtual(sym_catalog(n).classes[i], x).coords
         coords = [s + c * t for s, t in zip(coords, term)]
     return BurnsideElement(cat, coords)
-
-
-def _cyclic_eval_marks(a: BElement, x: BurnsideElement) -> list:
-    """The marks of a(x) over a cyclic G, one per class K (one subgroup per
-    order): sum over the terms c*beta_H of c/|H| times the sum over H's cycle
-    census of count * prod over the cycle lengths l of phi_<g^l>(x)."""
-    cat, x_marks = x.catalog, x.marks()
-    of_order = {cls.order: cls.index for cls in cat.classes}
-    marks = [0] * len(cat.classes)
-    for ((n,), i), c in a.terms.items():
-        sym = sym_catalog(n)
-        census, order = sym.census(i), sym.classes[i].order
-        for k, cls in enumerate(cat.classes):
-            d = cls.order
-            at = [x_marks[of_order[d // math.gcd(d, l)]] for l in range(n + 1)]
-            count = sum(m * math.prod(at[l] for l in lengths) for (lengths,), m in census)
-            marks[k] += c * quotient(count, order)
-    return marks

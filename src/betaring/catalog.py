@@ -40,7 +40,7 @@ of per-factor cycle types, compared with `Catalog.census`) and, only when
 candidates still tie, computes single marks by containment in the set.
 Each answer is memoized per catalog by the element set, seeded with the
 representatives', so identification builds no group or permutation.
-`lin` and `eval_z` read `Catalog.census` too; it is computed on first use.
+`lin` and `eval_z` read `Catalog.census` too, the one census memo.
 """
 
 from __future__ import annotations
@@ -482,7 +482,7 @@ class Catalog:
 
     def to_json(self):
         return {
-            "ambient": list(self.ambient.degrees),
+            "ambient": None if self.ambient.degrees is None else list(self.ambient.degrees),
             "descriptor": self.ambient.descriptor(),
             "version": CATALOG_VERSION,
             "degree": self.group.degree,
@@ -496,7 +496,9 @@ class Catalog:
     def from_json(cls, data) -> Catalog:
         """The catalog of a cache file, or of `to_json()`: only the header,
         each class's generators and the marks matrix are read, and
-        `_assemble` derives the rest."""
+        `_assemble` derives the rest; a concrete group's is refused."""
+        if data["ambient"] is None:
+            raise ValueError(f"{data['descriptor']} is a concrete group's catalog, not loadable")
         ambient = Ambient.prod(data["ambient"])
         degree = data["degree"]
         reps = [_closed(degree, [Permutation(im) for im in c["generators"]]) for c in data["classes"]]

@@ -23,13 +23,14 @@ GROUP_CAP = math.factorial(10)
 class Partition:
     """A weakly decreasing tuple of positive integers."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts=()):
-        parts = tuple(sorted((int(p) for p in parts), reverse=True))
+        parts = tuple(sorted(map(int, parts), reverse=True))
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive, got {parts}")
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_hash", hash(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -48,7 +49,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __lt__(self, other):
         return self.parts < other.parts
@@ -410,10 +411,10 @@ class PermGroup:
 
 
 def cycle_census(elements, blocks) -> frozenset:
-    """How many of the elements (image tuples) have each tuple of per-block
-    cycle types, one sorted tuple of cycle lengths per block, as a frozenset
-    of (key, count) pairs.  For a group preserving the blocks it is a
-    conjugacy invariant of its subgroups."""
+    """How many of the elements (image tuples) have each per-block cycle
+    type, as (key, count) pairs whose key is a p-basis monomial of a SymFunc
+    of arity len(blocks): a Partition (made once per process), or one per
+    block.  For a group H preserving the blocks: |H| times its cycle index."""
     counts: dict[tuple, int] = {}
     for images in elements:
         seen = [False] * len(images)
@@ -433,7 +434,12 @@ def cycle_census(elements, blocks) -> frozenset:
             key.append(tuple(sorted(lengths)))
         key = tuple(key)
         counts[key] = counts.get(key, 0) + 1
-    return frozenset(counts.items())
+    if len(blocks) == 1:
+        return frozenset((_partition(k), c) for (k,), c in counts.items())
+    return frozenset((tuple(map(_partition, k)), c) for k, c in counts.items())
+
+
+_partition = lru_cache(maxsize=None)(Partition)
 
 
 def direct_embed(h: PermGroup, k: PermGroup) -> PermGroup:

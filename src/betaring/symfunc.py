@@ -19,7 +19,6 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .catalog import Ambient, get_catalog
-from .config import check_degree
 from .errors import IntegralityViolation
 from .exact import norm_coeff, quotient
 from .perms import Partition, PermGroup, cycle_census, partitions
@@ -352,17 +351,11 @@ def cycle_index(group: PermGroup, degrees=None) -> SymFunc:
     if sum(degrees) != group.degree:
         raise ValueError(f"degrees {degrees} do not sum to the group degree {group.degree}")
     census = cycle_census(group.elements, Ambient.prod(degrees).blocks())
-    return _cycle_indices([(1, _census_terms(census, len(degrees)), group.order)], len(degrees))
-
-
-def _census_terms(census, arity: int) -> tuple:
-    """A cycle census with its keys made SymFunc keys: a Partition, or an
-    r-tuple of Partitions for arity r."""
-    return tuple((_as_key(key if arity > 1 else key[0], arity), count) for key, count in census)
+    return _cycle_indices([(1, census, group.order)], len(degrees))
 
 
 def _cycle_indices(terms, arity: int) -> SymFunc:
-    """sum of c * Z(H) over (c, census terms of H, |H|), in the p basis.
+    """sum of c * Z(H) over (c, cycle census of H, |H|), in the p basis.
 
     Integer arithmetic up to one division per key: each count is weighted
     by c * D / |H|, with D the lcm of the orders, and each key's total is
@@ -377,23 +370,9 @@ def _cycle_indices(terms, arity: int) -> SymFunc:
     return SymFunc("p", {key: quotient(v, den) for key, v in acc.items()}, arity)
 
 
-# (degrees, class index) -> (census terms, |H|), both in integers
-_LIN_CACHE: dict = {}
-
-
-def _class_census(key):
-    """The cached census terms and order of a class; the degree is checked
-    outside the cache, which does not see the config."""
-    degrees, idx = key
-    check_degree(sum(degrees))
-    if key not in _LIN_CACHE:
-        cat = get_catalog(Ambient.prod(degrees))
-        _LIN_CACHE[key] = (_census_terms(cat.census(idx), len(degrees)), cat.classes[idx].order)
-    return _LIN_CACHE[key]
-
-
 def _lin(a, arity: int) -> SymFunc:
-    return _cycle_indices([(c, *_class_census(key)) for key, c in a.terms.items()], arity)
+    cats = [(get_catalog(Ambient.prod(degrees)), i, c) for (degrees, i), c in a.terms.items()]
+    return _cycle_indices([(c, cat.census(i), cat.classes[i].order) for cat, i, c in cats], arity)
 
 
 def lin(a) -> SymFunc:

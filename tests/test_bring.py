@@ -22,7 +22,7 @@ from betaring.bring import (
     star_effective,
     sym_catalog,
 )
-from betaring.burnside import BurnsideElement, GSet, orbit_decompose
+from betaring.burnside import BurnsideElement, GSet, group_catalog, orbit_decompose
 from betaring.catalog import Ambient, get_catalog
 from betaring.errors import DegreeCap, NotEffective
 from betaring.perms import PermGroup, Permutation, are_conjugate, double_cosets
@@ -67,16 +67,19 @@ def test_product_degree_cap():
         product(BElement.basis(4, 0), BElement.basis(3, 0))
 
 
-@pytest.mark.parametrize("name", ["product", "star_basis", "star", "diagonal"])
+@pytest.mark.parametrize("name", ["product", "star_basis", "star", "diagonal", "lin", "eval_z"])
 def test_degree_cap_holds_after_the_caches_are_warm(name):
-    """The lru_caches behind these calls do not see the config; the cap in
-    force at the call still applies.  Arguments are made at the default cap."""
+    """The lru_caches and the catalog memo behind these calls do not see the
+    config; the cap in force at the call still applies.  Arguments are made
+    at the default cap."""
     s2, e2, e4 = BElement.basis(2, "S2"), BElement.basis(2, "e"), BElement.basis(4, "e")
     call = {
         "product": lambda: product(s2, e2),
         "star_basis": lambda: star_basis((2, "S2"), (2, "C2")),
         "star": lambda: star(s2, s2 + e2),
         "diagonal": lambda: diagonal(e4),
+        "lin": lambda: lin(e4),
+        "eval_z": lambda: eval_z(e4, 2),
     }[name]
     call()
     with config.override(max_degree=3):
@@ -377,6 +380,18 @@ def test_eval_z_full_class_is_multiset_count():
         full = beta_upper(n)
         for r in range(5):
             assert eval_z(full, r) == multiset_count(r, n)
+
+
+def test_eval_z_is_eval_on_the_burnside_ring_of_the_trivial_group():
+    """A(1) = Z: eval_z(a, r) is the one coordinate of a(r [1/1]), so the
+    integer and the cyclic route of the Polya sum agree, for every class of
+    S0..S6 and for a virtual element of mixed degree."""
+    trivial = group_catalog(PermGroup.trivial(0))
+    mixed = BElement.one() + BElement.basis(3, "C3").scale(2) - BElement.basis(5, "e") + beta_upper(6)
+    classes = [BElement.basis(n, i) for n in range(7) for i in range(len(sym_catalog(n).classes))]
+    for a in classes + [mixed]:
+        for r in range(-3, 5):
+            assert eval_z(a, r) == eval_burnside(a, BurnsideElement(trivial, [r])).coords[0]
 
 
 def test_eval_burnside_basics():

@@ -21,6 +21,7 @@ from betaring.bring import BElement, eval_z
 from betaring.errors import DegreeCap, NotASubgroup
 from betaring.checks import klein_group
 from betaring.perms import (
+    Partition,
     PermGroup,
     Permutation,
     _compose,
@@ -205,13 +206,15 @@ def test_identify_round_trips_random_conjugates():
 
 def _census_by_cycles(rep, blocks):
     """Per-block cycle types counted with Permutation.cycles(): each cycle
-    is counted in the block holding its first point."""
+    is counted in the block holding its first point, and the key is a
+    Partition for one block, else a tuple of one Partition per block."""
     counts = {}
     for g in rep:
         lengths = [[] for _ in blocks]
         for cyc in g.cycles():
             lengths[next(b for b, block in enumerate(blocks) if cyc[0] in block)].append(len(cyc))
-        key = tuple(tuple(sorted(ls)) for ls in lengths)
+        key = tuple(Partition(ls) for ls in lengths)
+        key = key[0] if len(blocks) == 1 else key
         counts[key] = counts.get(key, 0) + 1
     return frozenset(counts.items())
 
@@ -709,6 +712,16 @@ def test_a_representative_outside_the_ambient_is_rebuilt(tmp_path):
         assert loaded.classes[i].rep == fresh.classes[i].rep
         assert path.read_text() == clean
     cat.clear_memo()
+
+
+def test_a_concrete_groups_catalog_writes_json_that_does_not_load():
+    """to_json of a concrete group's catalog writes a null ambient beside the
+    descriptor that names the group, and from_json refuses that data."""
+    data = get_catalog(Ambient.of_group(klein_group())).to_json()
+    assert data["ambient"] is None and data["descriptor"] == "G4d4"
+    assert json.loads(json.dumps(data)) == data
+    with pytest.raises(ValueError, match="G4d4"):
+        cat.Catalog.from_json(data)
 
 
 def _move_alias(classes, alias, source, target):

@@ -5,10 +5,13 @@ Adams elements never multiply classes, the diagonal and composition
 restrict without building stabilizers, the composition neither
 extrapolates nor builds mixed wreath products, identification builds
 no group or permutation, and integer arithmetic
-builds no Fraction."""
+builds no Fraction, Polya's sum looks up each term's catalog once, and
+lin, eval_z and cycle_index give the pinned outputs."""
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -26,9 +29,14 @@ from betaring.catalog import Ambient
 from betaring.checks import klein_group
 from betaring.config import get_config
 from betaring.perms import PermGroup, Permutation
-from betaring.symfunc import coproduct, lin, lin2, p_, plethysm
+from betaring.symfunc import coproduct, cycle_index, lin, lin2, p_, plethysm
 
 ROOT = Path(__file__).resolve().parents[1]
+# sha256 digests of `_pinned_outputs`, written from the commit before the
+# cycle census took symmetric-function keys.  Regenerate with
+#   PYTHONPATH=src:tests python -c "import json, test_tooling as t; \
+#     print(json.dumps(t._pinned_outputs(), indent=1))" > tests/pinned_outputs.json
+PINNED_OUTPUTS = ROOT / "tests" / "pinned_outputs.json"
 
 
 def _clear_caches(module):
@@ -385,3 +393,36 @@ def test_integer_arithmetic_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", refuse)
     assert _integer_results() == expected
+
+
+def _pinned_outputs() -> dict:
+    """sha256 of the JSON of lin in the p, e and h bases and of eval_z at
+    r = -3..4, over every class of S0..S6 and over Psi^1..Psi^6, and of the
+    cycle index over the factors (2, 3) of every class of S2 x S3."""
+    inputs = {f"S{n}": [BElement.basis(n, i) for i in range(len(bring.sym_catalog(n)))] for n in range(7)}
+    inputs["Psi"] = [psi_upper(k) for k in range(1, 7)]
+    outputs = {}
+    for name, elements in inputs.items():
+        for basis in ("p", "e", "h"):
+            outputs[f"lin {name} {basis}"] = [lin(a).convert(basis).to_json() for a in elements]
+        outputs[f"eval_z {name}"] = [[eval_z(a, r) for r in range(-3, 5)] for a in elements]
+    s2s3 = catalog.get_catalog(Ambient.pair(2, 3)).classes
+    outputs["cycle_index S2xS3"] = [cycle_index(cls.rep, (2, 3)).to_json() for cls in s2s3]
+    return {key: hashlib.sha256(json.dumps(v).encode()).hexdigest() for key, v in outputs.items()}
+
+
+def test_outputs_are_the_pinned_ones():
+    assert _pinned_outputs() == json.loads(PINNED_OUTPUTS.read_text())
+
+
+def test_polya_sum_looks_up_each_term_once(monkeypatch):
+    """eval_z and eval_burnside on a cyclic G look up one S_n catalog per
+    term of a, however many classes G has."""
+    a = BElement.basis(2, "S2") + BElement.basis(3, "e").scale(2)
+    x = BurnsideElement.basis(PermGroup.cyclic(4), 0)
+    lookups, real = [], bring.get_catalog
+    monkeypatch.setattr(bring, "get_catalog", lambda ambient: lookups.append(ambient) or real(ambient))
+    bring.eval_burnside(a, x)
+    assert lookups == [Ambient.sym(2), Ambient.sym(3)]
+    eval_z(a, 3)
+    assert len(lookups) == 4
