@@ -32,16 +32,15 @@ def psi_upper(k: int) -> BElement:
     if k < 0:
         raise ValueError("k must be nonnegative")
     cat = sym_catalog(k)
-    marks = [k if cls.ptype.parts == (k,) else 0 for cls in cat.classes]
+    marks = [k if cls.ptype == (k,) else 0 for cls in cat.classes]
     coords = BurnsideElement.from_marks(cat, marks).coords
     return BElement({((k,), h): c for h, c in enumerate(coords) if c})
 
 
 def psi_partition(pi) -> BElement:
     """Psi_pi = prod_i Psi^{n_i}; a pure degree-|pi| element."""
-    pi = pi if isinstance(pi, Partition) else Partition(pi)
     acc = BElement.one()
-    for part in pi.parts:
+    for part in Partition(pi):
         acc = product(acc, psi_upper(part))
     return acc
 

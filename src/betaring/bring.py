@@ -323,7 +323,7 @@ def _block_systems(sizes: tuple[int, ...]) -> tuple:
     bound = math.factorial(degree) // len(systems)
     for cls in sym_catalog(degree).classes:
         counts: dict = {}
-        gens = [g.images for g in cls.rep.generators]
+        gens = cls.rep.generators
         for blocks, block_of, pos, firsts in systems if bound % cls.order == 0 else ():
             # g preserves the partition iff block_of(x) determines block_of(g(x))
             if any(len(set(zip(block_of, _compose(block_of, g)))) > len(blocks) for g in gens):
@@ -400,7 +400,7 @@ def eval_z(a: BElement, r: int):
     """The ring map to Z: beta_H(r) = (1/|H|) sum over h in H of r^(cycles of h),
     Polya's sum at p_l -> r.  That sum counts the orbits of H on
     r-colourings, so each class's value is an integer."""
-    total = norm_coeff(_polya(a, lambda pi: r ** len(pi.parts))[0])
+    total = norm_coeff(_polya(a, lambda pi: r ** len(pi))[0])
     if type(total) is not int:
         raise IntegralityViolation(f"eval_z produced {total}")
     return total
@@ -422,7 +422,7 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
     cat = x.catalog
     if cat.group.is_cyclic():
         at = {cls.order: m for cls, m in zip(cat.classes, x.marks())}  # one subgroup per order
-        values = [lambda pi, d=cls.order: math.prod(at[d // math.gcd(d, l)] for l in pi.parts)
+        values = [lambda pi, d=cls.order: math.prod(at[d // math.gcd(d, l)] for l in pi)
                   for cls in cat.classes]
         return BurnsideElement.from_marks(cat, _polya(a, *values))
     coords = [0] * len(cat.classes)

@@ -10,8 +10,10 @@ GSet, beta_on_gset, beta2_on_gsets and orbit_decompose are the explicit
 route, an oracle for operations computed from marks, so none of them reads
 marks.  `bring.eval_burnside` takes this route, through `beta_virtual`,
 only for a noncyclic G; for a cyclic G it reads marks, and this route is
-its oracle.  A G-set's points are 0..size-1 and each group generator acts
-by a tuple of images, which the closure over G proves a bijection.  X^n/H
+its oracle.  A G-set's points are 0..size-1 and it is given by one row of
+images of the points per group generator, which the closure over G proves
+a bijection; a generator, a Permutation, is itself an image tuple and
+keys the element action directly.  X^n/H
 (and (X^p x Y^q)/L) never builds a tuple of X^n: a point of a product of
 G-sets is its integer code in mixed radix (the itertools.product order),
 and coordinate permutations and the diagonal G-action are flat
@@ -33,7 +35,7 @@ from .catalog import Ambient, SubgroupClass, get_catalog
 from .config import get_config
 from .errors import IntegralityViolation, NotASubgroup, NotEffective, SizeCap
 from .exact import norm_coeff
-from .perms import PermGroup, Permutation, _compose, _inverse
+from .perms import PermGroup, _compose, _inverse
 
 
 class GSet:
@@ -73,7 +75,7 @@ class GSet:
         identity = tuple(range(self.group.degree))
         action = {identity: tuple(range(self.size))}
         frontier = [identity]
-        gens = [(g.images, row) for g, row in zip(self.group.generators, self.gen_action)]
+        gens = list(zip(self.group.generators, self.gen_action))
         while frontier:
             new = []
             for elem in frontier:
@@ -112,8 +114,7 @@ class GSet:
         return induce(group, sub, cls.point(sub))
 
     def act(self, elem, point: int) -> int:
-        images = elem.images if isinstance(elem, Permutation) else tuple(elem)
-        return self.elem_action[images][point]
+        return self.elem_action[tuple(elem)][point]
 
     def __add__(self, other: GSet) -> GSet:
         if self.group != other.group:
@@ -133,7 +134,7 @@ class GSet:
     def _rows(self, sub: PermGroup) -> list:
         """The row of each generator of `sub`, a subgroup of (or a group
         equal to) this G-set's group."""
-        return [self.elem_action[g.images] for g in sub.generators]
+        return [self.elem_action[g] for g in sub.generators]
 
     def restrict(self, sub: PermGroup) -> GSet:
         """The same points viewed as a U-set for U <= G."""
@@ -223,7 +224,7 @@ def induce(group: PermGroup, sub: PermGroup, x: GSet) -> GSet:
         for h in sub.elements:
             coset_of.setdefault(_compose(e, h), coset_of[e])
     if x.size == 1:
-        rows = [tuple(coset_of[_compose(g.images, r)] for r in reps) for g in group.generators]
+        rows = [tuple(coset_of[_compose(g, r)] for r in reps) for g in group.generators]
         return GSet(group, len(reps), rows)
     rep_inv = [_inverse(r) for r in reps]
     # point (i, pt) is indexed i * x.size + pt
@@ -231,7 +232,7 @@ def induce(group: PermGroup, sub: PermGroup, x: GSet) -> GSet:
     for g in group.generators:
         row = [0] * (len(reps) * x.size)
         for i, r in enumerate(reps):
-            t = _compose(g.images, r)
+            t = _compose(g, r)
             j = coset_of[t]
             u = _compose(rep_inv[j], t)
             uact = x.elem_action[u]
@@ -454,15 +455,14 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
     n = len(factors)
     if w.degree != n:
         raise ValueError("coordinate group degree must match the factor count")
-    w_gens = [g.images for g in w.generators]
-    if any(sizes[g[j]] != sizes[j] for g in w_gens for j in range(n)):
+    if any(sizes[g[j]] != sizes[j] for g in w.generators for j in range(n)):
         raise ValueError("a coordinate permutation moves a factor onto one of another size")
     strides = [1] * n
     for j in range(n - 2, -1, -1):
         strides[j] = strides[j + 1] * sizes[j + 1]
     w_maps = [
         _code_map([d * strides[g[j]] for d in range(sizes[j])] for j in range(n))
-        for g in w_gens
+        for g in w.generators
     ]
     g_maps = (
         _code_map([d * stride for d in row] for row, stride in zip(rows, strides))

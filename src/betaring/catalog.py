@@ -97,10 +97,13 @@ class Ambient:
     @classmethod
     def prod(cls, degrees) -> Ambient:
         """The one instance for these degrees (any iterable of them), so a
-        memo keyed on it finds the key by identity."""
+        memo keyed on it finds the key by identity; ValueError for a degree
+        that is not a nonnegative integer."""
         degrees = tuple(degrees)
         ambient = _BY_DEGREES.get(degrees)
         if ambient is None:
+            if not all(type(d) is int and d >= 0 for d in degrees):
+                raise ValueError(f"degrees must be nonnegative integers, got {degrees}")
             ambient = _BY_DEGREES.setdefault(degrees, cls(degrees=degrees))
         return ambient
 
@@ -157,8 +160,8 @@ def _seed_conjugates(seed: int, degree: int) -> dict:
     """{element set: generators} of every S_degree-conjugate of
     PERFECT_SEEDS[seed], as image tuples: its orbit under conjugation by
     the generators of S_degree."""
-    movers = [(s.images, _inverse(s.images)) for s in PermGroup.symmetric(degree).generators]
-    gens = tuple(Permutation.parse(degree, c).images for c in PERFECT_SEEDS[seed][2])
+    movers = [(s, _inverse(s)) for s in PermGroup.symmetric(degree).generators]
+    gens = tuple(Permutation.parse(degree, c) for c in PERFECT_SEEDS[seed][2])
     orbit = {frozenset(_mulclose(degree, gens, GROUP_CAP)): gens}
     todo = list(orbit)
     for sub in todo:
@@ -193,7 +196,7 @@ def _is_solvable(group: PermGroup) -> bool:
     that earlier term: each commutator or conjugate outside the span is
     adjoined, and its conjugates by those generators are queued.  Every
     group of order below 60 is solvable, which ends the series early."""
-    gens, order = [g.images for g in group.generators], group.order
+    gens, order = group.generators, group.order
     while order >= 60:
         inverses = [_inverse(a) for a in gens]
         todo = [
@@ -237,7 +240,7 @@ def _enumerate_raw(group: PermGroup):
     tuples = sorted(group.elements)  # a subgroup is a frozenset of ranks
     index = {e: i for i, e in enumerate(tuples)}
     identity, order = tuples[0], len(tuples)
-    movers = [(s, _inverse(s)) for s in (g.images for g in group.generators) if s != identity]
+    movers = [(s, _inverse(s)) for s in group.generators if s != identity]
     actions = [
         [index[_compose(_compose(s, x), s_inv)] for x in tuples].__getitem__ for s, s_inv in movers
     ]
@@ -374,7 +377,7 @@ class SubgroupClass:
             "index": self.index,
             "label": self.label,
             "aliases": list(self.aliases),
-            "generators": [list(g.images) for g in self.rep.generators],
+            "generators": [list(g) for g in self.rep.generators],
             "order": self.order,
             "norm_order": self.norm_order,
             "ptype": self.ptype.to_json(),
@@ -472,7 +475,7 @@ class Catalog:
         """Fixed points of class j's representative K on G/h, h the subgroup
         with these elements: #{g in G : g^-1 k g in h for every generator k
         of K} / |h|."""
-        gens = [k.images for k in self.classes[j].rep.generators]
+        gens = self.classes[j].rep.generators
         count = 0
         for g in self.group.elements:
             ginv = _inverse(g)
@@ -514,7 +517,7 @@ _CLOSURES: dict[tuple, frozenset] = {}
 def _closed(degree: int, gens: list[Permutation]) -> PermGroup:
     """The group generated by `gens`, closed once per process for each
     degree and list of generator images."""
-    key = (degree, tuple(g.images for g in gens))
+    key = (degree, tuple(gens))
     elements = _CLOSURES.get(key)
     if elements is None:
         elements = _CLOSURES[key] = PermGroup.generate(degree, gens).elements
@@ -524,7 +527,7 @@ def _closed(degree: int, gens: list[Permutation]) -> PermGroup:
 def _assign_labels(entries):
     """Systematic labels o<order>-<ptype> of (order, ptype) entries, with
     -a, -b, ... where an entry repeats."""
-    bases = [f"o{order}-" + ".".join(map(str, ptype.parts)) for order, ptype in entries]
+    bases = [f"o{order}-" + ".".join(map(str, ptype)) for order, ptype in entries]
     counts, seen, labels = Counter(bases), Counter(), []
     for base in bases:
         if counts[base] > 1:
@@ -569,7 +572,7 @@ def _check_generated(ambient: Ambient, group: PermGroup):
     gives each factor S_d a transposition and a d-cycle, which generate it."""
     if ambient.degrees is not None:
         return
-    if _mulclose(group.degree, [g.images for g in group.generators], GROUP_CAP) != group.elements:
+    if _mulclose(group.degree, group.generators, GROUP_CAP) != group.elements:
         raise ValueError(f"the generators of the ambient {group!r} do not generate it")
 
 
@@ -591,7 +594,7 @@ def build_catalog(ambient: Ambient) -> Catalog:
     blocks = ambient.blocks()
     orbits = [block_orbits(rep.elements, blocks) for rep in reps]
     marks = _raw_marks(group.order, raw)
-    keys = [(c.order, c.n_conj, Partition(sum(o, ())).parts, o) for c, o in zip(raw, orbits)]
+    keys = [(c.order, c.n_conj, Partition(sum(o, ())), o) for c, o in zip(raw, orbits)]
     order_map = _class_order(keys, marks)
     matrix = [tuple(marks[i][j] for j in order_map) for i in order_map]
     reps, orbits = [reps[i] for i in order_map], [orbits[i] for i in order_map]
@@ -731,7 +734,7 @@ def _is_consistent(cat: Catalog) -> bool:
         ):
             return False
     order = cat.group.order
-    keys = [(c.order, order // c.norm_order, c.ptype.parts, c.factor_orbits) for c in cat.classes]
+    keys = [(c.order, order // c.norm_order, c.ptype, c.factor_orbits) for c in cat.classes]
     in_order = _class_order(keys, cat.matrix) == list(range(len(keys)))
     return in_order and 0 < subgroup_count_from_classes(cat) == cat.subgroup_count
 

@@ -481,8 +481,8 @@ def check_polya(max_product: int = 6) -> list[dict]:
     )
     reports.append(_report("lin intertwines the two diagonals (degree <= 5)", ok))
     ok = all(
-        lin(reduce(product, map(beta_upper, pi.parts), BElement.one()))
-        == math.prod(map(h_, pi.parts), start=SymFunc.one("h"))
+        lin(reduce(product, map(beta_upper, pi), BElement.one()))
+        == math.prod(map(h_, pi), start=SymFunc.one("h"))
         for n in range(1, 7)
         for pi in partitions(n)
     )
@@ -496,7 +496,7 @@ def check_polya(max_product: int = 6) -> list[dict]:
 def _orbit_count_on_tuples(group: PermGroup, r: int) -> int:
     """Independent oracle: count H-orbits on maps {1..n} -> {1..r} by scan."""
     n = group.degree
-    inv_gens = [g.inverse().images for g in group.generators]
+    inv_gens = [g.inverse() for g in group.generators]
     seen = set()
     orbits = 0
     for t in itertools.product(range(r), repeat=n):
@@ -670,7 +670,7 @@ def check_witt(samples: int = 100, seed: int = 2024) -> list[dict]:
 
 def _delta_m_of_monomial(pi) -> SymFunc:
     acc = SymFunc("e", {((), ()): 1}, arity=2)
-    for part in pi.parts:
+    for part in pi:
         acc = acc * delta_m(part)
     return acc
 

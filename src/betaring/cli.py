@@ -68,7 +68,7 @@ def _cmd_catalog(args):
         alias = f" (aka {', '.join(cls.aliases)})" if cls.aliases else ""
         lines.append(
             f"  [{cls.index:>2}] {cls.label:<14}{alias}  order={cls.order}"
-            f" normalizer={cls.norm_order} orbits={list(cls.ptype.parts)}"
+            f" normalizer={cls.norm_order} orbits={list(cls.ptype)}"
         )
     _emit(args, payload, "\n".join(lines))
 
@@ -275,7 +275,10 @@ def main(argv=None) -> int:
     if args.catalog_dir is not None:
         overrides["catalog_dir"] = args.catalog_dir
     if overrides:
-        set_config(**overrides)
+        try:
+            set_config(**overrides)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command == "psi" and args.k is None and args.partition is None:
         parser.error("psi needs --k or --partition")
     if args.command == "lin" and args.cls is None and args.psi is None:

@@ -1,9 +1,12 @@
 """Permutations, partitions, and finite permutation groups.
 
-Points are 0-indexed.  Groups are materialized as full element sets; the
-intended scale is symmetric groups of degree <= 7 and their subgroups,
-where exhaustive methods are exact and cheap.  All values are immutable
-after construction and every operation is a pure function.
+Points are 0-indexed.  A Permutation is the tuple of its images and a
+Partition the tuple of its parts: each is validated on construction and
+equals and hashes as the plain tuple.  Groups are materialized as full
+sets of plain image tuples; the intended scale is symmetric groups of
+degree <= 7 and their subgroups, where exhaustive methods are exact and
+cheap.  All values are immutable after construction and every operation
+is a pure function.
 """
 
 from __future__ import annotations
@@ -20,49 +23,30 @@ from .errors import CapExceeded, NotASubgroup
 GROUP_CAP = math.factorial(10)
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers: the tuple is the
+    parts, so it equals, hashes and orders as its plain tuple of parts."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        parts = tuple(sorted(map(int, parts), reverse=True))
+    def __new__(cls, parts=()):
+        parts = sorted(map(int, parts), reverse=True)
         if parts and parts[-1] < 1:
-            raise ValueError(f"parts must be positive, got {parts}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_hash", hash(parts))
+            raise ValueError(f"parts must be positive, got {tuple(parts)}")
+        return super().__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self.parts < other.parts
+    parts = property(tuple, doc="The parts as a plain tuple.")
+    n = property(sum, doc="The sum of the parts.")
 
     def __repr__(self):
-        return f"Partition{self.parts}"
+        return f"Partition{tuple(self)}"
 
     def __str__(self):
-        return "(" + ",".join(map(str, self.parts)) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
     def multiplicities(self) -> dict[int, int]:
         mult = {}
-        for p in self.parts:
+        for p in self:
             mult[p] = mult.get(p, 0) + 1
         return mult
 
@@ -78,7 +62,7 @@ class Partition:
         return math.factorial(self.n) // self.centralizer_order()
 
     def to_json(self):
-        return list(self.parts)
+        return list(self)
 
 
 def partitions(n: int):
@@ -96,22 +80,20 @@ def partitions(n: int):
         yield Partition(parts)
 
 
-class Permutation:
-    """A bijection of {0, ..., d-1}, stored as its image tuple.
+class Permutation(tuple):
+    """A bijection of {0, ..., d-1}: the tuple is its images, so it
+    equals, hashes and orders as its plain image tuple.
 
     Composition is (p * q)(i) = p(q(i)): q acts first.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images):
+    def __new__(cls, images):
         images = tuple(int(i) for i in images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+        return super().__new__(cls, images)
 
     @classmethod
     def identity(cls, degree: int) -> Permutation:
@@ -119,8 +101,15 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> Permutation:
-        images = list(range(degree))
+        """ValueError for a point outside 0..degree-1 or appearing twice."""
+        images, seen = list(range(degree)), set()
         for cycle in cycles:
+            for a in cycle:
+                if not 0 <= a < degree:
+                    raise ValueError(f"point {a} is not in 0..{degree - 1}")
+                if a in seen:
+                    raise ValueError(f"point {a} appears twice in the cycles")
+                seen.add(a)
             for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
                 images[a] = b
         return cls(images)
@@ -135,27 +124,21 @@ class Permutation:
                 cycles.append(pts)
         return cls.from_cycles(degree, cycles)
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
+    images = property(tuple, doc="The image tuple as a plain tuple.")
+    degree = property(len)
+    __call__ = tuple.__getitem__
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        return Permutation(self.images[i] for i in other.images)
+    def __mul__(self, other):
+        """Composition by a permutation; repetition, as a plain tuple, by an int."""
+        if isinstance(other, Permutation):
+            return Permutation(_compose(self, other))
+        return super().__mul__(other)
 
     def inverse(self) -> Permutation:
-        return Permutation(_inverse(self.images))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
+        return Permutation(_inverse(self))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return all(i == j for i, j in enumerate(self))
 
     def cycles(self, include_fixed: bool = True) -> list[tuple[int, ...]]:
         seen = [False] * self.degree
@@ -165,11 +148,11 @@ class Permutation:
                 continue
             cyc = [start]
             seen[start] = True
-            nxt = self.images[start]
+            nxt = self[start]
             while nxt != start:
                 cyc.append(nxt)
                 seen[nxt] = True
-                nxt = self.images[nxt]
+                nxt = self[nxt]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
@@ -185,13 +168,13 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in moved)
 
     def __repr__(self):
-        return f"Permutation({list(self.images)})"
+        return f"Permutation({list(self)})"
 
     def __str__(self):
         return self.cycle_string()
 
     def to_json(self):
-        return {"degree": self.degree, "images": list(self.images), "cycles": self.cycle_string()}
+        return {"degree": self.degree, "images": list(self), "cycles": self.cycle_string()}
 
     @classmethod
     def from_json(cls, data) -> Permutation:
@@ -227,7 +210,7 @@ def _element_order(p: tuple) -> int:
 @lru_cache(maxsize=None)
 def _max_element_order(degree: int) -> int:
     """The largest order of an element of S_degree (Landau's function)."""
-    return max(math.lcm(*p.parts) for p in partitions(degree))
+    return max(math.lcm(*p) for p in partitions(degree))
 
 
 def _inverse(p: tuple) -> tuple:
@@ -326,7 +309,7 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} != {degree}")
-        elements = _mulclose(degree, [g.images for g in gens], cap)
+        elements = _mulclose(degree, gens, cap)
         return cls(degree, gens, elements)
 
     @classmethod
@@ -355,19 +338,17 @@ class PermGroup:
     def from_elements(cls, degree: int, elements) -> PermGroup:
         """Wrap the element set of a group, with generators picked by
         `_short_gens`, which raises ValueError when the set is not a group."""
-        elements = {e.images if isinstance(e, Permutation) else tuple(e) for e in elements}
+        elements = set(map(tuple, elements))
         return cls(degree, [Permutation(g) for g in _short_gens(elements)], elements)
 
     def __contains__(self, p) -> bool:
-        images = p.images if isinstance(p, Permutation) else tuple(p)
-        return images in self.elements
+        return tuple(p) in self.elements
 
     def __len__(self):
         return self.order
 
     def __iter__(self):
-        for images in sorted(self.elements):
-            yield Permutation(images)
+        return map(Permutation, sorted(self.elements))
 
     def __eq__(self, other):
         return (
@@ -387,9 +368,9 @@ class PermGroup:
         return self.degree == other.degree and self.elements <= other.elements
 
     def conjugate(self, g: Permutation) -> PermGroup:
-        x, inv = g.images, _inverse(g.images)
-        elements = {_compose(_compose(x, h), inv) for h in self.elements}
-        gens = [Permutation(_compose(_compose(x, h.images), inv)) for h in self.generators]
+        inv = _inverse(g)
+        elements = {_compose(_compose(g, h), inv) for h in self.elements}
+        gens = [Permutation(_compose(_compose(g, h), inv)) for h in self.generators]
         return PermGroup(self.degree, gens, elements)
 
     def is_cyclic(self) -> bool:
@@ -403,7 +384,7 @@ class PermGroup:
         return any(_element_order(e) == self.order for e in self.elements)
 
     def to_json(self):
-        return {"degree": self.degree, "generators": [list(g.images) for g in self.generators]}
+        return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
 
     @classmethod
     def from_json(cls, data) -> PermGroup:
@@ -450,8 +431,8 @@ def direct_embed(h: PermGroup, k: PermGroup) -> PermGroup:
         raise CapExceeded(f"|H|*|K| = {h.order * k.order} exceeds the element cap")
     shifted = [tuple(j + p for j in b) for b in k.elements]
     elements = [a + b for a in h.elements for b in shifted]
-    gens = [Permutation(g.images + tuple(range(p, degree))) for g in h.generators]
-    gens += [Permutation(tuple(range(p)) + tuple(j + p for j in g.images)) for g in k.generators]
+    gens = [Permutation(g + tuple(range(p, degree))) for g in h.generators]
+    gens += [Permutation(tuple(range(p)) + tuple(j + p for j in g)) for g in k.generators]
     return PermGroup(degree, gens, elements)
 
 
@@ -489,19 +470,19 @@ def mixed_wreath(l: PermGroup, parts: tuple[int, ...], inners) -> PermGroup:
         pos += inners[fam].degree
     for g in l.generators:
         for s, fam in enumerate(slot_family):
-            if slot_family[g.images[s]] != fam:
+            if slot_family[g[s]] != fam:
                 raise NotASubgroup("L moves a slot across part families")
     gens = []
     for s, fam in enumerate(slot_family):
         for g in inners[fam].generators:
             images = list(range(degree))
             for i in range(g.degree):
-                images[block_start[s] + i] = block_start[s] + g.images[i]
+                images[block_start[s] + i] = block_start[s] + g[i]
             gens.append(Permutation(images))
     for g in l.generators:
         images = list(range(degree))
         for s, fam in enumerate(slot_family):
-            t = g.images[s]
+            t = g[s]
             for i in range(inners[fam].degree):
                 images[block_start[s] + i] = block_start[t] + i
         gens.append(Permutation(images))
@@ -532,11 +513,10 @@ def normalizer_order(g: PermGroup, h: PermGroup) -> int:
     """|N_G(H)| by scanning all of G; prefilters with the generator test."""
     if not h.is_subgroup_of(g):
         raise NotASubgroup("H must be a subgroup of G")
-    gen_images = [p.images for p in h.generators] or [tuple(range(h.degree))]
     count = 0
     for x in g.elements:
         inv = _inverse(x)
-        if all(_compose(_compose(x, p), inv) in h.elements for p in gen_images):
+        if all(_compose(_compose(x, p), inv) in h.elements for p in h.generators):
             count += 1
     return count
 
@@ -570,10 +550,9 @@ def are_conjugate(g: PermGroup, h1: PermGroup, h2: PermGroup) -> bool:
         return False
     if orbit_partition(h1) != orbit_partition(h2):
         return False
-    gen_images = [p.images for p in h1.generators] or [tuple(range(h1.degree))]
     for x in g.elements:
         inv = _inverse(x)
-        if all(_compose(_compose(x, p), inv) in h2.elements for p in gen_images):
+        if all(_compose(_compose(x, p), inv) in h2.elements for p in h1.generators):
             return True
     return False
 

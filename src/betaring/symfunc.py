@@ -27,7 +27,7 @@ BASES = ("e", "h", "p")
 
 
 def _merge(a: Partition, b: Partition) -> Partition:
-    return Partition(a.parts + b.parts)
+    return Partition(a + b)
 
 
 def _poly_add(acc: dict, other: dict, scale=1):
@@ -41,7 +41,7 @@ def _poly_add(acc: dict, other: dict, scale=1):
 
 
 def _merge_factors(a: tuple, b: tuple) -> tuple:
-    return tuple(Partition(x.parts + y.parts) for x, y in zip(a, b))
+    return tuple(Partition(x + y) for x, y in zip(a, b))
 
 
 def _poly_mul(a: dict, b: dict, merge=_merge) -> dict:
@@ -99,7 +99,7 @@ def _single_cached(n: int, basis_from: str, basis_to: str):
         for i in range(1, n + 1):
             term = _poly_mul({Partition([i]): 1}, _single(n - i, basis_from, basis_to))
             _poly_add(out, term, scale=(-1) ** (i - 1))
-    return tuple(sorted(out.items(), key=lambda kv: kv[0].parts))
+    return tuple(sorted(out.items()))
 
 
 class SymFunc:
@@ -206,7 +206,7 @@ class SymFunc:
 
     def _sort_key(self, key):
         """Degree and parts, factor by factor: the repr and to_json order."""
-        return tuple((pi.n, pi.parts) for pi in self._factors(key))
+        return tuple((pi.n, pi) for pi in self._factors(key))
 
     def degrees(self) -> set[int]:
         return {self._degree(key) for key in self.coeffs}
@@ -227,7 +227,7 @@ class SymFunc:
         bits = []
         for key, c in sorted(self.coeffs.items(), key=lambda kv: self._sort_key(kv[0])):
             name = "(x)".join(
-                f"{self.basis}[{','.join(map(str, pi.parts))}]" if pi.parts else "1"
+                f"{self.basis}[{','.join(map(str, pi))}]" if pi else "1"
                 for pi in self._factors(key)
             )
             bits.append(f"({c})*{name}" if c != 1 else name)
@@ -239,9 +239,9 @@ class SymFunc:
         terms = []
         for key, c in sorted(self.coeffs.items(), key=lambda kv: self._sort_key(kv[0])):
             if self.arity == 1:
-                term = {"partition": list(key.parts)}
+                term = {"partition": list(key)}
             else:
-                term = {"partitions": [list(pi.parts) for pi in key]}
+                term = {"partitions": [list(pi) for pi in key]}
             terms.append({**term, "numerator": c.numerator, "denominator": c.denominator})
         out = {"basis": self.basis, "terms": terms}
         if self.arity != 1:
@@ -274,7 +274,7 @@ def _as_key(key, arity: int):
 def _expand(pi: Partition, basis_from: str, basis_to: str) -> dict:
     """b_pi = prod_i b_{pi_i} of one basis, written in another."""
     term = {_EMPTY: 1}
-    for part in pi.parts:
+    for part in pi:
         term = _poly_mul(term, _single(part, basis_from, basis_to))
     return term
 
@@ -305,8 +305,8 @@ def coproduct(f: SymFunc) -> SymFunc:
             for (left, right), w in splits.items():
                 for j in range(m + 1):
                     key = (
-                        Partition(left.parts + (part,) * j),
-                        Partition(right.parts + (part,) * (m - j)),
+                        Partition(left + (part,) * j),
+                        Partition(right + (part,) * (m - j)),
                     )
                     step[key] = step.get(key, 0) + w * comb(m, j)
             splits = step
@@ -322,12 +322,12 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     fnum, fden = _numerators(f.convert("p").coeffs)
     gnum, gden = _numerators(g.convert("p").coeffs)
     # in integers over the one denominator fden * gden^top
-    top = max((len(pi.parts) for pi in fnum), default=0)
+    top = max(map(len, fnum), default=0)
     out: dict = {}
     for pi, c in fnum.items():
-        term = {_EMPTY: c * gden ** (top - len(pi.parts))}
-        for part in pi.parts:
-            scaled = {Partition(tuple(part * q for q in mu.parts)): w for mu, w in gnum.items()}
+        term = {_EMPTY: c * gden ** (top - len(pi))}
+        for part in pi:
+            scaled = {Partition(part * q for q in mu): w for mu, w in gnum.items()}
             term = _poly_mul(term, scaled)
         _poly_add(out, term)
     den = fden * gden**top
@@ -414,7 +414,7 @@ def _det(rows) -> Fraction:
 
 def generator_check(n: int) -> dict:
     """Unimodularity of the degree-n e<->h transition matrices."""
-    pis = sorted(partitions(n), key=lambda pi: pi.parts)
+    pis = sorted(partitions(n))
     col = {pi: i for i, pi in enumerate(pis)}
 
     def matrix(src, dst):

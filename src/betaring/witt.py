@@ -198,7 +198,7 @@ def delta_m_dual_route_agrees(n: int) -> bool:
     for k in range(1, n + 1):
         by_nu: dict[tuple, list] = {}
         for (mu, nu), c in delta_m(k).coeffs.items():
-            by_nu.setdefault(tuple(nu.parts), []).append((tuple(mu.parts), int(c)))
+            by_nu.setdefault(nu, []).append((mu, int(c)))
         tables.append(by_nu)
     grid = list(itertools.product(*[range(n // i + 1) for i in range(1, n + 1)]))
     ghosts = [eps_ghost(a) for a in grid]

@@ -333,6 +333,19 @@ def test_trivial_class_identification():
     assert c.classes[c.identify(PermGroup.trivial(4))].order == 1
 
 
+@pytest.mark.parametrize("degrees", [(-1,), (3, -3), (2.5,), ("3",)])
+def test_ambient_refuses_a_degree_that_is_not_a_nonnegative_integer(degrees):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Ambient.prod(degrees)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        get_catalog(Ambient.prod(degrees))
+
+
+def test_basis_of_a_negative_degree_is_refused():
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        BElement.basis(-1, 0)
+
+
 def test_pair_ambient_catalog():
     c = get_catalog(Ambient.pair(2, 2))
     assert c.group == direct_embed(PermGroup.symmetric(2), PermGroup.symmetric(2))

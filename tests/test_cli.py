@@ -3,6 +3,7 @@ import json
 import pytest
 
 from betaring.cli import main
+from betaring.config import get_config
 
 
 def run(capsys, *argv):
@@ -186,6 +187,26 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["evalz", "--r", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("degree", ["0", "9"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_max_degree_out_of_range_is_a_usage_error(capsys, degree, json_flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*json_flag, "--max-degree", degree, "catalog", "--ambient", "S3"])
+    assert exc.value.code == 2
+    assert "max_degree must be in 1..7" in capsys.readouterr().err
+    assert get_config().max_degree == 6
+
+
+@pytest.mark.parametrize("ambient", ["S-1", "S3x-3"])
+def test_negative_degree_is_an_error_and_writes_no_cache(capsys, ambient):
+    code, _, err = run(capsys, "catalog", "--ambient", ambient)
+    assert code == 1
+    assert "nonnegative integers" in err
+    code, out, _ = run(capsys, "--json", "catalog", "--ambient", ambient)
+    assert code == 1 and json.loads(out)["type"] == "ValueError"
+    assert not list(get_config().resolved_catalog_dir().glob("*-*_v*.json"))
 
 
 def test_deterministic_output(capsys):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -74,6 +76,61 @@ def test_permutation_json_roundtrip():
     p = perm(5, "(0 3)(1 4 2)")
     assert Permutation.from_json(p.to_json()) == p
     assert Permutation.from_json({"degree": 5, "cycles": p.cycle_string()}) == p
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(0 5)", "point 5 is not in 0..2"),
+        ("(0 -1)", "point -1 is not in 0..2"),
+        ("(0 1)(0 1)", "point 0 appears twice"),
+        ("(0 1)(1 2)", "point 1 appears twice"),
+        ("(1 1)", "point 1 appears twice"),
+    ],
+)
+def test_from_cycles_refuses_a_point_out_of_range_or_in_two_cycles(text, message):
+    with pytest.raises(ValueError, match=message):
+        Permutation.parse(3, text)
+    with pytest.raises(ValueError, match=message):
+        Permutation.from_json({"degree": 3, "cycles": text})
+
+
+@pytest.mark.parametrize(
+    "value, plain",
+    [(Permutation([2, 0, 1]), (2, 0, 1)), (Partition([1, 3, 1]), (3, 1, 1)), (Partition(), ())],
+)
+def test_tuple_valued_types_are_their_tuples(value, plain):
+    """A permutation is its image tuple and a partition its parts: equal,
+    hashed and ordered as the plain tuple, which `images` and `parts` give."""
+    assert value == plain and plain == value and hash(value) == hash(plain)
+    assert {plain: 1}[value] == 1 and value in {plain}
+    assert not value < plain and not plain < value
+    as_plain = value.images if isinstance(value, Permutation) else value.parts
+    assert as_plain == plain and type(as_plain) is tuple
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert copied == value and type(copied) is type(value)
+    for name in ("images", "parts", "degree", "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+    assert type(value + value) is tuple and type(value * 2) is tuple and type(2 * value) is tuple
+
+
+def test_construction_still_validates():
+    for bad in ([0, 0], [1, 2], [0, 2, 1, 4]):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation(bad)
+    with pytest.raises(ValueError, match="positive"):
+        Partition([2, -1])
+    assert Partition([1, 3, 2]) == (3, 2, 1) and type(Partition([1, 3, 2])) is Partition
+
+
+def test_permutations_compose_and_iterate_over_images():
+    p, q = Permutation([1, 2, 0]), Permutation([0, 2, 1])
+    assert type(p * q) is Permutation and p * q == (1, 0, 2)
+    assert list(p) == [1, 2, 0] and len(p) == p.degree == 3
+    assert repr(p) == "Permutation([1, 2, 0])" and str(p) == "(0 1 2)"
+    assert repr(Partition([2, 1])) == "Partition(2, 1)" and str(Partition([2, 1])) == "(2,1)"
+    assert repr(Partition([2])) == "Partition(2,)"
 
 
 def test_generate_small_groups():

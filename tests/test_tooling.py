@@ -6,7 +6,8 @@ restrict without building stabilizers, the composition neither
 extrapolates nor builds mixed wreath products, identification builds
 no group or permutation, and integer arithmetic
 builds no Fraction, Polya's sum looks up each term's catalog once, and
-lin, eval_z and cycle_index give the pinned outputs."""
+lin, eval_z, cycle_index, plethysm, coproduct, convert, the S4
+representatives' reprs and the demos give the pinned outputs."""
 
 import hashlib
 import importlib
@@ -29,11 +30,13 @@ from betaring.catalog import Ambient
 from betaring.checks import klein_group
 from betaring.config import get_config
 from betaring.perms import PermGroup, Permutation
-from betaring.symfunc import coproduct, cycle_index, lin, lin2, p_, plethysm
+from betaring.symfunc import coproduct, cycle_index, e_, h_, lin, lin2, p_, plethysm
 
 ROOT = Path(__file__).resolve().parents[1]
 # sha256 digests of `_pinned_outputs`, written from the commit before the
-# cycle census took symmetric-function keys.  Regenerate with
+# cycle census took symmetric-function keys; the symfunc, S4 and demo
+# digests from the commit before Permutation and Partition became tuples.
+# Regenerate with
 #   PYTHONPATH=src:tests python -c "import json, test_tooling as t; \
 #     print(json.dumps(t._pinned_outputs(), indent=1))" > tests/pinned_outputs.json
 PINNED_OUTPUTS = ROOT / "tests" / "pinned_outputs.json"
@@ -90,16 +93,7 @@ def test_traced_methods_resolve():
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo):
-    paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(
-        os.environ,
-        BETARING_CATALOG_DIR=str(get_config().resolved_catalog_dir()),
-        PYTHONPATH=os.pathsep.join(paths),
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    _demo_stdout(demo)
 
 
 def _query_results():
@@ -395,10 +389,29 @@ def test_integer_arithmetic_builds_no_fraction(monkeypatch):
     assert _integer_results() == expected
 
 
+def _demo_stdout(demo: Path) -> str:
+    """The standard output of one demo, run in a fresh interpreter on the
+    session's catalog directory; fails the test when the demo fails."""
+    paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(
+        os.environ,
+        BETARING_CATALOG_DIR=str(get_config().resolved_catalog_dir()),
+        PYTHONPATH=os.pathsep.join(paths),
+    )
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
 def _pinned_outputs() -> dict:
     """sha256 of the JSON of lin in the p, e and h bases and of eval_z at
     r = -3..4, over every class of S0..S6 and over Psi^1..Psi^6, and of the
-    cycle index over the factors (2, 3) of every class of S2 x S3."""
+    cycle index over the factors (2, 3) of every class of S2 x S3; of the
+    JSON and repr of plethysm, coproduct and convert over a grid of five
+    functions; of the repr of each S4 class representative's generators
+    and orbit partition; and of the standard output of every demo."""
     inputs = {f"S{n}": [BElement.basis(n, i) for i in range(len(bring.sym_catalog(n)))] for n in range(7)}
     inputs["Psi"] = [psi_upper(k) for k in range(1, 7)]
     outputs = {}
@@ -408,6 +421,19 @@ def _pinned_outputs() -> dict:
         outputs[f"eval_z {name}"] = [[eval_z(a, r) for r in range(-3, 5)] for a in elements]
     s2s3 = catalog.get_catalog(Ambient.pair(2, 3)).classes
     outputs["cycle_index S2xS3"] = [cycle_index(cls.rep, (2, 3)).to_json() for cls in s2s3]
+    grid = [p_(1), p_(2) + p_(1) * p_(1), h_(2), e_(3), h_(2) * e_(1) - p_(3).scale(Fraction(1, 2))]
+    images = {
+        "plethysm": [plethysm(f, g) for f in grid for g in grid],
+        "coproduct": [coproduct(f) for f in grid],
+        "convert": [f.convert(basis) for f in grid for basis in ("e", "h", "p")],
+    }
+    for name, values in images.items():
+        outputs[name] = [f.to_json() for f in values]
+        outputs[f"repr {name}"] = [repr(f) for f in values]
+    s4 = catalog.get_catalog(Ambient.sym(4)).classes
+    outputs["repr S4 classes"] = [[repr(cls.rep.generators), repr(cls.ptype)] for cls in s4]
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        outputs[f"demo {demo.name}"] = _demo_stdout(demo)
     return {key: hashlib.sha256(json.dumps(v).encode()).hexdigest() for key, v in outputs.items()}
 
 
