@@ -16,10 +16,13 @@ block systems of products of marks of beta_H and of b (the cycle-index
 composition of species; see `star`), solved by `from_marks`.  Evaluation
 on A(G) of a cyclic G reads marks too: the mark at <g> of X^n/H is H's
 cycle index at the marks of X at the powers of g (see `eval_burnside`);
-`eval_z` is the same Polya sum (`_polya`) at p_l -> r.  A noncyclic G
-takes the explicit route, `burnside.beta_virtual`, also the cyclic one's
-oracle.  The diagonal, composition and evaluations take one-factor
-classes: unpacking `(n,) = degrees` raises ValueError for any other arity.
+`eval_z` is the same Polya sum (`_polya`) at p_l -> r.  On a noncyclic
+G the Young classes S_lambda, which span Psi^k and every Sym^n, read
+marks from the orbit sizes of X at each class K (`_orbit_sizes`); only
+the other terms take the explicit route, `burnside.beta_virtual`, also
+the oracle of both mark routes.  The diagonal, composition and
+evaluations take one-factor classes: unpacking `(n,) = degrees` raises
+ValueError for any other arity.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .burnside import BurnsideElement, beta_virtual
+from .burnside import BurnsideElement, beta_virtual, group_catalog
 from .catalog import Ambient, Catalog, get_catalog
 from .config import check_degree
 from .errors import IntegralityViolation, NotEffective
 from .exact import norm_coeff, quotient
-from .perms import Permutation, _compose, direct_embed, wreath
+from .perms import Partition, Permutation, _compose, direct_embed, partitions, wreath
 
 
 def sym_catalog(n: int) -> Catalog:
@@ -414,8 +417,16 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
     p_l -> phi_<g^l>(X) (Polya), with <g^l> the subgroup of order
     |K| / gcd(|K|, l).  So the marks of a(x) are Polya sums, one per K,
     for an effective or a virtual x alike, and `from_marks` solves them:
-    no G-set is built and `gset_cap` does not apply.  Any other G takes
-    the explicit route, `beta_virtual`.
+    no G-set is built and `gset_cap` does not apply.
+
+    On any other G, the terms at Young classes S_lambda (which span
+    Psi^k and every b^n = Sym^n) read marks as well: a K-fixed point of
+    X^n/S_lambda is a tuple of multisets of sizes lambda_i, each constant
+    on K-orbits, so phi_K(beta_lambda X) = prod_i [t^lambda_i]
+    prod_s (1 - t^s)^(-N_s), with N_s the number of K-orbits of size s in
+    Res_K X (`_orbit_sizes`).  N_s is linear in X, so a virtual x takes the
+    same path.  Only the terms at other classes take the explicit route,
+    `beta_virtual`.
     """
     if not a.is_integral():
         raise IntegralityViolation("eval on A(G) needs integer coefficients")
@@ -425,8 +436,70 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
         values = [lambda pi, d=cls.order: math.prod(at[d // math.gcd(d, l)] for l in pi)
                   for cls in cat.classes]
         return BurnsideElement.from_marks(cat, _polya(a, *values))
-    coords = [0] * len(cat.classes)
+    young, coords = [], [0] * len(cat.classes)
     for ((n,), i), c in a.terms.items():
-        term = beta_virtual(sym_catalog(n).classes[i], x).coords
-        coords = [s + c * t for s, t in zip(coords, term)]
+        lam = _young_of(n).get(i)
+        if lam is not None:
+            young.append((lam, c))
+        else:
+            term = beta_virtual(sym_catalog(n).classes[i], x).coords
+            coords = [s + c * t for s, t in zip(coords, term)]
+    if young:
+        top = max(max(lam, default=0) for lam, _ in young)
+        x_marks, marks = x.marks(), []
+        for k in range(len(cat.classes)):
+            series = _sym_series(_orbit_sizes(cat, k, x_marks), top)
+            marks.append(sum(c * math.prod(series[part] for part in lam) for lam, c in young))
+        term = BurnsideElement.from_marks(cat, marks).coords
+        coords = [s + t for s, t in zip(coords, term)]
     return BurnsideElement(cat, coords)
+
+
+@lru_cache(maxsize=None)
+def _young_of(n: int) -> dict[int, Partition]:
+    """{class index of S_lambda in S_n: lambda} over the partitions of n:
+    the `_basis_product` key of beta^lambda_1 ... beta^lambda_r."""
+    out = {}
+    for lam in partitions(n):
+        key = ((0,), 0)
+        for part in lam:
+            key = _basis_product(*key, (part,), len(sym_catalog(part).classes) - 1)
+        out[key[1]] = lam
+    return out
+
+
+@lru_cache(maxsize=None)
+def _subclass_fusion(ambient: Ambient, k: int) -> tuple[int, ...]:
+    """The class fusion of K = class k of G into G: the G-class of each
+    class of `group_catalog(K.rep)`, in that catalog's order, by
+    `Catalog.identify` of each representative's element set."""
+    cat = get_catalog(ambient)
+    sub = group_catalog(cat.classes[k].rep)
+    return tuple(cat.identify(cls.rep.elements) for cls in sub.classes)
+
+
+def _orbit_sizes(cat: Catalog, k: int, x_marks) -> dict[int, int]:
+    """{s: N_s}, the number of K-orbits of size s in Res_K X for K = class
+    k of G, from the marks of X: Res_K X has the marks of X at the G-classes
+    of K's subgroups, and `from_marks` over K's catalog solves them."""
+    sub = group_catalog(cat.classes[k].rep)
+    marks = [x_marks[j] for j in _subclass_fusion(cat.ambient, k)]
+    order, counts = cat.classes[k].order, {}
+    for cls, c in zip(sub.classes, BurnsideElement.from_marks(sub, marks).coords):
+        if c:
+            counts[order // cls.order] = counts.get(order // cls.order, 0) + c
+    return counts
+
+
+def _sym_series(counts: dict[int, int], top: int) -> list[int]:
+    """The coefficients of t^0..t^top in prod_s (1 - t^s)^(-N_s), N_s =
+    counts[s] of any sign: the factor at s is sum_j C(N_s + j - 1, j) t^(sj)."""
+    series = [1] + [0] * top
+    for s, count in counts.items():
+        factor, coeff = [], 1
+        for j in range(top // s + 1):
+            factor.append(coeff)
+            coeff = coeff * (count + j) // (j + 1)
+        series = [sum(f * series[d - s * j] for j, f in enumerate(factor[: d // s + 1]))
+                  for d in range(top + 1)]
+    return series

@@ -9,11 +9,13 @@ code path with the A(S_n) building blocks.
 GSet, beta_on_gset, beta2_on_gsets and orbit_decompose are the explicit
 route, an oracle for operations computed from marks, so none of them reads
 marks.  `bring.eval_burnside` takes this route, through `beta_virtual`,
-only for a noncyclic G; for a cyclic G it reads marks, and this route is
-its oracle.  A G-set's points are 0..size-1 and it is given by one row of
-images of the points per group generator, which the closure over G proves
-a bijection; a generator, a Permutation, is itself an image tuple and
-keys the element action directly.  X^n/H
+only for the terms of a noncyclic G at classes that are not Young
+subgroups; for a cyclic G, and for the Young classes on any G, it reads
+marks, and this route is the oracle of both.  A G-set's points are
+0..size-1 and it is given by one row of images of the points per group
+generator, which the closure over G proves a bijection; a generator, a
+Permutation, is itself an image tuple and keys the element action
+directly.  X^n/H
 (and (X^p x Y^q)/L) never builds a tuple of X^n: a point of a product of
 G-sets is its integer code in mixed radix (the itertools.product order),
 and coordinate permutations and the diagonal G-action are flat

@@ -81,10 +81,25 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Ambient:
-    """Either a product of symmetric groups (by degrees) or a concrete group."""
+    """Either a product of symmetric groups (by degrees, a tuple of
+    nonnegative ints) or a concrete group, exactly one of them; ValueError
+    otherwise.  The hash is computed once, on construction."""
 
     degrees: tuple[int, ...] | None = None
     group: PermGroup | None = None
+
+    def __post_init__(self):
+        if (self.degrees is None) == (self.group is None):
+            raise ValueError("an ambient has either degrees or a group")
+        degrees = self.degrees
+        if degrees is not None and not (
+            type(degrees) is tuple and all(type(d) is int and d >= 0 for d in degrees)
+        ):
+            raise ValueError(f"degrees must be nonnegative integers, got {degrees!r}")
+        object.__setattr__(self, "_hash", hash((degrees, self.group)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def sym(cls, n: int) -> Ambient:
@@ -102,8 +117,6 @@ class Ambient:
         degrees = tuple(degrees)
         ambient = _BY_DEGREES.get(degrees)
         if ambient is None:
-            if not all(type(d) is int and d >= 0 for d in degrees):
-                raise ValueError(f"degrees must be nonnegative integers, got {degrees}")
             ambient = _BY_DEGREES.setdefault(degrees, cls(degrees=degrees))
         return ambient
 

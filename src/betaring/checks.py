@@ -24,6 +24,7 @@ from .bring import (
     BElement,
     _component_marks,
     _refine_terms,
+    _young_of,
     beta_regular,
     beta_upper,
     diagonal,
@@ -555,7 +556,49 @@ def check_beta_z() -> list[dict]:
                             bad.append(f"S{n}:{cls.label} on [C{k}/{cat.classes[j].label}]")
     identity = "eval on A(C2..C6) through marks equals the explicit route (n<=4)"
     reports.append(_report(identity, not bad, repr(bad[:2])))
+    young = [(n, sym_catalog(n).classes[idx]) for n in range(1, 7) for idx in _young_of(n)]
+    bad, compared = [], 0
+    with config.override(gset_cap=CHECK_GSET_CAP):
+        for name, x in young_eval_cases():
+            for n, cls in young:
+                if n <= 3 and explicit_points(n, x) <= CHECK_GSET_CAP:
+                    compared += 1
+                    if eval_burnside(BElement.basis(n, cls.index), x) != beta_virtual(cls, x):
+                        bad.append(f"S{n}:{cls.label} on {name}")
+    identity = "Young classes on A(S3), A(V4), A(S4) from orbit sizes equal the explicit route (n<=3)"
+    reports.append(_report(identity, not bad, repr(bad[:2]) if bad else f"{compared} cases"))
+    elements = [(f"S{n}:{cls.label}", n, BElement.basis(n, cls.index)) for n, cls in young]
+    elements += [(f"Psi^{k}", k, psi_upper(k)) for k in range(1, 7)]
+    bad, compared = [], 0
+    for name, x in young_eval_cases():
+        for label, n, a in elements:
+            if explicit_points(n, x) > CHECK_GSET_CAP:
+                compared += 1
+                if eval_burnside(a, x).size() != eval_z(a, x.size()):
+                    bad.append(f"{label} on {name}")
+    identity = "size of eval on A(S3), A(V4), A(S4) equals eval_z past the cap (Young, Psi^k, n<=6)"
+    reports.append(_report(identity, not bad, repr(bad[:2]) if bad else f"{compared} cases"))
     return reports
+
+
+def young_eval_cases():
+    """Each [G/H] and [G/H] - [G/G] (H < G) of A(S3), A(V4) and A(S4), named."""
+    groups = (("S3", PermGroup.symmetric(3)), ("V4", klein_group()), ("S4", PermGroup.symmetric(4)))
+    for name, group in groups:
+        unit = BurnsideElement.unit(group)
+        for cls in group_catalog(group).classes:
+            x = BurnsideElement.basis(group, cls.index)
+            yield f"[{name}/{cls.label}]", x
+            if x != unit:
+                yield f"[{name}/{cls.label}] - [{name}/{name}]", x - unit
+
+
+def explicit_points(n: int, x: BurnsideElement) -> int:
+    """The largest tuple space `beta_virtual` builds for a degree-n class at
+    x = plus - minus: (|plus| + n |minus|)^n, the last Newton point."""
+    plus = BurnsideElement(x.catalog, [max(c, 0) for c in x.coords]).size()
+    minus = BurnsideElement(x.catalog, [max(-c, 0) for c in x.coords]).size()
+    return (plus + n * minus) ** n
 
 
 # ---------------------------------------------------------------- gcd, mod2

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .config import check_degree
 from .errors import CapExceeded, NotASubgroup
@@ -25,12 +25,13 @@ GROUP_CAP = math.factorial(10)
 
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers: the tuple is the
-    parts, so it equals, hashes and orders as its plain tuple of parts."""
+    parts, so it equals, hashes and orders as its plain tuple of parts.
+    A part that is not an integer (`operator.index`) raises TypeError."""
 
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = sorted(map(int, parts), reverse=True)
+        parts = sorted(map(index, parts), reverse=True)
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive, got {tuple(parts)}")
         return super().__new__(cls, parts)
@@ -84,13 +85,14 @@ class Permutation(tuple):
     """A bijection of {0, ..., d-1}: the tuple is its images, so it
     equals, hashes and orders as its plain image tuple.
 
-    Composition is (p * q)(i) = p(q(i)): q acts first.
+    Composition is (p * q)(i) = p(q(i)): q acts first.  An image that is
+    not an integer (`operator.index`) raises TypeError.
     """
 
     __slots__ = ()
 
     def __new__(cls, images):
-        images = tuple(int(i) for i in images)
+        images = tuple(map(index, images))
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
         return super().__new__(cls, images)

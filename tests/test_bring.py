@@ -1,12 +1,14 @@
 import itertools
 import json
+import math
 import os
 import random
 from pathlib import Path
 
 import pytest
 
-from betaring import config
+from betaring import bring, config
+from betaring.adams import psi_upper
 from betaring.bring import (
     BElement,
     _refine_terms,
@@ -22,10 +24,11 @@ from betaring.bring import (
     star_effective,
     sym_catalog,
 )
-from betaring.burnside import BurnsideElement, GSet, group_catalog, orbit_decompose
+from betaring.burnside import BurnsideElement, GSet, beta_virtual, group_catalog, orbit_decompose
 from betaring.catalog import Ambient, get_catalog
-from betaring.errors import DegreeCap, NotEffective
-from betaring.perms import PermGroup, Permutation, are_conjugate, double_cosets
+from betaring.checks import CHECK_GSET_CAP, explicit_points, klein_group, young_eval_cases
+from betaring.errors import DegreeCap, NotEffective, SizeCap
+from betaring.perms import PermGroup, Permutation, are_conjugate, double_cosets, partitions
 from betaring.symfunc import lin
 
 
@@ -410,6 +413,58 @@ def test_eval_burnside_composition_instance():
     inner = eval_burnside(BElement.basis(2, "S2"), x)
     rhs = eval_burnside(BElement.basis(2, "S2"), inner)
     assert lhs == rhs
+
+
+def test_young_classes_are_the_young_subgroups():
+    """_young_of(n) names one class per partition lambda of n, and its
+    representative is conjugate to S_lambda: order prod lambda_i! and orbit
+    sizes lambda."""
+    for n in range(7):
+        young = bring._young_of(n)
+        assert sorted(young.values()) == sorted(partitions(n))
+        for idx, lam in young.items():
+            cls = sym_catalog(n).classes[idx]
+            assert cls.order == math.prod(map(math.factorial, lam)) and cls.ptype == lam
+
+
+def test_eval_of_young_classes_matches_the_explicit_route_in_degree_four():
+    """The orbit-size route equals `beta_virtual` for the Young classes of
+    S4 on every [G/H] and [G/H] - [G/G] of A(S3), A(V4) and A(S4) where the
+    explicit route fits the check cap (the beta-z suite covers n <= 3)."""
+    compared = 0
+    with config.override(gset_cap=CHECK_GSET_CAP):
+        for _, x in young_eval_cases():
+            if explicit_points(4, x) <= CHECK_GSET_CAP:
+                for idx in bring._young_of(4):
+                    cls = sym_catalog(4).classes[idx]
+                    assert eval_burnside(BElement.basis(4, idx), x) == beta_virtual(cls, x)
+                    compared += 1
+    assert compared == 165
+
+
+def test_eval_past_the_cap_on_a_noncyclic_group():
+    """(S4/e)^6 has 24^6 points, far past the cap, and S4 acts freely on it:
+    S6:e gives 24^5 copies of [S4/e].  Psi^6 at K counts the points whose
+    K-orbit has a size dividing 6: all 24 when |K| divides 6, else none."""
+    s4 = PermGroup.symmetric(4)
+    x = BurnsideElement.basis(s4, "e")
+    assert eval_burnside(beta_regular(6), x) == x.scale(24**5)
+    with pytest.raises(SizeCap):
+        beta_virtual(sym_catalog(6).class_of("e"), x)
+    marks = eval_burnside(psi_upper(6), x).marks()
+    assert list(marks) == [24 if 6 % cls.order == 0 else 0 for cls in group_catalog(s4).classes]
+
+
+def test_eval_splits_young_and_other_terms():
+    """a = 2 beta_S3 - beta_C3 + beta_C2, C2 = S2 x S1: the Young terms read marks,
+    beta_C3 takes the explicit route, and the sum is the explicit value."""
+    a = BElement.basis(3, "S3").scale(2) - BElement.basis(3, "C3") + BElement.basis(3, "C2")
+    assert [i in bring._young_of(3) for (_, i) in sorted(a.terms)] == [True, False, True]
+    for group in (PermGroup.symmetric(3), klein_group()):
+        for i in range(len(group_catalog(group))):
+            x = BurnsideElement.basis(group, i) - BurnsideElement.unit(group)
+            explicit = [beta_virtual(sym_catalog(3).classes[j], x).scale(c) for (_, j), c in a.terms.items()]
+            assert eval_burnside(a, x) == explicit[0] + explicit[1] + explicit[2]
 
 
 def test_belement_json_roundtrip():

@@ -341,6 +341,24 @@ def test_ambient_refuses_a_degree_that_is_not_a_nonnegative_integer(degrees):
         get_catalog(Ambient.prod(degrees))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"degrees": (-2,)}, {"degrees": (2.0,)}, {"degrees": [2]}, {}, {"degrees": (2,), "group": PermGroup.cyclic(2)}],
+)
+def test_ambient_constructor_validates(fields):
+    """The dataclass constructor checks what Ambient.prod checks:
+    Ambient(degrees=(-2,)) was an ambient named S-2."""
+    with pytest.raises(ValueError):
+        Ambient(**fields)
+
+
+def test_ambient_hash_is_the_hash_of_its_fields():
+    g, h = PermGroup.cyclic(4), PermGroup.generate(4, [[3, 0, 1, 2]])
+    assert g == h and g.generators != h.generators
+    assert Ambient.of_group(g) == Ambient.of_group(h) and hash(Ambient.of_group(h)) == hash((None, g))
+    assert Ambient(degrees=(3, 2)) == Ambient.prod([3, 2]) and hash(Ambient.pair(3, 2)) == hash(((3, 2), None))
+
+
 def test_basis_of_a_negative_degree_is_refused():
     with pytest.raises(ValueError, match="nonnegative integers"):
         BElement.basis(-1, 0)

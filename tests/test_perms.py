@@ -3,11 +3,13 @@ import itertools
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
 from betaring.catalog import Ambient, get_catalog
 from betaring.errors import CapExceeded, NotASubgroup
+from betaring.symfunc import SymFunc
 from betaring.perms import (
     Partition,
     PermGroup,
@@ -122,6 +124,18 @@ def test_construction_still_validates():
     with pytest.raises(ValueError, match="positive"):
         Partition([2, -1])
     assert Partition([1, 3, 2]) == (3, 2, 1) and type(Partition([1, 3, 2])) is Partition
+
+
+@pytest.mark.parametrize("bad", [[2.7, 1.2], [2.0], ["2"], [Fraction(2)]])
+def test_entries_that_are_not_integers_are_refused(bad):
+    """No entry is truncated: Partition([2.7, 1.2]) was (2, 1), and
+    Permutation([0.9, 1.5]) the identity of degree 2."""
+    with pytest.raises(TypeError):
+        Partition(bad)
+    with pytest.raises(TypeError):
+        Permutation([0, *bad])
+    with pytest.raises(TypeError):
+        SymFunc.monomial("p", bad)
 
 
 def test_permutations_compose_and_iterate_over_images():

@@ -1,8 +1,9 @@
 """The names the benchmark traces still exist, every demo runs, the
 query path never enumerates subgroups, the explicit G-set route
-never reads marks, evaluation on a cyclic group builds no G-set, the
-Adams elements never multiply classes, the diagonal and composition
-restrict without building stabilizers, the composition neither
+never reads marks, evaluation on a cyclic group builds no G-set, nor
+does that of the Young classes and the Adams elements on A(S3), A(V4)
+and A(S4), the Adams elements never multiply classes, the diagonal and
+composition restrict without building stabilizers, the composition neither
 extrapolates nor builds mixed wreath products, identification builds
 no group or permutation, and integer arithmetic
 builds no Fraction, Polya's sum looks up each term's catalog once, and
@@ -172,17 +173,21 @@ def test_explicit_gset_route_reads_no_marks(monkeypatch):
     assert _explicit_results() == expected
 
 
-def test_eval_on_cyclic_groups_builds_no_gset(monkeypatch):
-    """eval_burnside on a cyclic G reads marks only: with the tuple quotient
-    and G-set construction disabled, every class of S1..S6 still evaluates
-    on every basis element of A(C2..C6).  A(S3) and A(V4) take the explicit
-    route, so there the disabled code is hit."""
-
+def _refuse_gsets(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eval_burnside built a G-set")
 
     monkeypatch.setattr(burnside, "_tuple_orbit_quotient", refuse)
     monkeypatch.setattr(GSet, "__init__", refuse)
+
+
+def test_eval_on_cyclic_groups_builds_no_gset(monkeypatch):
+    """eval_burnside on a cyclic G reads marks only: with the tuple quotient
+    and G-set construction disabled, every class of S1..S6 still evaluates
+    on every basis element of A(C2..C6).  On A(S3) and A(V4) a class that
+    is not a Young subgroup, such as C3 <= S3, takes the explicit route, so
+    there the disabled code is hit."""
+    _refuse_gsets(monkeypatch)
     classes = [BElement.basis(n, i) for n in range(1, 7) for i in range(len(bring.sym_catalog(n)))]
     for k in range(2, 7):
         g = PermGroup.cyclic(k)
@@ -192,11 +197,49 @@ def test_eval_on_cyclic_groups_builds_no_gset(monkeypatch):
                 bring.eval_burnside(a, x)
     for g in (PermGroup.symmetric(3), klein_group()):
         with pytest.raises(AssertionError, match="built a G-set"):
-            bring.eval_burnside(BElement.basis(2, "S2"), BurnsideElement.basis(g, "e"))
+            bring.eval_burnside(BElement.basis(3, "C3"), BurnsideElement.basis(g, "e"))
+
+
+def test_eval_of_young_classes_builds_no_gset(monkeypatch):
+    """On a noncyclic G, the Young classes S_lambda and Psi^k read marks
+    only: with the tuple quotient and G-set construction disabled, every
+    Young class of S1..S6 and Psi^1..Psi^6 evaluate on every [G/H] and
+    [G/H] - [G/G] of A(S3), A(V4) and A(S4), and each value has the size
+    that eval_z gives at |X|, past the cap as well."""
+    elements = [BElement.basis(n, i) for n in range(1, 7) for i in bring._young_of(n)]
+    elements += [psi_upper(k) for k in range(1, 7)]
+    cases = list(betaring.checks.young_eval_cases())
+    _refuse_gsets(monkeypatch)
+    assert len(elements) == 35 and len(cases) == 37
+    for _, x in cases:
+        for a in elements:
+            assert bring.eval_burnside(a, x).size() == eval_z(a, x.size())
 
 
 def _statuses(reports, prefix):
     return {r["identity"]: r["status"] for r in reports if r["identity"].startswith(prefix)}
+
+
+def test_beta_z_gates_the_orbit_size_route(monkeypatch):
+    """The beta-z suite compares the orbit-size route with the explicit one
+    on 222 cases and with eval_z on 380 cases past the cap; both lines
+    fail when S_n and S_(n-1) x S_1 trade partitions in the Young table."""
+    lines = ("Young classes on", "size of eval")
+    reports = betaring.checks.check_beta_z()
+    assert [r["witness"] for r in reports if r["identity"].startswith(lines)] == ["222 cases", "380 cases"]
+    assert all(r["status"] == "pass" for r in reports)
+    real = bring._young_of
+
+    def swapped(n):
+        young = dict(real(n))
+        if n > 1:
+            (i, lam), (j, mu) = sorted(young.items())[-2:]
+            young[i], young[j] = mu, lam
+        return young
+
+    monkeypatch.setattr(bring, "_young_of", swapped)
+    statuses = _statuses(betaring.checks.check_beta_z(), lines)
+    assert sorted(statuses.values()) == ["fail", "fail"]
 
 
 def test_composition_checks_see_a_wrong_wreath_class(monkeypatch):
