@@ -436,6 +436,71 @@ def check_adams(nmax: int = 5) -> list[dict]:
     return reports
 
 
+# ---------------------------------------------------------------- adams on A(G)
+
+
+def two_groups() -> list[tuple[str, PermGroup]]:
+    """D4 on the corners of a square and C2 x C2 x C2 on three pairs."""
+    return [
+        ("D4", PermGroup.generate(4, [[1, 2, 3, 0], [3, 2, 1, 0]])),
+        ("C2xC2xC2", PermGroup.generate(6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]])),
+    ]
+
+
+def moved_by_psi(group: PermGroup, k: int) -> list[str]:
+    """The elements [G/H] and [G/H] - [G/G] of A(G) whose marks Psi^k
+    changes, named by class label."""
+    cat = group_catalog(group)
+    unit = BurnsideElement.unit(group)
+    moved = []
+    for cls in cat.classes:
+        x = BurnsideElement.basis(group, cls.index)
+        for y, name in ((x, cls.label), (x - unit, f"{cls.label} - G")):
+            if eval_burnside(psi_upper(k), y).marks() != y.marks():
+                moved.append(name)
+    return moved
+
+
+def klein_psi2_marks() -> tuple[int, int, bool]:
+    """For X = V4/L1 and Y = V4/L2, two different subgroups of order 2:
+    the marks at V4 of Psi^2(XY) and of Psi^2(X) Psi^2(Y), and whether
+    Psi^2(X + Y) = Psi^2(X) + Psi^2(Y)."""
+    v4 = klein_group()
+    cat = group_catalog(v4)
+    l1, l2 = (cat.identify(PermGroup.generate(4, [g])) for g in ([1, 0, 2, 3], [0, 1, 3, 2]))
+    x, y = BurnsideElement.basis(v4, l1), BurnsideElement.basis(v4, l2)
+    px, py = (eval_burnside(psi_upper(2), z) for z in (x, y))
+    whole = cat.classes[-1].index
+    return (
+        eval_burnside(psi_upper(2), x * y).marks()[whole],
+        (px * py).marks()[whole],
+        eval_burnside(psi_upper(2), x + y) == px + py,
+    )
+
+
+def check_adams_ag() -> list[dict]:
+    """The paper's Adams operations on A(G) where G is not cyclic.  A
+    K-orbit's size divides |K|, so for a 2-group and odd k, Psi^k fixes
+    every mark (the mod-2 shadow).  Psi^2 is additive on A(V4) but not
+    multiplicative."""
+    reports = []
+    for name, group in two_groups():
+        for k in (3, 5):
+            moved = moved_by_psi(group, k)
+            reports.append(
+                _report(f"Psi^{k} fixes every mark on A({name})", not moved, ", ".join(moved[:3]))
+            )
+    marks = klein_psi2_marks()
+    reports.append(
+        _report(
+            "Psi^2 is additive but not multiplicative on A(V4)",
+            marks == (0, 4, True),
+            f"marks at V4: Psi^2(XY) {marks[0]}, Psi^2(X) Psi^2(Y) {marks[1]}",
+        )
+    )
+    return reports
+
+
 # ---------------------------------------------------------------- polya
 
 
@@ -727,6 +792,7 @@ SUITES = {
     "axioms-AG": lambda n=None: check_ag_axioms(n or 3),
     "operator-ring": lambda n=None: check_operator_ring(),
     "adams": lambda n=None: check_adams(n or 5),
+    "adams-AG": lambda n=None: check_adams_ag(),
     "polya": lambda n=None: check_polya(n or 6),
     "witt": lambda n=None: check_witt(),
     "mod2": lambda n=None: check_mod2(),

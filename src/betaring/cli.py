@@ -122,7 +122,7 @@ def _cmd_psik(args):
 
 
 def _cmd_lin(args):
-    if args.psi:
+    if args.psi is not None:
         element = psi_upper(args.psi)
     else:
         element = _class_element(args.cls)
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
         parser.error("lin needs --class or --psi")
     try:
         result = args.func(args)
-    except (BetaringError, KeyError, ValueError, OverflowError) as exc:
+    except (BetaringError, KeyError, ValueError, OverflowError, ZeroDivisionError) as exc:
         if args.json:
             print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         else:

@@ -10,11 +10,16 @@ the universal product polynomials have integer coefficients.
 log(1 + a1 t + ...) is one series whether the a_i are read as h's or e's,
 so one Newton recursion (`eps_ghost`, `eps_from_ghost`) serves both, up to
 the sign (-1)^(n-1).  Entries are ints, Fractions only after an inexact division.
+
+`delta_m_dual_route_agrees` proves the second diagonal equal to the
+universal product polynomials by evaluation.  P_k is bihomogeneous of
+weight k, so its points are the lower set S_n of multiplicity vectors of
+partitions of size <= n (Dyn and Floater, J. Approx. Theory 2014, on
+interpolation at lower sets), not a tensor grid.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +27,8 @@ from operator import mul
 
 from .errors import IntegralityViolation, PrecisionMismatch
 from .exact import norm_coeff, quotient
-from .symfunc import SymFunc
+from .perms import partitions
+from .symfunc import SymFunc, _det
 
 DEFAULT_PRECISION = 8
 
@@ -185,29 +191,45 @@ def delta_m(n: int) -> SymFunc:
     return out
 
 
-def delta_m_dual_route_agrees(n: int) -> bool:
-    """Check delta_m(k), k <= n, against the product-polynomial route on a grid.
+def _lower_set(n: int) -> list[tuple]:
+    """S_n = {alpha in N^n : sum_i i*alpha_i <= n}, the multiplicity vectors
+    of the partitions of size <= n, smallest size first."""
+    return [tuple(pi.count(i) for i in range(1, n + 1)) for k in range(n + 1) for pi in partitions(k)]
 
-    The k-th product coefficient has degree at most floor(k/i) <= floor(n/i)
-    in each variable a_i (its weighted degree in the a's is exactly k), so
-    evaluating both routes on the integer grid 0..floor(n/i) per variable,
-    in each tensor slot, proves the polynomial identities exactly.
+
+def delta_m_dual_route_agrees(n: int) -> bool:
+    """Check delta_m(k), k <= n, against the product-polynomial route.
+
+    P_k(a, b) is bihomogeneous of weight k in the a's and in the b's, and
+    the keys of delta_m(k) are partitions of k, so each difference lies in
+    span{a^alpha b^beta : alpha, beta in S_n} (`_lower_set`); a key of
+    weight past n is refused.  A lower set is unisolvent for its own
+    monomials at its own integer points (Dyn and Floater, J. Approx.
+    Theory 2014: the falling-factorial Newton basis is triangular there),
+    and so is the product S_n x S_n.  Evaluating both routes at those
+    |S_n|^2 points (361 at n = 5) therefore proves the identities exactly.
+    The unisolvence is checked, not assumed: a zero determinant of the
+    monomial matrix returns False.
     """
+    points = _lower_set(n)
+    if _det([[math.prod(map(pow, p, alpha)) for alpha in points] for p in points]) == 0:
+        return False
     # per degree k: b-side monomial nu -> [(a-side monomial mu, coefficient)]
     tables = []
     for k in range(1, n + 1):
         by_nu: dict[tuple, list] = {}
         for (mu, nu), c in delta_m(k).coeffs.items():
-            by_nu.setdefault(nu, []).append((mu, int(c)))
+            if sum(mu) > n or sum(nu) > n:
+                return False
+            by_nu.setdefault(nu, []).append((mu, c))
         tables.append(by_nu)
-    grid = list(itertools.product(*[range(n // i + 1) for i in range(1, n + 1)]))
-    ghosts = [eps_ghost(a) for a in grid]
+    ghosts = [eps_ghost(a) for a in points]
 
     def monomial(avals, key):
         return math.prod(avals[part - 1] for part in key)
 
-    b_sides = [[[monomial(b, nu) for nu in table] for table in tables] for b in grid]
-    for a, ga in zip(grid, ghosts):
+    b_sides = [[[monomial(b, nu) for nu in table] for table in tables] for b in points]
+    for a, ga in zip(points, ghosts):
         a_sides = [
             [sum(c * monomial(a, mu) for mu, c in terms) for terms in table.values()]
             for table in tables

@@ -17,7 +17,7 @@ from betaring.bring import (
 )
 from betaring.burnside import BurnsideElement, GSet, group_catalog
 from betaring.catalog import Catalog
-from betaring.checks import klein_group
+from betaring.checks import klein_group, klein_psi2_marks, moved_by_psi, two_groups
 from betaring.errors import DegreeCap, IntegralityViolation
 from betaring.perms import PermGroup, Permutation, partitions
 from betaring.symfunc import lin, p_
@@ -281,37 +281,35 @@ def test_degree_seven_adams_elements():
     assert [list(row) for row in table.psi] == _psi_by_fraction_solve(table.catalog)
 
 
-def _two_groups():
-    """D4 on the corners of a square and C2 x C2 x C2 on three pairs."""
-    d4 = PermGroup.generate(4, [[1, 2, 3, 0], [3, 2, 1, 0]])
-    c2_cubed = PermGroup.generate(6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]])
-    assert (d4.order, c2_cubed.order) == (8, 8) and not d4.is_cyclic()
-    return d4, c2_cubed
-
-
 @pytest.mark.parametrize("k", [3, 5])
 def test_odd_adams_operations_fix_every_mark_of_a_two_group(k):
     """A K-orbit's size divides |K|, a power of 2, so phi_K(Psi^k X) =
     phi_K(X) for odd k: Psi^k is the identity on A(D4) and on
     A(C2 x C2 x C2), for each [G/H] and [G/H] - [G/G]."""
-    for group in _two_groups():
-        unit = BurnsideElement.unit(group)
-        for i in range(len(group_catalog(group))):
-            x = BurnsideElement.basis(group, i)
-            for y in (x, x - unit):
-                assert eval_burnside(psi_upper(k), y).marks() == y.marks()
+    groups = dict(two_groups())
+    assert [g.order for g in groups.values()] == [8, 8] and not groups["D4"].is_cyclic()
+    for group in groups.values():
+        assert moved_by_psi(group, k) == []
 
 
 def test_psi_two_is_not_multiplicative_on_the_klein_group():
     """X = V4/L1 and Y = V4/L2 for two different subgroups of order 2: at
-    V4, Psi^2(XY) has mark 0 and Psi^2(X) Psi^2(Y) has mark 4."""
-    v4 = klein_group()
-    cat = group_catalog(v4)
-    l1, l2 = (cat.identify(PermGroup.generate(4, [g])) for g in ([1, 0, 2, 3], [0, 1, 3, 2]))
-    assert l1 != l2 and cat.classes[-1].order == 4
-    x, y = BurnsideElement.basis(v4, l1), BurnsideElement.basis(v4, l2)
-    psi = psi_upper(2)
-    product_first = eval_burnside(psi, x * y)
-    psi_first = eval_burnside(psi, x) * eval_burnside(psi, y)
-    assert (product_first.marks()[-1], psi_first.marks()[-1]) == (0, 4)
-    assert eval_burnside(psi, x + y) == eval_burnside(psi, x) + eval_burnside(psi, y)
+    V4, Psi^2(XY) has mark 0 and Psi^2(X) Psi^2(Y) has mark 4, while
+    Psi^2(X + Y) = Psi^2(X) + Psi^2(Y)."""
+    assert klein_psi2_marks() == (0, 4, True)
+
+
+def test_psi_two_moves_marks_of_a_two_group():
+    """The odd-k statement is not vacuous: Psi^2 moves some mark of each."""
+    for _, group in two_groups():
+        assert moved_by_psi(group, 2)
+
+
+def test_adams_ag_suite_reports_each_statement(monkeypatch):
+    """Five lines, all passing; Psi^2 read as the identity fails the V4 line."""
+    reports = checks.run_suites(["adams-AG"])["adams-AG"]
+    assert [r["status"] for r in reports] == ["pass"] * 5
+    assert reports[-1]["witness"] == "marks at V4: Psi^2(XY) 0, Psi^2(X) Psi^2(Y) 4"
+    monkeypatch.setattr(checks, "eval_burnside", lambda a, x: x)
+    reports = checks.check_adams_ag()
+    assert [r["status"] for r in reports] == ["pass"] * 4 + ["fail"]

@@ -122,6 +122,22 @@ def test_witt_bad_precision_exits_one(capsys, prec):
     assert "precision" in err and "3 coefficients" in err
 
 
+def test_lin_of_psi_zero_is_zero(capsys):
+    """Psi^0 is the zero class: --psi 0 is a value, not a missing option."""
+    for basis in ("p", "e"):
+        code, out, _ = run(capsys, "lin", "--psi", "0", "--basis", basis)
+        assert (code, out.strip()) == (0, "0")
+
+
+def test_witt_zero_denominator_exits_one(capsys):
+    code, out, err = run(capsys, "witt", "--op", "add", "--a", "1/0", "--b", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Fraction(1, 0)" in err
+    code, out, err = run(capsys, "--json", "witt", "--op", "add", "--a", "1/0", "--b", "1")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": "Fraction(1, 0)", "type": "ZeroDivisionError"}
+
+
 def test_check_suite_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "mod2")
     assert code == 0

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -210,6 +212,33 @@ def test_rational_spanning_by_power_sums():
                 vec[col[mu]] = c
             rows.append(vec)
         assert _det(rows) != 0
+
+
+def _leibniz_det(rows):
+    """Sum over permutations: the reference for small matrices."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * math.prod(row[c] for row, c in zip(rows, perm))
+    return total
+
+
+def test_det_matches_the_leibniz_formula():
+    """Bareiss elimination, with ints kept ints, on integer, rational and
+    singular matrices up to 5 x 5."""
+    from betaring.symfunc import _det
+
+    rng = random.Random(29)
+    for size in range(6):
+        for trial in range(20):
+            rows = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+            if size > 1 and trial % 3 == 0:
+                rows[-1] = [2 * x for x in rows[0]]
+            if trial % 4 == 1:
+                rows = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in rows]
+            det = _det(rows)
+            assert det == _leibniz_det(rows)
+            assert type(det) is int or trial % 4 == 1
 
 
 def test_mod2_congruence():

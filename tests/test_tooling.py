@@ -6,8 +6,9 @@ and A(S4), the Adams elements never multiply classes, the diagonal and
 composition restrict without building stabilizers, the composition neither
 extrapolates nor builds mixed wreath products, identification builds
 no group or permutation, and integer arithmetic
-builds no Fraction, Polya's sum looks up each term's catalog once, and
-lin, eval_z, cycle_index, plethysm, coproduct, convert, the S4
+builds no Fraction, Polya's sum looks up each term's catalog once, the
+Witt dual-route proof evaluates one ghost product per lower-set point
+pair, and lin, eval_z, cycle_index, plethysm, coproduct, convert, the S4
 representatives' reprs and the demos give the pinned outputs."""
 
 import hashlib
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import betaring.checks  # noqa: F401  (spans.FUNCTIONS names functions in it)
-from betaring import adams, bring, burnside, catalog, perms
+from betaring import adams, bring, burnside, catalog, perms, witt
 from betaring.adams import psi_upper, solve_psi_K
 from betaring.bring import BElement, diagonal, eval_z, product, star, star_basis, star_effective
 from betaring.burnside import BurnsideElement, GSet, beta2_on_gsets, beta_on_gset, orbit_decompose
@@ -495,3 +496,12 @@ def test_polya_sum_looks_up_each_term_once(monkeypatch):
     assert lookups == [Ambient.sym(2), Ambient.sym(3)]
     eval_z(a, 3)
     assert len(lookups) == 4
+
+
+def test_witt_dual_route_evaluates_the_lower_set_pairs(monkeypatch):
+    """delta_m_dual_route_agrees(5) inverts one ghost product per pair of
+    the 19 points of S_5: 361, where the 144 x 144 tensor grid took 20,736."""
+    calls, real = [], witt.eps_from_ghost
+    monkeypatch.setattr(witt, "eps_from_ghost", lambda ghost: calls.append(1) or real(ghost))
+    assert witt.delta_m_dual_route_agrees(5)
+    assert len(calls) == 19 * 19 == 361

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from betaring import witt
 from betaring.errors import PrecisionMismatch
-from betaring.symfunc import SymFunc, e_, p_
+from betaring.perms import Partition, partitions
+from betaring.symfunc import SymFunc, _det, e_, p_
 from betaring.witt import (
     WittVector,
     delta_m,
@@ -115,6 +117,67 @@ def test_delta_m_dual_route_rejects_one_changed_coefficient(monkeypatch, k):
     altered = SymFunc(altered.basis, coeffs, arity=2)
     monkeypatch.setattr(witt, "delta_m", lambda m: altered if m == k else delta_m(m))
     assert not delta_m_dual_route_agrees(3)
+
+
+def _delta_m_with(monkeypatch, k, coeffs):
+    altered = SymFunc(delta_m(k).basis, coeffs, arity=2)
+    monkeypatch.setattr(witt, "delta_m", lambda m: altered if m == k else delta_m(m))
+
+
+def test_delta_m_dual_route_rejects_every_single_term_change(monkeypatch):
+    """At n = 5 the 19 x 19 lower-set points see every term of delta_m(1..5):
+    each coefficient raised by 1 or by 1/2, and each term dropped, is
+    rejected.  A coefficient is compared exactly, never truncated to an int."""
+    changes = 0
+    for k in range(1, 6):
+        real = dict(delta_m(k).coeffs)
+        for key in real:
+            dropped = {other: c for other, c in real.items() if other != key}
+            for coeffs in (real | {key: real[key] + 1}, real | {key: real[key] + Fraction(1, 2)}, dropped):
+                _delta_m_with(monkeypatch, k, coeffs)
+                assert not delta_m_dual_route_agrees(5), (k, key, coeffs)
+                changes += 1
+    assert changes == 3 * (1 + 3 + 6 + 15 + 28)
+
+
+def test_delta_m_dual_route_refuses_a_key_past_its_degree(monkeypatch):
+    """A key of weight past n lies outside the span the points decide."""
+    coeffs = dict(delta_m(2).coeffs)
+    coeffs[Partition([3]), Partition([1, 1, 1])] = 1
+    _delta_m_with(monkeypatch, 2, coeffs)
+    assert not delta_m_dual_route_agrees(2)
+
+
+def test_lower_set_is_unisolvent_through_degree_8():
+    """S_n holds one multiplicity vector per partition of size <= n, is a
+    lower set, and its monomial matrix at its own points is nonsingular."""
+    for n in range(9):
+        points = witt._lower_set(n)
+        assert len(points) == len(set(points)) == sum(len(list(partitions(k))) for k in range(n + 1))
+        members = set(points)
+        for alpha in points:
+            assert sum(i * m for i, m in enumerate(alpha, start=1)) <= n
+            for i, m in enumerate(alpha):
+                assert not m or alpha[:i] + (m - 1,) + alpha[i + 1 :] in members
+        matrix = [[math.prod(map(pow, p, alpha)) for alpha in points] for p in points]
+        assert _det(matrix) != 0
+    assert len(witt._lower_set(5)) == 19
+
+
+def test_delta_m_dual_route_through_degree_8():
+    """67 x 67 = 4,489 point pairs; the full tensor grid would need 42 million."""
+    assert delta_m_dual_route_agrees(8)
+
+
+def test_delta_m_dual_route_refuses_a_singular_point_set(monkeypatch):
+    """A repeated point makes the monomial matrix singular: the check
+    returns False rather than trust the evaluations."""
+    real = witt._lower_set
+    monkeypatch.setattr(witt, "_lower_set", lambda n: real(n) + real(n)[-1:])
+    assert not delta_m_dual_route_agrees(5)
+    monkeypatch.setattr(witt, "_lower_set", real)
+    monkeypatch.setattr(witt, "_det", lambda rows: 0)
+    assert not delta_m_dual_route_agrees(5)
 
 
 def test_witt_json_roundtrip():
