@@ -7,8 +7,8 @@ indexed by (degrees, catalog index); r = 1 is the graded ring and the
 diagonal lands in r = 2.  The product embeds H x K block-diagonally, one
 factor at a time.  The diagonal restricts coset spaces along S_p x S_q
 through the table of marks: the marks of Res(S_n/H) are row H of the
-table of S_n read at the S_n-classes of the subgroups of S_p x S_q, and
-`BurnsideElement.from_marks` solves them over the table of S_p x S_q.
+table of S_n read at the class fusion of S_p x S_q (`Catalog.fusion`),
+and `BurnsideElement.from_marks` solves them over the table of S_p x S_q.
 The composition sends (beta_H, beta_K) to the class of the wreath product
 with H permuting deg(H) blocks and K acting inside each block.  For any
 integral b, effective or virtual, the marks of beta_H * b are sums over
@@ -17,12 +17,13 @@ composition of species; see `star`), solved by `from_marks`.  Evaluation
 on A(G) of a cyclic G reads marks too: the mark at <g> of X^n/H is H's
 cycle index at the marks of X at the powers of g (see `eval_burnside`);
 `eval_z` is the same Polya sum (`_polya`) at p_l -> r.  On a noncyclic
-G the Young classes S_lambda, which span Psi^k and every Sym^n, read
-marks from the orbit sizes of X at each class K (`_orbit_sizes`); only
-the other terms take the explicit route, `burnside.beta_virtual`, also
-the oracle of both mark routes.  The diagonal, composition and
-evaluations take one-factor classes: unpacking `(n,) = degrees` raises
-ValueError for any other arity.
+G the Young classes S_lambda (`_young_of`, the fusion of prod(lambda)'s
+full class), which span Psi^k and every Sym^n, read marks from the orbit
+sizes of X at each class K (`_orbit_sizes`, X's marks at the fusion of
+K's catalog); only the other terms take the explicit route,
+`burnside.beta_virtual`, also the oracle of both mark routes.  The
+diagonal, composition and evaluations take one-factor classes: unpacking
+`(n,) = degrees` raises ValueError for any other arity.
 """
 
 from __future__ import annotations
@@ -232,24 +233,6 @@ def _interleave(da: tuple, db: tuple) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def _young_classes(ambient: Ambient, flat_parts: tuple[int, ...]) -> tuple[int, ...]:
-    """The class fusion of the Young subgroup P = prod(flat_parts) into
-    G = prod(degrees): the G-class of each class of P, in P's catalog order,
-    by `Catalog.identify` of each representative's element set.
-
-    flat_parts must refine the ambient's factor degrees consecutively, so
-    P's representatives already act on G's points inside G.
-    """
-    degrees = ambient.degrees
-    cuts = {sum(degrees[:k]) for k in range(len(degrees) + 1)}
-    running = {sum(flat_parts[:k]) for k in range(len(flat_parts) + 1)}
-    if sum(flat_parts) != sum(degrees) or not cuts <= running:
-        raise ValueError(f"refinement {flat_parts} does not respect {degrees}")
-    cat = get_catalog(ambient)
-    return tuple(cat.identify(cls.rep.elements) for cls in _catalog(flat_parts).classes)
-
-
-@lru_cache(maxsize=None)
 def _refine_terms(ambient: Ambient, idx: int, flat_parts: tuple[int, ...]):
     """Restrict a subgroup class H of G = prod(degrees) along the Young
     subgroup P = prod(flat_parts), through the table of marks.
@@ -257,14 +240,15 @@ def _refine_terms(ambient: Ambient, idx: int, flat_parts: tuple[int, ...]):
     flat_parts must refine the ambient's factor degrees consecutively.
     Returns ((class index in the prod(flat_parts) catalog, multiplicity), ...).
     Restriction commutes with marks: the mark of Res(G/H) at L <= P is the
-    mark of G/H at the G-class of L.  So row idx of G's table, read at the
-    class fusion of P, is the marks vector of the restriction, and
+    mark of G/H at the G-class of L.  So row idx of G's table, read at
+    `Catalog.fusion` of P, is the marks vector of the restriction, and
     `from_marks` solves it over P's table (raising on a vector outside the
-    image, which only an inconsistent catalog gives).
+    image, which only an inconsistent catalog gives).  A refinement across
+    factors puts a representative of P outside G: NotASubgroup.
     """
-    row = get_catalog(ambient).matrix[idx]
-    marks = [row[j] for j in _young_classes(ambient, flat_parts)]
-    coords = BurnsideElement.from_marks(get_catalog(Ambient.prod(flat_parts)), marks).coords
+    cat, sub = get_catalog(ambient), _catalog(flat_parts)
+    marks = [cat.matrix[idx][j] for j in cat.fusion(sub)]
+    coords = BurnsideElement.from_marks(sub, marks).coords
     return tuple((k, c) for k, c in enumerate(coords) if c)
 
 
@@ -458,32 +442,16 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
 @lru_cache(maxsize=None)
 def _young_of(n: int) -> dict[int, Partition]:
     """{class index of S_lambda in S_n: lambda} over the partitions of n:
-    the `_basis_product` key of beta^lambda_1 ... beta^lambda_r."""
-    out = {}
-    for lam in partitions(n):
-        key = ((0,), 0)
-        for part in lam:
-            key = _basis_product(*key, (part,), len(sym_catalog(part).classes) - 1)
-        out[key[1]] = lam
-    return out
-
-
-@lru_cache(maxsize=None)
-def _subclass_fusion(ambient: Ambient, k: int) -> tuple[int, ...]:
-    """The class fusion of K = class k of G into G: the G-class of each
-    class of `group_catalog(K.rep)`, in that catalog's order, by
-    `Catalog.identify` of each representative's element set."""
-    cat = get_catalog(ambient)
-    sub = group_catalog(cat.classes[k].rep)
-    return tuple(cat.identify(cls.rep.elements) for cls in sub.classes)
+    S_lambda is the last (full) class of prod(lambda), fused into S_n."""
+    return {sym_catalog(n).fusion(_catalog(lam))[-1]: lam for lam in partitions(n)}
 
 
 def _orbit_sizes(cat: Catalog, k: int, x_marks) -> dict[int, int]:
     """{s: N_s}, the number of K-orbits of size s in Res_K X for K = class
-    k of G, from the marks of X: Res_K X has the marks of X at the G-classes
-    of K's subgroups, and `from_marks` over K's catalog solves them."""
+    k of G, from the marks of X: Res_K X has the marks of X at
+    `Catalog.fusion` of K's catalog, and `from_marks` over it solves them."""
     sub = group_catalog(cat.classes[k].rep)
-    marks = [x_marks[j] for j in _subclass_fusion(cat.ambient, k)]
+    marks = [x_marks[j] for j in cat.fusion(sub)]
     order, counts = cat.classes[k].order, {}
     for cls, c in zip(sub.classes, BurnsideElement.from_marks(sub, marks).coords):
         if c:

@@ -40,6 +40,8 @@ of per-factor cycle types, compared with `Catalog.census`) and, only when
 candidates still tie, computes single marks by containment in the set.
 Each answer is memoized per catalog by the element set, seeded with the
 representatives', so identification builds no group or permutation.
+`Catalog.fusion` is the one route from a subgroup's catalog to G's
+classes (the diagonal, the Young table and the orbit-size route read it).
 `lin` and `eval_z` read `Catalog.census` too, the one census memo.
 """
 
@@ -411,6 +413,7 @@ class Catalog:
         self._censuses: dict[int, frozenset] = {}
         # `identify`'s answers by element set, seeded with the representatives.
         self._identified = {cls.rep.elements: cls.index for cls in self.classes}
+        self._fused: dict[Ambient, tuple[int, ...]] = {}  # `fusion`'s, by sub.ambient
         self._by_order: dict[int, list[int]] = {}
         self._by_label = {}
         for cls in self.classes:
@@ -476,6 +479,15 @@ class Catalog:
             raise NotASubgroup("invariants match no class: not a group, or an inconsistent catalog")
         self._identified[members] = found[0]
         return found[0]
+
+    def fusion(self, sub: Catalog) -> tuple[int, ...]:
+        """The class fusion of U into G, for `sub` the catalog of a subgroup
+        U <= G on G's points: the G-class of each class of U, in `sub`'s
+        order, by `identify` of each representative's element set; memoized
+        by `sub.ambient`.  A representative outside G raises NotASubgroup."""
+        if sub.ambient not in self._fused:
+            self._fused[sub.ambient] = tuple(self.identify(c.rep.elements) for c in sub.classes)
+        return self._fused[sub.ambient]
 
     def census(self, i: int) -> frozenset:
         """`perms.cycle_census` of class i's representative over the
@@ -779,10 +791,11 @@ def _write_cache(path, cat: Catalog):
 
 def clear_memo():
     """Forget every memoized catalog, every earlier build and every closed
-    generating set, and empty each catalog's `identify` memo
-    (`_identified`), which elements built before may still reach."""
+    generating set, and empty each catalog's `identify` and `fusion` memos
+    (`_identified`, `_fused`), which elements built before may still reach."""
     for cat in [*_CATALOGS.values(), *_BUILT.values()]:
         cat._identified.clear()
+        cat._fused.clear()
     _CATALOGS.clear()
     _BUILT.clear()
     _CLOSURES.clear()

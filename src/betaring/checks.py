@@ -788,19 +788,23 @@ def _delta_m_of_monomial(pi) -> SymFunc:
 SUITES = {
     "catalog": lambda n=None: check_catalog(),
     "beta-z": lambda n=None: check_beta_z(),
-    "lambda": lambda n=None: check_lambda_structure(n or 6),
-    "axioms-AG": lambda n=None: check_ag_axioms(n or 3),
+    "lambda": lambda n=None: check_lambda_structure(6 if n is None else n),
+    "axioms-AG": lambda n=None: check_ag_axioms(3 if n is None else n),
     "operator-ring": lambda n=None: check_operator_ring(),
-    "adams": lambda n=None: check_adams(n or 5),
+    "adams": lambda n=None: check_adams(5 if n is None else n),
     "adams-AG": lambda n=None: check_adams_ag(),
-    "polya": lambda n=None: check_polya(n or 6),
+    "polya": lambda n=None: check_polya(6 if n is None else n),
     "witt": lambda n=None: check_witt(),
     "mod2": lambda n=None: check_mod2(),
-    "gcd": lambda n=None: check_gcd_suite(n or 6),
+    "gcd": lambda n=None: check_gcd_suite(6 if n is None else n),
 }
 
 
 def run_suites(names, n=None) -> dict[str, list[dict]]:
+    """Each named suite's reports, at depth n (each suite's default for
+    None); ValueError for n < 1, before any suite runs."""
+    if n is not None and n < 1:
+        raise ValueError(f"depth n must be at least 1, got {n}")
     out = {}
     for name in names:
         if name not in SUITES:

@@ -103,7 +103,7 @@ def _cmd_star(args):
 
 
 def _cmd_psi(args):
-    if args.partition:
+    if args.partition is not None:
         parts = [int(x) for x in args.partition.split(",")]
         result = psi_partition(parts)
         name = f"Psi_({args.partition})"
@@ -277,6 +277,11 @@ def main(argv=None) -> int:
     if overrides:
         try:
             set_config(**overrides)
+        except ValueError as exc:
+            parser.error(str(exc))
+    if args.command == "check":
+        try:
+            checks.run_suites((), n=args.n)  # no suite: only --n is checked
         except ValueError as exc:
             parser.error(str(exc))
     if args.command == "psi" and args.k is None and args.partition is None:

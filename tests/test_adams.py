@@ -305,6 +305,51 @@ def test_psi_two_moves_marks_of_a_two_group():
         assert moved_by_psi(group, 2)
 
 
+def _composition_misses(group, outer, inner, k):
+    """How many basis classes [G/H] of A(G) have Psi^outer(Psi^inner X) != Psi^k X."""
+    misses = 0
+    for cls in group_catalog(group).classes:
+        x = BurnsideElement.basis(group, cls.index)
+        composed = eval_burnside(psi_upper(outer), eval_burnside(psi_upper(inner), x))
+        misses += composed != eval_burnside(psi_upper(k), x)
+    return misses
+
+
+def _composition_groups():
+    return {
+        "V4": klein_group(),
+        "S3": PermGroup.symmetric(3),
+        **dict(two_groups()),
+        "S4": PermGroup.symmetric(4),
+    }
+
+
+def test_psi_two_after_psi_three_is_psi_six_on_small_groups():
+    """Psi^2 o Psi^3 = Psi^6 on every basis class of A(V4), A(S3), A(D4) and
+    A(C2 x C2 x C2), each evaluated through the orbit-size route."""
+    groups = _composition_groups()
+    for name in ("V4", "S3", "D4", "C2xC2xC2"):
+        assert _composition_misses(groups[name], 2, 3, 6) == 0, name
+
+
+def test_adams_compositions_differ_from_the_composite_index():
+    """Psi^k o Psi^l != Psi^kl on exactly these many basis classes: Psi^2 o
+    Psi^2 on 1 of 5 (V4), 4 of 8 (D4) and 8 of 16 (C2 x C2 x C2); Psi^3 o
+    Psi^2 on 2 of 4 (S3); Psi^2 o Psi^3 on 3 of 11 (S4)."""
+    groups = _composition_groups()
+    cases = {
+        ("V4", 2, 2, 4): 1,
+        ("D4", 2, 2, 4): 4,
+        ("C2xC2xC2", 2, 2, 4): 8,
+        ("S3", 3, 2, 6): 2,
+        ("S4", 2, 3, 6): 3,
+    }
+    counts = {name: len(group_catalog(g).classes) for name, g in groups.items()}
+    assert counts == {"V4": 5, "S3": 4, "D4": 8, "C2xC2xC2": 16, "S4": 11}
+    for (name, outer, inner, k), misses in cases.items():
+        assert _composition_misses(groups[name], outer, inner, k) == misses, (name, outer, inner)
+
+
 def test_adams_ag_suite_reports_each_statement(monkeypatch):
     """Five lines, all passing; Psi^2 read as the identity fails the V4 line."""
     reports = checks.run_suites(["adams-AG"])["adams-AG"]

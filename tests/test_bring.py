@@ -11,8 +11,8 @@ from betaring import bring, config
 from betaring.adams import psi_upper
 from betaring.bring import (
     BElement,
+    _orbit_sizes,
     _refine_terms,
-    _young_classes,
     beta_regular,
     beta_upper,
     diagonal,
@@ -25,9 +25,15 @@ from betaring.bring import (
     sym_catalog,
 )
 from betaring.burnside import BurnsideElement, GSet, beta_virtual, group_catalog, orbit_decompose
-from betaring.catalog import Ambient, get_catalog
-from betaring.checks import CHECK_GSET_CAP, explicit_points, klein_group, young_eval_cases
-from betaring.errors import DegreeCap, NotEffective, SizeCap
+from betaring.catalog import Ambient, build_catalog, get_catalog
+from betaring.checks import (
+    CHECK_GSET_CAP,
+    explicit_points,
+    klein_group,
+    two_groups,
+    young_eval_cases,
+)
+from betaring.errors import DegreeCap, NotASubgroup, NotEffective, SizeCap
 from betaring.perms import PermGroup, Permutation, are_conjugate, double_cosets, partitions
 from betaring.symfunc import lin
 
@@ -214,26 +220,52 @@ def _positive_compositions(n):
 def test_young_class_fusion_matches_identify():
     """Every Young subgroup of S_n, n <= 6: each composition into positive
     parts, and the two-part ones with an empty part that the diagonal reads.
-    The fusion is `identify` of every class, each computed with the memo
-    emptied, so that the fusion is not compared with the memo it filled."""
+    `Catalog.fusion` of a fresh build is `identify` of every class, each
+    computed with the memo emptied, so that the fusion is not compared with
+    the memo it filled."""
     checked = 0
     for n in range(1, 7):
-        g = sym_catalog(n)
+        g, fresh = sym_catalog(n), build_catalog(Ambient.sym(n))
         refinements = set(_positive_compositions(n)) | {(0, n), (n, 0)}
         for parts in sorted(refinements):
-            classes = get_catalog(Ambient.prod(parts)).classes
-            fused = _young_classes.__wrapped__(Ambient.sym(n), parts)
+            sub = get_catalog(Ambient.prod(parts))
+            fused = fresh.fusion(sub)
             expect = []
-            for cls in classes:
+            for cls in sub.classes:
                 g._identified.clear()
                 expect.append(g.identify(cls.rep))
             assert fused == tuple(expect), parts
-            checked += len(classes)
+            checked += len(sub.classes)
     assert checked == 675
 
 
+def test_fusion_restricts_like_the_explicit_gset():
+    """For every class K of G and every [G/H]: the marks of [G/H] read at
+    `Catalog.fusion` of K's catalog, solved over it, are Res_K [G/H] as
+    `orbit_decompose` finds it on the restricted coset space (by stabilizer
+    identification, no marks), and `_orbit_sizes` is the histogram of the
+    restricted orbits' sizes."""
+    groups = [PermGroup.symmetric(3), klein_group(), PermGroup.symmetric(4)]
+    checked = 0
+    for group in groups + [g for _, g in two_groups()]:
+        cat = group_catalog(group)
+        for h in cat.classes:
+            x = BurnsideElement.basis(group, h.index)
+            gset, marks = x.to_gset(), x.marks()
+            for k in cat.classes:
+                sub = group_catalog(k.rep)
+                fused = BurnsideElement.from_marks(sub, [marks[j] for j in cat.fusion(sub)])
+                restricted = gset.restrict(k.rep)
+                assert fused == orbit_decompose(restricted), (h.label, k.label)
+                sizes = [len(orbit) for orbit in restricted.orbits()]
+                expect = {s: sizes.count(s) for s in set(sizes)}
+                assert _orbit_sizes(cat, k.index, marks) == expect, (h.label, k.label)
+                checked += 1
+    assert checked == 4 * 4 + 5 * 5 + 11 * 11 + 8 * 8 + 16 * 16
+
+
 def test_refine_terms_rejects_refinements_across_factors():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotASubgroup):
         _refine_terms(Ambient.pair(2, 3), 0, (1, 3, 1))
 
 

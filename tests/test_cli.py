@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from betaring import checks
 from betaring.cli import main
 from betaring.config import get_config
 
@@ -203,6 +204,32 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["evalz", "--r", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_check_depth_below_one_is_a_usage_error(capsys, monkeypatch, depth, json_flag):
+    """--n 0 is a depth, not a missing option: it is refused before any
+    suite runs, never read as the default or passed vacuously."""
+    ran = []
+    monkeypatch.setitem(checks.SUITES, "lambda", lambda n=None: ran.append(n) or [])
+    with pytest.raises(SystemExit) as exc:
+        main([*json_flag, "check", "lambda", "--n", depth])
+    assert exc.value.code == 2
+    assert "depth n must be at least 1" in capsys.readouterr().err
+    assert ran == []
+    with pytest.raises(ValueError):
+        checks.run_suites(["lambda"], n=int(depth))
+    assert ran == []
+
+
+def test_empty_partition_is_a_computation_error(capsys):
+    """--partition "" is a value, not a missing option: exit 1, no traceback."""
+    code, out, err = run(capsys, "psi", "--partition", "")
+    assert code == 1 and out == "" and err.startswith("error:")
+    code, out, _ = run(capsys, "--json", "psi", "--partition", "")
+    assert code == 1
+    assert set(json.loads(out)) == {"error", "type"}
 
 
 @pytest.mark.parametrize("degree", ["0", "9"])
