@@ -15,11 +15,12 @@ marks, and this route is the oracle of both.  A G-set's points are
 0..size-1 and it is given by one row of images of the points per group
 generator, which the closure over G proves a bijection; a generator, a
 Permutation, is itself an image tuple and keys the element action
-directly.  X^n/H
-(and (X^p x Y^q)/L) never builds a tuple of X^n: a point of a product of
-G-sets is its integer code in mixed radix (the itertools.product order),
-and coordinate permutations and the diagonal G-action are flat
-code-to-code lists, built one coordinate (digit) at a time.
+directly.  X^n/H (and (X^p x Y^q)/L) never builds a tuple of X^n: a point
+of a product of G-sets is its integer code in mixed radix (the
+itertools.product order), coordinate permutations are flat code-to-code
+lists built one coordinate (digit) at a time, and the diagonal G-action
+is read only at orbit representatives, from two such lists over the
+leading and the trailing half of the coordinates.
 
 A G-set is its action by element, `elem_action`; rows per generator are
 only how it is given, so G-sets over equal groups combine whatever
@@ -437,14 +438,18 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
     A tuple t is stored as its integer code sum_j t_j * stride_j, with
     stride_j = prod_{i>j} |X_i|, so codes 0..|X_0 x ... x X_{n-1}| - 1 run in
     itertools.product order.  A generator g of w sends coordinate j to
-    position g(j), i.e. digit d of coordinate j to d * stride_{g(j)}; a
-    generator of G sends it to row_j[d] * stride_j.  Each becomes one flat
-    code-to-code list.  The w-orbits are labelled in a flat list in code
-    order, so each orbit is numbered and represented by its least code,
-    the first tuple of the product order that it contains: a walk from
-    each unlabelled code labels its orbit, and list.index jumps over the
-    labelled codes to the next start.  A w without generators leaves every
-    code its own orbit, and the G maps are the rows themselves.
+    position g(j), i.e. digit d of coordinate j to d * stride_{g(j)}, and
+    becomes one flat code-to-code list.  The w-orbits are labelled in a
+    flat list in code order, so each orbit is numbered and represented by
+    its least code, the first tuple of the product order that it
+    contains.  A queue from each unlabelled code labels its orbit: each
+    code taken from it walks the cycle of the first generator up to a
+    labelled code, and only the other generators enqueue; list.index
+    jumps over the labelled codes to the next start.  A generator of G
+    sends digit d of coordinate j to row_j[d] * stride_j, read only at
+    the representatives from one code map over the leading n // 2
+    coordinates and one over the rest.  A w without generators leaves
+    every code its own orbit, and the G rows are then full code maps.
     """
     if not factors:
         raise ValueError("empty factor list")
@@ -466,13 +471,14 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
         _code_map([d * strides[g[j]] for d in range(sizes[j])] for j in range(n))
         for g in w.generators
     ]
-    g_maps = (
-        _code_map([d * stride for d in row] for row, stride in zip(rows, strides))
+    g_columns = [
+        [[d * stride for d in row] for row, stride in zip(rows, strides)]
         for rows in zip(*(f._rows(group) for f in factors))
-    )
+    ]
     if not w_maps:
         # every code is its own orbit, so the G rows are the code maps themselves
-        return GSet(group, total, g_maps)
+        return GSet(group, total, (_code_map(columns) for columns in g_columns))
+    first, *rest = w_maps
     orbit_of = [-1] * (total + 1)  # the last slot stays -1 and ends the scan
     reps: list[int] = []
     start = 0
@@ -482,14 +488,21 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
         orbit_of[start] = oid
         queue = [start]
         for code in queue:
-            for m in w_maps:
-                image = m[code]
-                if orbit_of[image] < 0:
-                    orbit_of[image] = oid
-                    queue.append(image)
+            while True:  # the cycle of the first generator, until a labelled code
+                for m in rest:
+                    image = m[code]
+                    if orbit_of[image] < 0:
+                        orbit_of[image] = oid
+                        queue.append(image)
+                code = first[code]
+                if orbit_of[code] >= 0:
+                    break
+                orbit_of[code] = oid
         start = orbit_of.index(-1, start + 1)
-    # one G map at a time, so at most one full-length map is alive
-    return GSet(group, len(reps), [_compose(orbit_of, _compose(m, reps)) for m in g_maps])
+    half = n // 2
+    low = math.prod(sizes[half:])
+    tables = [(_code_map(columns[:half]), _code_map(columns[half:])) for columns in g_columns]
+    return GSet(group, len(reps), [[orbit_of[hi[c // low] + lo[c % low]] for c in reps] for hi, lo in tables])
 
 
 def beta_on_gset(h, x: GSet) -> GSet:

@@ -800,15 +800,22 @@ SUITES = {
 }
 
 
-def run_suites(names, n=None) -> dict[str, list[dict]]:
-    """Each named suite's reports, at depth n (each suite's default for
-    None); ValueError for n < 1, before any suite runs."""
+def _check_request(names, n=None) -> None:
+    """ValueError for a depth n < 1, KeyError for a name not in SUITES."""
     if n is not None and n < 1:
         raise ValueError(f"depth n must be at least 1, got {n}")
-    out = {}
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+
+
+def run_suites(names, n=None) -> dict[str, list[dict]]:
+    """Each named suite's reports, at depth n (each suite's default for
+    None); ValueError for n < 1 and KeyError for an unknown name, before
+    any suite runs."""
+    _check_request(names, n)
+    out = {}
+    for name in names:
         try:
             out[name] = SUITES[name](n)
         except Exception as exc:  # one FAIL line, and the next suite still runs

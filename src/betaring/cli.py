@@ -281,9 +281,9 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     if args.command == "check":
         try:
-            checks.run_suites((), n=args.n)  # no suite: only --n is checked
-        except ValueError as exc:
-            parser.error(str(exc))
+            checks._check_request(args.suites, args.n)
+        except (KeyError, ValueError) as exc:
+            parser.error(exc.args[0])
     if args.command == "psi" and args.k is None and args.partition is None:
         parser.error("psi needs --k or --partition")
     if args.command == "lin" and args.cls is None and args.psi is None:

@@ -401,12 +401,38 @@ def test_beta_on_gset_matches_tuple_bfs_reference():
                     assert (quotient.size, quotient.gen_action) == expected, (n, cls.label, x.size)
 
 
+def test_beta_on_gset_at_degrees_five_and_six_matches_reference():
+    """Each degree takes a W of one generator, whose cycle walk labels
+    every orbit, and W of several; G reads each point from a table over
+    the leading n // 2 coordinates and one over the rest."""
+    sets = [GSet.regular(c2()), GSet.regular(c3()), GSet.coset_space(s3(), PermGroup.generate(3, [[1, 0, 2]]))]
+    for n, labels in ((5, ("o5-5", "o6-3.2-b", "o10-5", "o120-5")), (6, ("o6-6-a", "o8-2.2.2", "o720-6"))):
+        ws = [sym_class(n, label).rep for label in labels]
+        assert {len(w.generators) == 1 for w in ws} == {True, False}
+        for w in ws:
+            for x in sets:
+                quotient = beta_on_gset(w, x)
+                assert (quotient.size, quotient.gen_action) == _reference_quotient([x] * n, w), (n, w, x.size)
+
+
+def test_tuple_quotient_edge_shapes_match_reference():
+    """One coordinate, all in the trailing table, under an explicit identity
+    generator; and two empty factors, no point to label or to act on."""
+    for g in _oracle_groups():
+        identity = PermGroup.generate(1, [[0]])
+        cases = [([GSet.coset_space(g, cls.rep)], identity) for cls in group_catalog(g).classes]
+        cases.append(([GSet.empty(g)] * 2, PermGroup.symmetric(2)))
+        for factors, w in cases:
+            quotient = _tuple_orbit_quotient(factors, w)
+            assert (quotient.size, quotient.gen_action) == _reference_quotient(factors, w)
+
+
 def test_beta2_on_gsets_matches_reference_with_unequal_factor_sizes():
     checked = 0
     for g in (c2(), s3(), PermGroup.cyclic(4)):
         sets = [GSet.coset_space(g, cls.rep) for cls in group_catalog(g).classes]
         pairs = [(x, y) for x in sets for y in sets if x.size != y.size]
-        for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
+        for p, q in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2), (2, 3)):
             for cls in get_catalog(Ambient.pair(p, q)).classes:
                 for x, y in pairs:
                     quotient = beta2_on_gsets(cls, x, y)

@@ -223,6 +223,21 @@ def test_check_depth_below_one_is_a_usage_error(capsys, monkeypatch, depth, json
     assert ran == []
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_check_unknown_suite_is_a_usage_error(capsys, monkeypatch, json_flag):
+    """An unknown name is refused before any suite runs, also before a
+    known suite named ahead of it."""
+    ran = []
+    monkeypatch.setitem(checks.SUITES, "mod2", lambda n=None: ran.append(n) or [])
+    with pytest.raises(SystemExit) as exc:
+        main([*json_flag, "check", "mod2", "bogus"])
+    assert exc.value.code == 2
+    assert "unknown suite 'bogus'" in capsys.readouterr().err
+    with pytest.raises(KeyError):
+        checks.run_suites(["mod2", "bogus"])
+    assert ran == []
+
+
 def test_empty_partition_is_a_computation_error(capsys):
     """--partition "" is a value, not a missing option: exit 1, no traceback."""
     code, out, err = run(capsys, "psi", "--partition", "")
