@@ -17,8 +17,8 @@ composition of species; see `star`), solved by `from_marks`.  Evaluation
 on A(G) of a cyclic G reads marks too: the mark at <g> of X^n/H is H's
 cycle index at the marks of X at the powers of g (see `eval_burnside`);
 `eval_z` is the same Polya sum (`_polya`) at p_l -> r.  On a noncyclic
-G the Young classes S_lambda (`_young_of`, the fusion of prod(lambda)'s
-full class), which span Psi^k and every Sym^n, read marks from the orbit
+G the Young classes S_lambda (`_young_partition`, read off the class of
+S_n alone), which span Psi^k and every Sym^n, read marks from the orbit
 sizes of X at each class K (`_orbit_sizes`, X's marks at the fusion of
 K's catalog); only the other terms take the explicit route,
 `burnside.beta_virtual`, also the oracle of both mark routes.  The
@@ -38,7 +38,7 @@ from .catalog import Ambient, Catalog, get_catalog
 from .config import check_degree
 from .errors import IntegralityViolation, NotEffective
 from .exact import norm_coeff, quotient
-from .perms import Partition, Permutation, _compose, direct_embed, partitions, wreath
+from .perms import Permutation, _compose, direct_embed, wreath
 
 
 def sym_catalog(n: int) -> Catalog:
@@ -422,12 +422,11 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
         return BurnsideElement.from_marks(cat, _polya(a, *values))
     young, coords = [], [0] * len(cat.classes)
     for ((n,), i), c in a.terms.items():
-        lam = _young_of(n).get(i)
-        if lam is not None:
+        cls = sym_catalog(n).classes[i]
+        if (lam := _young_partition(cls)) is not None:
             young.append((lam, c))
         else:
-            term = beta_virtual(sym_catalog(n).classes[i], x).coords
-            coords = [s + c * t for s, t in zip(coords, term)]
+            coords = [s + c * t for s, t in zip(coords, beta_virtual(cls, x).coords)]
     if young:
         top = max(max(lam, default=0) for lam, _ in young)
         x_marks, marks = x.marks(), []
@@ -439,11 +438,11 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
     return BurnsideElement(cat, coords)
 
 
-@lru_cache(maxsize=None)
-def _young_of(n: int) -> dict[int, Partition]:
-    """{class index of S_lambda in S_n: lambda} over the partitions of n:
-    S_lambda is the last (full) class of prod(lambda), fused into S_n."""
-    return {sym_catalog(n).fusion(_catalog(lam))[-1]: lam for lam in partitions(n)}
+def _young_partition(cls) -> tuple[int, ...] | None:
+    """lambda = cls.ptype if the class of S_n is the Young subgroup S_lambda,
+    else None: a subgroup with orbit partition lambda lies in the product of
+    the symmetric groups on its orbits, so it is that one iff |H| = prod lambda_i!."""
+    return cls.ptype if cls.order == math.prod(map(math.factorial, cls.ptype)) else None
 
 
 def _orbit_sizes(cat: Catalog, k: int, x_marks) -> dict[int, int]:

@@ -323,10 +323,12 @@ class BurnsideElement:
     @classmethod
     def from_marks(cls, catalog, marks) -> BurnsideElement:
         """Invert the lower-triangular marks matrix in integers, visiting only
-        the nonzero coordinates; errors if non-integral."""
+        the nonzero coordinates; errors if non-integral or of the wrong length."""
         matrix = catalog.matrix
         rest = list(marks)
         coords = [0] * len(catalog.classes)
+        if len(rest) != len(coords):
+            raise ValueError("marks vector length does not match the class count")
         for k in range(len(coords) - 1, -1, -1):
             if rest[k]:
                 coords[k], remainder = divmod(rest[k], matrix[k][k])

@@ -41,7 +41,7 @@ candidates still tie, computes single marks by containment in the set.
 Each answer is memoized per catalog by the element set, seeded with the
 representatives', so identification builds no group or permutation.
 `Catalog.fusion` is the one route from a subgroup's catalog to G's
-classes (the diagonal, the Young table and the orbit-size route read it).
+classes (the diagonal and the orbit-size route read it).
 `lin` and `eval_z` read `Catalog.census` too, the one census memo.
 """
 

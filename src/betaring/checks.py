@@ -24,7 +24,7 @@ from .bring import (
     BElement,
     _component_marks,
     _refine_terms,
-    _young_of,
+    _young_partition,
     beta_regular,
     beta_upper,
     diagonal,
@@ -55,6 +55,7 @@ from .catalog import (
     get_catalog,
     subgroup_count_from_classes,
 )
+from .errors import IntegralityViolation
 from .perms import PermGroup, all_subgroups, are_conjugate, direct_embed, partitions
 from .symfunc import (
     SymFunc,
@@ -403,7 +404,7 @@ def check_adams(nmax: int = 5) -> list[dict]:
         try:
             table = solve_psi_K(n)
             reports.append(_report(f"Psi_K system solves integrally for n={n}", True))
-        except Exception as exc:  # a non-integral solve is a reportable failure
+        except IntegralityViolation as exc:  # a reportable failure; a cap ends the suite
             reports.append(_report(f"Psi_K system solves integrally for n={n}", False, str(exc)))
             continue
         if n == 2:
@@ -598,10 +599,8 @@ def check_beta_z() -> list[dict]:
     ok = all(beta_virtual(s2, BurnsideElement(cat, [-r])).coords[0] == (r * r - r) // 2 for r in range(6))
     reports.append(_report("Newton-extrapolated negatives: beta_S2(-r) = (r^2 - r)/2", ok))
     ok = True
-    for h in [(2, "S2"), (3, "S3"), (2, "e")]:
-        n = h[0]
-        values = [eval_z(BElement.basis(*h), r) for r in range(n + 3)]
-        diffs = values
+    for n, spec in [(2, "S2"), (3, "S3"), (2, "e")]:
+        diffs = [eval_z(BElement.basis(n, spec), r) for r in range(n + 3)]
         for _ in range(n):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         top = list(diffs)
@@ -621,7 +620,7 @@ def check_beta_z() -> list[dict]:
                             bad.append(f"S{n}:{cls.label} on [C{k}/{cat.classes[j].label}]")
     identity = "eval on A(C2..C6) through marks equals the explicit route (n<=4)"
     reports.append(_report(identity, not bad, repr(bad[:2])))
-    young = [(n, sym_catalog(n).classes[idx]) for n in range(1, 7) for idx in _young_of(n)]
+    young = [(n, cls) for n in range(1, 7) for cls in sym_catalog(n).classes if _young_partition(cls)]
     bad, compared = [], 0
     with config.override(gset_cap=CHECK_GSET_CAP):
         for name, x in young_eval_cases():

@@ -1,8 +1,8 @@
 import itertools
 import json
-import math
 import os
 import random
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -34,7 +34,7 @@ from betaring.checks import (
     young_eval_cases,
 )
 from betaring.errors import DegreeCap, NotASubgroup, NotEffective, SizeCap
-from betaring.perms import PermGroup, Permutation, are_conjugate, double_cosets, partitions
+from betaring.perms import PermGroup, Permutation, are_conjugate, direct_embed, double_cosets, partitions
 from betaring.symfunc import lin
 
 
@@ -447,16 +447,20 @@ def test_eval_burnside_composition_instance():
     assert lhs == rhs
 
 
+def _young_classes(n):
+    return [cls for cls in sym_catalog(n).classes if bring._young_partition(cls) is not None]
+
+
 def test_young_classes_are_the_young_subgroups():
-    """_young_of(n) names one class per partition lambda of n, and its
-    representative is conjugate to S_lambda: order prod lambda_i! and orbit
-    sizes lambda."""
-    for n in range(7):
-        young = bring._young_of(n)
-        assert sorted(young.values()) == sorted(partitions(n))
-        for idx, lam in young.items():
-            cls = sym_catalog(n).classes[idx]
-            assert cls.order == math.prod(map(math.factorial, lam)) and cls.ptype == lam
+    """Exactly p(n) classes of S_n pass `_young_partition`, and for each
+    lambda of n the class that `identify` gives for S_lambda, built as the
+    direct product of S_lambda_i, is the one it names lambda."""
+    for n in range(1, 7):
+        cat = sym_catalog(n)
+        young = {cls.index: bring._young_partition(cls) for cls in _young_classes(n)}
+        assert len(young) == len(list(partitions(n)))
+        for lam in partitions(n):
+            assert young[cat.identify(reduce(direct_embed, map(PermGroup.symmetric, lam)))] == lam
 
 
 def test_eval_of_young_classes_matches_the_explicit_route_in_degree_four():
@@ -467,9 +471,8 @@ def test_eval_of_young_classes_matches_the_explicit_route_in_degree_four():
     with config.override(gset_cap=CHECK_GSET_CAP):
         for _, x in young_eval_cases():
             if explicit_points(4, x) <= CHECK_GSET_CAP:
-                for idx in bring._young_of(4):
-                    cls = sym_catalog(4).classes[idx]
-                    assert eval_burnside(BElement.basis(4, idx), x) == beta_virtual(cls, x)
+                for cls in _young_classes(4):
+                    assert eval_burnside(BElement.basis(4, cls.index), x) == beta_virtual(cls, x)
                     compared += 1
     assert compared == 165
 
@@ -491,7 +494,8 @@ def test_eval_splits_young_and_other_terms():
     """a = 2 beta_S3 - beta_C3 + beta_C2, C2 = S2 x S1: the Young terms read marks,
     beta_C3 takes the explicit route, and the sum is the explicit value."""
     a = BElement.basis(3, "S3").scale(2) - BElement.basis(3, "C3") + BElement.basis(3, "C2")
-    assert [i in bring._young_of(3) for (_, i) in sorted(a.terms)] == [True, False, True]
+    young = [bring._young_partition(sym_catalog(3).classes[i]) for (_, i) in sorted(a.terms)]
+    assert young == [(2, 1), None, (3,)]
     for group in (PermGroup.symmetric(3), klein_group()):
         for i in range(len(group_catalog(group))):
             x = BurnsideElement.basis(group, i) - BurnsideElement.unit(group)

@@ -154,6 +154,15 @@ def test_non_integral_marks_vector_raises():
         BurnsideElement.from_marks(group_catalog(c2()), [1, 0])
 
 
+def test_marks_vector_of_the_wrong_length_raises():
+    """A(S3) has 4 classes: a longer marks vector is refused rather than
+    truncated to [G/e], and a shorter one before the solve reads past it."""
+    cat = group_catalog(s3())
+    for marks in ([6, 0, 0, 0, 99], [6]):
+        with pytest.raises(ValueError, match="does not match the class count"):
+            BurnsideElement.from_marks(cat, marks)
+
+
 def test_non_integral_coordinates_raise():
     """A(G) has integer coordinates: a fractional one raises instead of
     being truncated, while integral Fractions are kept as ints."""

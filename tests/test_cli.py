@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from betaring import checks
+from betaring import checks, config
 from betaring.cli import main
 from betaring.config import get_config
 
@@ -186,6 +186,19 @@ def test_check_adams_n6_solves_degree_six(capsys):
     assert code == 0
     reports = {r["identity"]: r["status"] for r in json.loads(out)["adams"]}
     assert reports["Psi_K system solves integrally for n=6"] == "pass"
+
+
+def test_check_adams_past_the_degree_cap_is_one_fail_line(capsys):
+    """At max_degree 6, `check adams --n 7` reports the cap as the suite's
+    one FAIL line, not as a failed integrality solve for n=7."""
+    with config.override(max_degree=6):
+        code, out, _ = run(capsys, "check", "adams", "--n", "7")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == (
+        "FAIL adams :: adams suite ran to completion  [DegreeCap: degree 7 exceeds max_degree 6]"
+    )
+    assert not any("solves integrally for n=7" in line for line in lines)
 
 
 def test_unknown_class_is_a_computation_error(capsys):

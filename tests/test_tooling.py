@@ -2,7 +2,8 @@
 query path never enumerates subgroups, the explicit G-set route
 never reads marks, evaluation on a cyclic group builds no G-set, nor
 does that of the Young classes and the Adams elements on A(S3), A(V4)
-and A(S4), the Adams elements never multiply classes, the diagonal and
+and A(S4), which opens no product catalog either, the Adams elements
+never multiply classes, the diagonal and
 composition restrict without building stabilizers, the composition neither
 extrapolates nor builds mixed wreath products, identification builds
 no group or permutation, and integer arithmetic
@@ -10,8 +11,9 @@ builds no Fraction, Polya's sum looks up each term's catalog once, the
 Witt dual-route proof evaluates one ghost product per lower-set point
 pair, and lin, eval_z, cycle_index, plethysm, coproduct, convert, the S4
 representatives' reprs, the demos and one axioms-AG run's tuple quotients
-give the pinned outputs."""
+give the pinned outputs.  Every module import of the package is used."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -213,14 +215,42 @@ def test_eval_of_young_classes_builds_no_gset(monkeypatch):
     Young class of S1..S6 and Psi^1..Psi^6 evaluate on every [G/H] and
     [G/H] - [G/G] of A(S3), A(V4) and A(S4), and each value has the size
     that eval_z gives at |X|, past the cap as well."""
-    elements = [BElement.basis(n, i) for n in range(1, 7) for i in bring._young_of(n)]
-    elements += [psi_upper(k) for k in range(1, 7)]
+    elements = _young_and_adams_elements()
     cases = list(betaring.checks.young_eval_cases())
     _refuse_gsets(monkeypatch)
     assert len(elements) == 35 and len(cases) == 37
     for _, x in cases:
         for a in elements:
             assert bring.eval_burnside(a, x).size() == eval_z(a, x.size())
+
+
+def _young_and_adams_elements():
+    """Each Young class of S1..S6, then Psi^1..Psi^6."""
+    elements = [
+        BElement.basis(n, cls.index)
+        for n in range(1, 7)
+        for cls in bring.sym_catalog(n).classes
+        if bring._young_partition(cls) is not None
+    ]
+    return elements + [psi_upper(k) for k in range(1, 7)]
+
+
+def test_eval_of_young_classes_opens_no_product_catalog():
+    """A Young class is read off S_n's own catalog: with every catalog and
+    every memo of `bring` forgotten, the Young classes of S1..S6 and
+    Psi^1..Psi^6 evaluate on every [G/H] and [G/H] - [G/G] of A(S3), A(V4)
+    and A(S4) without opening the catalog of an ambient of two or more
+    factors."""
+    catalog.clear_memo()
+    for memoized in vars(bring).values():
+        if hasattr(memoized, "cache_clear"):
+            memoized.cache_clear()
+    elements = _young_and_adams_elements()
+    for _, x in betaring.checks.young_eval_cases():
+        for a in elements:
+            bring.eval_burnside(a, x)
+    products = [a.descriptor() for a in catalog._CATALOGS if a.degrees and len(a.degrees) > 1]
+    assert products == []
 
 
 def _statuses(reports, prefix):
@@ -230,21 +260,19 @@ def _statuses(reports, prefix):
 def test_beta_z_gates_the_orbit_size_route(monkeypatch):
     """The beta-z suite compares the orbit-size route with the explicit one
     on 222 cases and with eval_z on 380 cases past the cap; both lines
-    fail when S_n and S_(n-1) x S_1 trade partitions in the Young table."""
+    fail when S_n and S_(n-1) x S_1 trade partitions in the Young rule."""
     lines = ("Young classes on", "size of eval")
     reports = betaring.checks.check_beta_z()
     assert [r["witness"] for r in reports if r["identity"].startswith(lines)] == ["222 cases", "380 cases"]
     assert all(r["status"] == "pass" for r in reports)
-    real = bring._young_of
+    real = bring._young_partition
 
-    def swapped(n):
-        young = dict(real(n))
-        if n > 1:
-            (i, lam), (j, mu) = sorted(young.items())[-2:]
-            young[i], young[j] = mu, lam
-        return young
+    def swapped(cls):
+        lam, n = real(cls), sum(cls.ptype)
+        trade = {(n,): (n - 1, 1), (n - 1, 1): (n,)} if n > 1 else {}
+        return trade.get(lam, lam)
 
-    monkeypatch.setattr(bring, "_young_of", swapped)
+    monkeypatch.setattr(bring, "_young_partition", swapped)
     statuses = _statuses(betaring.checks.check_beta_z(), lines)
     assert sorted(statuses.values()) == ["fail", "fail"]
 
@@ -518,3 +546,23 @@ def test_witt_dual_route_evaluates_the_lower_set_pairs(monkeypatch):
     monkeypatch.setattr(witt, "eps_from_ghost", lambda ghost: calls.append(1) or real(ghost))
     assert witt.delta_m_dual_route_agrees(5)
     assert len(calls) == 19 * 19 == 361
+
+
+def test_every_module_import_is_used():
+    """No linter runs in tier-1, so a deletion can leave an import behind:
+    each name a module of the package imports at module level (the
+    package's __init__ and __future__ features aside) is read in it."""
+    unused = []
+    for path in sorted((ROOT / "src" / "betaring").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert not unused, "unused imports: " + ", ".join(unused)
