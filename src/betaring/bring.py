@@ -439,9 +439,7 @@ def eval_burnside(a: BElement, x: BurnsideElement) -> BurnsideElement:
 
 
 def _young_partition(cls) -> tuple[int, ...] | None:
-    """lambda = cls.ptype if the class of S_n is the Young subgroup S_lambda,
-    else None: a subgroup with orbit partition lambda lies in the product of
-    the symmetric groups on its orbits, so it is that one iff |H| = prod lambda_i!."""
+    """lambda = cls.ptype if class H is S_lambda, else None: H <= S_lambda, so iff |H| = prod lambda_i!."""
     return cls.ptype if cls.order == math.prod(map(math.factorial, cls.ptype)) else None
 
 

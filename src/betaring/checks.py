@@ -599,8 +599,10 @@ def check_beta_z() -> list[dict]:
     ok = all(beta_virtual(s2, BurnsideElement(cat, [-r])).coords[0] == (r * r - r) // 2 for r in range(6))
     reports.append(_report("Newton-extrapolated negatives: beta_S2(-r) = (r^2 - r)/2", ok))
     ok = True
-    for n, spec in [(2, "S2"), (3, "S3"), (2, "e")]:
-        diffs = [eval_z(BElement.basis(n, spec), r) for r in range(n + 3)]
+    for h in [(2, "S2"), (3, "S3"), (2, "e")]:
+        n = h[0]
+        values = [eval_z(BElement.basis(*h), r) for r in range(n + 3)]
+        diffs = values
         for _ in range(n):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         top = list(diffs)
@@ -620,7 +622,7 @@ def check_beta_z() -> list[dict]:
                             bad.append(f"S{n}:{cls.label} on [C{k}/{cat.classes[j].label}]")
     identity = "eval on A(C2..C6) through marks equals the explicit route (n<=4)"
     reports.append(_report(identity, not bad, repr(bad[:2])))
-    young = [(n, cls) for n in range(1, 7) for cls in sym_catalog(n).classes if _young_partition(cls)]
+    young = [(n, c) for n in range(1, 7) for c in sym_catalog(n).classes if _young_partition(c) is not None]
     bad, compared = [], 0
     with config.override(gset_cap=CHECK_GSET_CAP):
         for name, x in young_eval_cases():

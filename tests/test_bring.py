@@ -447,23 +447,21 @@ def test_eval_burnside_composition_instance():
     assert lhs == rhs
 
 
-def _young_classes(n):
-    return [cls for cls in sym_catalog(n).classes if bring._young_partition(cls) is not None]
-
-
-def test_young_classes_are_the_young_subgroups():
-    """Exactly p(n) classes of S_n pass `_young_partition`, and for each
-    lambda of n the class that `identify` gives for S_lambda, built as the
-    direct product of S_lambda_i, is the one it names lambda."""
-    for n in range(1, 7):
+def test_young_classes_are_the_young_subgroups(young_classes):
+    """Exactly p(n) classes of S_n pass `_young_partition` for n <= 6, S_0's
+    one class is named (), and for each lambda of n >= 1 the class that
+    `identify` gives for S_lambda, built as the direct product of
+    S_lambda_i, is the one it names lambda."""
+    assert bring._young_partition(sym_catalog(0).classes[0]) == ()
+    for n in range(7):
         cat = sym_catalog(n)
-        young = {cls.index: bring._young_partition(cls) for cls in _young_classes(n)}
+        young = {cls.index: bring._young_partition(cls) for cls in young_classes[n]}
         assert len(young) == len(list(partitions(n)))
-        for lam in partitions(n):
+        for lam in partitions(n) if n else ():
             assert young[cat.identify(reduce(direct_embed, map(PermGroup.symmetric, lam)))] == lam
 
 
-def test_eval_of_young_classes_matches_the_explicit_route_in_degree_four():
+def test_eval_of_young_classes_matches_the_explicit_route_in_degree_four(young_classes):
     """The orbit-size route equals `beta_virtual` for the Young classes of
     S4 on every [G/H] and [G/H] - [G/G] of A(S3), A(V4) and A(S4) where the
     explicit route fits the check cap (the beta-z suite covers n <= 3)."""
@@ -471,7 +469,7 @@ def test_eval_of_young_classes_matches_the_explicit_route_in_degree_four():
     with config.override(gset_cap=CHECK_GSET_CAP):
         for _, x in young_eval_cases():
             if explicit_points(4, x) <= CHECK_GSET_CAP:
-                for cls in _young_classes(4):
+                for cls in young_classes[4]:
                     assert eval_burnside(BElement.basis(4, cls.index), x) == beta_virtual(cls, x)
                     compared += 1
     assert compared == 165

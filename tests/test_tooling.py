@@ -209,13 +209,13 @@ def test_eval_on_cyclic_groups_builds_no_gset(monkeypatch):
             bring.eval_burnside(BElement.basis(3, "C3"), BurnsideElement.basis(g, "e"))
 
 
-def test_eval_of_young_classes_builds_no_gset(monkeypatch):
+def test_eval_of_young_classes_builds_no_gset(monkeypatch, young_classes):
     """On a noncyclic G, the Young classes S_lambda and Psi^k read marks
     only: with the tuple quotient and G-set construction disabled, every
     Young class of S1..S6 and Psi^1..Psi^6 evaluate on every [G/H] and
     [G/H] - [G/G] of A(S3), A(V4) and A(S4), and each value has the size
     that eval_z gives at |X|, past the cap as well."""
-    elements = _young_and_adams_elements()
+    elements = _young_and_adams_elements(young_classes)
     cases = list(betaring.checks.young_eval_cases())
     _refuse_gsets(monkeypatch)
     assert len(elements) == 35 and len(cases) == 37
@@ -224,18 +224,13 @@ def test_eval_of_young_classes_builds_no_gset(monkeypatch):
             assert bring.eval_burnside(a, x).size() == eval_z(a, x.size())
 
 
-def _young_and_adams_elements():
+def _young_and_adams_elements(young_classes):
     """Each Young class of S1..S6, then Psi^1..Psi^6."""
-    elements = [
-        BElement.basis(n, cls.index)
-        for n in range(1, 7)
-        for cls in bring.sym_catalog(n).classes
-        if bring._young_partition(cls) is not None
-    ]
+    elements = [BElement.basis(n, cls.index) for n in range(1, 7) for cls in young_classes[n]]
     return elements + [psi_upper(k) for k in range(1, 7)]
 
 
-def test_eval_of_young_classes_opens_no_product_catalog():
+def test_eval_of_young_classes_opens_no_product_catalog(young_classes):
     """A Young class is read off S_n's own catalog: with every catalog and
     every memo of `bring` forgotten, the Young classes of S1..S6 and
     Psi^1..Psi^6 evaluate on every [G/H] and [G/H] - [G/G] of A(S3), A(V4)
@@ -245,7 +240,7 @@ def test_eval_of_young_classes_opens_no_product_catalog():
     for memoized in vars(bring).values():
         if hasattr(memoized, "cache_clear"):
             memoized.cache_clear()
-    elements = _young_and_adams_elements()
+    elements = _young_and_adams_elements(young_classes)
     for _, x in betaring.checks.young_eval_cases():
         for a in elements:
             bring.eval_burnside(a, x)
