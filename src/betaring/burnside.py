@@ -18,9 +18,9 @@ Permutation, is itself an image tuple and keys the element action
 directly.  X^n/H (and (X^p x Y^q)/L) never builds a tuple of X^n: a point
 of a product of G-sets is its integer code in mixed radix (the
 itertools.product order), coordinate permutations are flat code-to-code
-lists built one coordinate (digit) at a time, and the diagonal G-action
-is read only at orbit representatives, from two such lists over the
-leading and the trailing half of the coordinates.
+lists summed from two short lists over the leading and the trailing half
+of the coordinates, and the diagonal G-action is read only at orbit
+representatives, from two such half lists.
 
 A G-set is its action by element, `elem_action`; rows per generator are
 only how it is given, so G-sets over equal groups combine whatever
@@ -426,7 +426,13 @@ def _acting_group(h) -> PermGroup:
 
 def _code_map(columns) -> list[int]:
     """The code-to-code list of a map that sends digit d of coordinate j to
-    columns[j][d] (already scaled by its target stride), in code order."""
+    columns[j][d] (already scaled by its target stride), in code order.
+    Past two coordinates it is one flat sum of two short tables, the code
+    maps of the first len(columns) // 2 coordinates and of the rest."""
+    columns = list(columns)
+    if len(columns) > 2:
+        half = len(columns) // 2
+        columns = [_code_map(columns[:half]), _code_map(columns[half:])]
     codes = [0]
     for column in columns:
         codes = [a + x for a in codes for x in column]
@@ -441,13 +447,16 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
     stride_j = prod_{i>j} |X_i|, so codes 0..|X_0 x ... x X_{n-1}| - 1 run in
     itertools.product order.  A generator g of w sends coordinate j to
     position g(j), i.e. digit d of coordinate j to d * stride_{g(j)}, and
-    becomes one flat code-to-code list.  The w-orbits are labelled in a
-    flat list in code order, so each orbit is numbered and represented by
-    its least code, the first tuple of the product order that it
-    contains.  A queue from each unlabelled code labels its orbit: each
-    code taken from it walks the cycle of the first generator up to a
-    labelled code, and only the other generators enqueue; list.index
-    jumps over the labelled codes to the next start.  A generator of G
+    becomes one flat code-to-code list (`_code_map`).  The w-orbits are
+    labelled in a flat list in code order, so each orbit is numbered and
+    represented by its least code, the first tuple of the product order
+    that it contains; list.index jumps over the labelled codes to the
+    next start.  The walk from a start depends on the generator count.
+    For one generator the orbit is the cycle through the start, walked
+    with no queue.  For more, a queue from the start labels its orbit:
+    each code taken from it walks the cycle of the first generator up to
+    a labelled code, and only the other generators enqueue, the second
+    one read from a local when it is the only other.  A generator of G
     sends digit d of coordinate j to row_j[d] * stride_j, read only at
     the representatives from one code map over the leading n // 2
     coordinates and one over the rest.  A w without generators leaves
@@ -484,23 +493,52 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
     orbit_of = [-1] * (total + 1)  # the last slot stays -1 and ends the scan
     reps: list[int] = []
     start = 0
-    while start < total:
-        oid = len(reps)
-        reps.append(start)
-        orbit_of[start] = oid
-        queue = [start]
-        for code in queue:
-            while True:  # the cycle of the first generator, until a labelled code
-                for m in rest:
-                    image = m[code]
+    if not rest:  # one generator: each orbit is its cycle through start
+        while start < total:
+            oid = len(reps)
+            reps.append(start)
+            orbit_of[start] = oid
+            code = first[start]
+            while code != start:
+                orbit_of[code] = oid
+                code = first[code]
+            start = orbit_of.index(-1, start + 1)
+    elif len(rest) == 1:
+        (second,) = rest
+        while start < total:
+            oid = len(reps)
+            reps.append(start)
+            orbit_of[start] = oid
+            queue = [start]
+            for code in queue:
+                while True:  # the cycle of the first generator, until a labelled code
+                    image = second[code]
                     if orbit_of[image] < 0:
                         orbit_of[image] = oid
                         queue.append(image)
-                code = first[code]
-                if orbit_of[code] >= 0:
-                    break
-                orbit_of[code] = oid
-        start = orbit_of.index(-1, start + 1)
+                    code = first[code]
+                    if orbit_of[code] >= 0:
+                        break
+                    orbit_of[code] = oid
+            start = orbit_of.index(-1, start + 1)
+    else:
+        while start < total:
+            oid = len(reps)
+            reps.append(start)
+            orbit_of[start] = oid
+            queue = [start]
+            for code in queue:
+                while True:  # the cycle of the first generator, until a labelled code
+                    for m in rest:
+                        image = m[code]
+                        if orbit_of[image] < 0:
+                            orbit_of[image] = oid
+                            queue.append(image)
+                    code = first[code]
+                    if orbit_of[code] >= 0:
+                        break
+                    orbit_of[code] = oid
+            start = orbit_of.index(-1, start + 1)
     half = n // 2
     low = math.prod(sizes[half:])
     tables = [(_code_map(columns[:half]), _code_map(columns[half:])) for columns in g_columns]

@@ -209,11 +209,11 @@ def _explicit(memo: dict, gname: str, xs, key, points: tuple, decompose: bool = 
     return memo[memo_key]
 
 
-def _addition_axiom(explicit, xs, n: int, class_idx: int, xi: int, yi: int) -> bool:
-    lhs = orbit_decompose(beta_on_gset(sym_catalog(n).classes[class_idx], xs[xi] + xs[yi]))
-    rhs = BurnsideElement.zero(xs[xi].group)
-    for key, c in diagonal(BElement.basis(n, class_idx)).terms.items():
-        rhs = rhs + explicit(key, (xi, yi)).scale(c)
+def _addition_axiom(explicit, cls, diagonal_terms, points: tuple, union: GSet) -> bool:
+    lhs = orbit_decompose(beta_on_gset(cls, union))
+    rhs = BurnsideElement.zero(union.group)
+    for key, c in diagonal_terms:
+        rhs = rhs + explicit(key, points).scale(c)
     return lhs == rhs
 
 
@@ -240,10 +240,12 @@ def check_ag_axioms(max_h_degree: int = 3) -> list[dict]:
             xs = _transitive_gsets(group)
             explicit = partial(_explicit, memo, gname, xs)
             points = range(len(xs))
+            unions = {(xi, yi): xs[xi] + xs[yi] for xi in points for yi in points}
             for n in range(1, max_h_degree + 1):
                 for idx, cls in enumerate(sym_catalog(n).classes):
+                    terms = diagonal(BElement.basis(n, idx)).terms.items()
                     ok = all(
-                        _addition_axiom(explicit, xs, n, idx, xi, yi) for xi in points for yi in points
+                        _addition_axiom(explicit, cls, terms, xy, union) for xy, union in unions.items()
                     )
                     reports.append(_report(f"addition axiom S{n}:{cls.label} on A({gname})", ok))
             pairs = [

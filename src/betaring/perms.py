@@ -189,7 +189,7 @@ def _compose(p: tuple, q: tuple) -> tuple:
     """p * q on image tuples (q acts first): one C-level gather of p by q."""
     if len(q) > 1:
         return itemgetter(*q)(p)
-    return tuple(p[i] for i in q)
+    return (p[q[0]],) if q else ()
 
 
 @lru_cache(maxsize=1 << 16)  # room for every element of S_8

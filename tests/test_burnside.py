@@ -10,6 +10,7 @@ from betaring.bring import BElement, eval_burnside, eval_z
 from betaring.burnside import (
     BurnsideElement,
     GSet,
+    _code_map,
     _tuple_orbit_quotient,
     beta2_on_gsets,
     beta_on_gset,
@@ -411,17 +412,35 @@ def test_beta_on_gset_matches_tuple_bfs_reference():
 
 
 def test_beta_on_gset_at_degrees_five_and_six_matches_reference():
-    """Each degree takes a W of one generator, whose cycle walk labels
-    every orbit, and W of several; G reads each point from a table over
-    the leading n // 2 coordinates and one over the rest."""
+    """The labelling walk has one branch per W generator count: one walks
+    each cycle with no queue, two and three or more queue the other
+    generators' images; degree 6 takes all three.  G reads each point
+    from a table over the leading n // 2 coordinates and one over the rest."""
     sets = [GSet.regular(c2()), GSet.regular(c3()), GSet.coset_space(s3(), PermGroup.generate(3, [[1, 0, 2]]))]
-    for n, labels in ((5, ("o5-5", "o6-3.2-b", "o10-5", "o120-5")), (6, ("o6-6-a", "o8-2.2.2", "o720-6"))):
+    cases = (
+        (5, ("o5-5", "o6-3.2-b", "o10-5", "o120-5"), {1, 2}),
+        (6, ("o6-6-a", "o720-6", "o8-2.2.2"), {1, 2, 3}),
+    )
+    for n, labels, counts in cases:
         ws = [sym_class(n, label).rep for label in labels]
-        assert {len(w.generators) == 1 for w in ws} == {True, False}
+        assert {len(w.generators) for w in ws} == counts
         for w in ws:
             for x in sets:
                 quotient = beta_on_gset(w, x)
                 assert (quotient.size, quotient.gen_action) == _reference_quotient([x] * n, w), (n, w, x.size)
+
+
+def test_code_map_is_the_product_of_its_columns():
+    """Split into two half tables past two columns or not, the code map is
+    the sum over itertools.product of the columns, an empty one included."""
+    rng = random.Random(7)
+    for n in range(8):
+        for empty in [None, *range(n)]:
+            columns = [[rng.randrange(100) for _ in range(rng.randint(1, 4))] for _ in range(n)]
+            if empty is not None:
+                columns[empty] = []
+            expected = [sum(t) for t in itertools.product(*columns)]
+            assert _code_map(columns) == expected == _code_map(iter(columns)), (n, empty)
 
 
 def test_tuple_quotient_edge_shapes_match_reference():
