@@ -451,16 +451,15 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
     labelled in a flat list in code order, so each orbit is numbered and
     represented by its least code, the first tuple of the product order
     that it contains; list.index jumps over the labelled codes to the
-    next start.  The walk from a start depends on the generator count.
-    For one generator the orbit is the cycle through the start, walked
-    with no queue.  For more, a queue from the start labels its orbit:
-    each code taken from it walks the cycle of the first generator up to
-    a labelled code, and only the other generators enqueue, the second
-    one read from a local when it is the only other.  A generator of G
-    sends digit d of coordinate j to row_j[d] * stride_j, read only at
-    the representatives from one code map over the leading n // 2
-    coordinates and one over the rest.  A w without generators leaves
-    every code its own orbit, and the G rows are then full code maps.
+    next start.  For one generator the orbit is the cycle through the
+    start, walked with no queue.  For more, a queue from the start labels
+    its orbit: each code taken from it walks the cycle of the first
+    generator up to a labelled code, and only the other generators
+    enqueue.  A generator of G sends digit d of coordinate j to
+    row_j[d] * stride_j, read only at the representatives from one code
+    map over the leading n // 2 coordinates and one over the rest.  A w
+    without generators leaves every code its own orbit, and the G rows
+    are then full code maps.
     """
     if not factors:
         raise ValueError("empty factor list")
@@ -502,24 +501,6 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
             while code != start:
                 orbit_of[code] = oid
                 code = first[code]
-            start = orbit_of.index(-1, start + 1)
-    elif len(rest) == 1:
-        (second,) = rest
-        while start < total:
-            oid = len(reps)
-            reps.append(start)
-            orbit_of[start] = oid
-            queue = [start]
-            for code in queue:
-                while True:  # the cycle of the first generator, until a labelled code
-                    image = second[code]
-                    if orbit_of[image] < 0:
-                        orbit_of[image] = oid
-                        queue.append(image)
-                    code = first[code]
-                    if orbit_of[code] >= 0:
-                        break
-                    orbit_of[code] = oid
             start = orbit_of.index(-1, start + 1)
     else:
         while start < total:

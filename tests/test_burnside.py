@@ -412,10 +412,10 @@ def test_beta_on_gset_matches_tuple_bfs_reference():
 
 
 def test_beta_on_gset_at_degrees_five_and_six_matches_reference():
-    """The labelling walk has one branch per W generator count: one walks
-    each cycle with no queue, two and three or more queue the other
-    generators' images; degree 6 takes all three.  G reads each point
-    from a table over the leading n // 2 coordinates and one over the rest."""
+    """A W of one generator walks each cycle with no queue, and W of two
+    and of three generators queue the other generators' images; degree 6
+    takes all three counts.  G reads each point from a table over the
+    leading n // 2 coordinates and one over the rest."""
     sets = [GSet.regular(c2()), GSet.regular(c3()), GSet.coset_space(s3(), PermGroup.generate(3, [[1, 0, 2]]))]
     cases = (
         (5, ("o5-5", "o6-3.2-b", "o10-5", "o120-5"), {1, 2}),
