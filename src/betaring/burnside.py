@@ -6,21 +6,24 @@ G is any small materialized permutation group; its subgroup-class data
 comes from the catalog machinery applied to G itself, so A(G) shares one
 code path with the A(S_n) building blocks.
 
-GSet, beta_on_gset, beta2_on_gsets and orbit_decompose are the explicit
-route, an oracle for operations computed from marks, so none of them reads
-marks.  `bring.eval_burnside` takes this route, through `beta_virtual`,
-only for the terms of a noncyclic G at classes that are not Young
-subgroups; for a cyclic G, and for the Young classes on any G, it reads
-marks, and this route is the oracle of both.  A G-set's points are
-0..size-1 and it is given by one row of images of the points per group
-generator, which the closure over G proves a bijection; a generator, a
-Permutation, is itself an image tuple and keys the element action
-directly.  X^n/H (and (X^p x Y^q)/L) never builds a tuple of X^n: a point
-of a product of G-sets is its integer code in mixed radix (the
+GSet, beta_on_gset, beta2_on_gsets, beta_on_element and orbit_decompose
+are the explicit route, an oracle for operations computed from marks, so
+none of them reads marks.  `bring.eval_burnside` takes this route, through
+`beta_virtual`, only for the terms of a noncyclic G at classes that are
+not Young subgroups; for a cyclic G, and for the Young classes on any G,
+it reads marks, and this route is the oracle of both.  A G-set's points
+are 0..size-1 and it is given by one row of images of the points per
+group generator, which the closure over G proves a bijection; a
+generator, a Permutation, is itself an image tuple and keys the element
+action directly.  X^n/H (and (X^p x Y^q)/L) never builds a tuple of X^n:
+a point of a product of G-sets is its integer code in mixed radix (the
 itertools.product order), coordinate permutations are flat code-to-code
 lists summed from two short lists over the leading and the trailing half
 of the coordinates, and the diagonal G-action is read only at orbit
-representatives, from two such half lists.
+representatives, from two such half lists.  One step labels the orbits
+(`_tuple_orbit_labels`) and two read the labels: `_tuple_orbit_quotient`
+builds the G-set X^n/H, and `_quotient_classes`, where only its class in
+A(G) is needed (beta_on_element), reads the stabilizers off the labels.
 
 A G-set is its action by element, `elem_action`; rows per generator are
 only how it is given, so G-sets over equal groups combine whatever
@@ -439,9 +442,9 @@ def _code_map(columns) -> list[int]:
     return codes
 
 
-def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
-    """Orbits of the coordinate-permuting group w on prod factors, with the
-    diagonal action of the common G on orbit representatives.
+def _tuple_orbit_labels(factors: list[GSet], w: PermGroup):
+    """The orbits of the coordinate-permuting group w on prod factors: the
+    strides, the orbit label of each code and the least code of each orbit.
 
     A tuple t is stored as its integer code sum_j t_j * stride_j, with
     stride_j = prod_{i>j} |X_i|, so codes 0..|X_0 x ... x X_{n-1}| - 1 run in
@@ -455,15 +458,10 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
     start, walked with no queue.  For more, a queue from the start labels
     its orbit: each code taken from it walks the cycle of the first
     generator up to a labelled code, and only the other generators
-    enqueue.  A generator of G sends digit d of coordinate j to
-    row_j[d] * stride_j, read only at the representatives from one code
-    map over the leading n // 2 coordinates and one over the rest.  A w
-    without generators leaves every code its own orbit, and the G rows
-    are then full code maps.
+    enqueue.  A w without generators leaves every code its own orbit.
     """
     if not factors:
         raise ValueError("empty factor list")
-    group = factors[0].group
     sizes = [f.size for f in factors]
     total = math.prod(sizes)
     cap = get_config().gset_cap
@@ -481,13 +479,8 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
         _code_map([d * strides[g[j]] for d in range(sizes[j])] for j in range(n))
         for g in w.generators
     ]
-    g_columns = [
-        [[d * stride for d in row] for row, stride in zip(rows, strides)]
-        for rows in zip(*(f._rows(group) for f in factors))
-    ]
     if not w_maps:
-        # every code is its own orbit, so the G rows are the code maps themselves
-        return GSet(group, total, (_code_map(columns) for columns in g_columns))
+        return strides, range(total), range(total)
     first, *rest = w_maps
     orbit_of = [-1] * (total + 1)  # the last slot stays -1 and ends the scan
     reps: list[int] = []
@@ -520,10 +513,64 @@ def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
                         break
                     orbit_of[code] = oid
             start = orbit_of.index(-1, start + 1)
-    half = n // 2
-    low = math.prod(sizes[half:])
-    tables = [(_code_map(columns[:half]), _code_map(columns[half:])) for columns in g_columns]
+    return strides, orbit_of, reps
+
+
+def _half_tables(factors: list[GSet], strides, elems):
+    """The diagonal action of each element of G on the codes, as code maps
+    over the leading n // 2 coordinates and over the rest, with low the
+    number of codes of the rest: code c goes to hi[c // low] + lo[c % low]."""
+    half = len(factors) // 2
+    tables = []
+    for g in elems:
+        columns = [[d * stride for d in f.elem_action[g]] for f, stride in zip(factors, strides)]
+        tables.append((_code_map(columns[:half]), _code_map(columns[half:])))
+    return math.prod(f.size for f in factors[half:]), tables
+
+
+def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
+    """The w-orbits as a G-set whose closure checks them: G's generators are
+    read at the representatives, or are full code maps when w has none."""
+    strides, orbit_of, reps = _tuple_orbit_labels(factors, w)
+    group = factors[0].group
+    low, tables = _half_tables(factors, strides, group.generators)
+    if not w.generators:
+        return GSet(group, len(reps), ([a + b for a in hi for b in lo] for hi, lo in tables))
     return GSet(group, len(reps), [[orbit_of[hi[c // low] + lo[c % low]] for c in reps] for hi, lo in tables])
+
+
+def _quotient_classes(factors: list[GSet], w: PermGroup) -> BurnsideElement:
+    """orbit_decompose(_tuple_orbit_quotient(factors, w)) with no G-set.
+
+    The least label not yet marked starts a G-orbit: every element of G
+    is read at its representative and marks the label it reaches, and the
+    elements that fix the label are identified once per mask, as in
+    `orbit_decompose`.  No closure checks the labels, so ValueError is
+    raised unless the classes' sizes [G : H] add up to the label count.
+    """
+    strides, orbit_of, reps = _tuple_orbit_labels(factors, w)
+    cat = group_catalog(factors[0].group)
+    elems = list(factors[0].elem_action)
+    low, tables = _half_tables(factors, strides, elems)
+    coords = [0] * len(cat.classes)
+    class_of = {}
+    marked = bytearray(len(reps) + 1)  # the last slot stays 0 and ends the scan
+    oid = 0
+    while oid < len(reps):
+        high, rest = divmod(reps[oid], low)
+        images = [orbit_of[hi[high] + lo[rest]] for hi, lo in tables]
+        for image in images:
+            marked[image] = 1
+        mask = tuple(map(oid.__eq__, images))
+        idx = class_of.get(mask)
+        if idx is None:
+            idx = class_of[mask] = cat.identify(itertools.compress(elems, mask))
+        coords[idx] += 1
+        oid = marked.index(0, oid + 1)
+    quotient = BurnsideElement(cat, coords)
+    if quotient.size() != len(reps):
+        raise ValueError("the orbit labels do not carry an action of G")
+    return quotient
 
 
 def beta_on_gset(h, x: GSet) -> GSet:
@@ -550,11 +597,11 @@ def beta2_on_gsets(l, x: GSet, y: GSet) -> GSet:
 
 
 def beta_on_element(h, x: BurnsideElement) -> BurnsideElement:
-    """Effective-argument beta: realize, quotient the power, decompose."""
+    """Effective-argument beta: realize, label the power's orbits, read off the classes."""
     w = _acting_group(h)
     if w.degree == 0:
         return BurnsideElement.unit(x.group)
-    return orbit_decompose(beta_on_gset(w, x.to_gset()))
+    return _quotient_classes([x.to_gset()] * w.degree, w)
 
 
 def beta_virtual(h, x: BurnsideElement) -> BurnsideElement:

@@ -59,7 +59,7 @@ from functools import lru_cache, reduce
 from math import gcd, isqrt
 
 from .config import MAX_SUPPORTED_DEGREE, check_degree, get_config
-from .errors import NotASubgroup
+from .errors import CapExceeded, NotASubgroup
 from .perms import (
     GROUP_CAP,
     Partition,
@@ -452,8 +452,10 @@ class Catalog:
         Candidates are narrowed by order, orbit sizes and the census of
         per-factor cycle types, cheapest first; classes that still tie are
         separated by the marks of h in columns where their rows differ.
-        A set without the identity or outside G raises NotASubgroup;
-        closure is not checked.
+        A set without the identity or outside G raises NotASubgroup, and
+        so does an element set not in the memo that is not closed: each
+        member outside the span of those before it is adjoined, and the
+        span may not outgrow the set.  A refused set is not memoized.
         """
         members = h.elements if isinstance(h, PermGroup) else frozenset(h)
         idx = self._identified.get(members)
@@ -461,6 +463,11 @@ class Catalog:
             return idx
         if tuple(range(self.group.degree)) not in members or not members <= self.group.elements:
             raise NotASubgroup(f"not a subgroup of {self.ambient.descriptor()}")
+        if not isinstance(h, PermGroup):
+            try:
+                _mulclose(self.group.degree, members, len(members))
+            except CapExceeded:
+                raise NotASubgroup("the element set is not closed under composition") from None
         found = self._by_order.get(len(members), [])
         if len(found) > 1:
             ptype = orbit_partition(members)
@@ -483,10 +490,11 @@ class Catalog:
     def fusion(self, sub: Catalog) -> tuple[int, ...]:
         """The class fusion of U into G, for `sub` the catalog of a subgroup
         U <= G on G's points: the G-class of each class of U, in `sub`'s
-        order, by `identify` of each representative's element set; memoized
-        by `sub.ambient`.  A representative outside G raises NotASubgroup."""
+        order, by `identify` of each representative, a group, so its closure
+        is not checked again; memoized by `sub.ambient`.  A representative
+        outside G raises NotASubgroup."""
         if sub.ambient not in self._fused:
-            self._fused[sub.ambient] = tuple(self.identify(c.rep.elements) for c in sub.classes)
+            self._fused[sub.ambient] = tuple(self.identify(c.rep) for c in sub.classes)
         return self._fused[sub.ambient]
 
     def census(self, i: int) -> frozenset:
@@ -813,9 +821,8 @@ def mark(ambient: Ambient, h, k) -> int:
 
 def identify(ambient: Ambient, h) -> int:
     """Index of the class of h, a PermGroup or its element set:
-    `Catalog.identify` on the ambient's catalog.  h must be a subgroup:
-    its closure under composition is not checked, so a set that is not a
-    group may still be given (and memoized as) some class."""
+    `Catalog.identify` on the ambient's catalog; an element set that is
+    not a subgroup raises NotASubgroup."""
     return get_catalog(ambient).identify(h)
 
 

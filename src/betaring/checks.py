@@ -38,6 +38,7 @@ from .bring import (
 from .burnside import (
     BurnsideElement,
     GSet,
+    _quotient_classes,
     beta2_on_gsets,
     beta_on_gset,
     beta_virtual,
@@ -199,18 +200,23 @@ def _transitive_gsets(group: PermGroup) -> list[GSet]:
 
 def _explicit(memo: dict, gname: str, xs, key, points: tuple, decompose: bool = True):
     """X^n/H for one point index, (X^p x Y^q)/L for two: the class key =
-    (degrees, index) acting on the G-sets xs[i], i in points, decomposed
-    unless `decompose` is false.  Kept in memo by group name, key and points."""
+    (degrees, index) acting on the G-sets xs[i], i in points, as classes
+    read off its orbit labels, or, for one point and `decompose` false, as
+    a G-set.  Kept in memo by group name, key and points."""
     memo_key = (gname, key, points, decompose)
     if memo_key not in memo:
         cls = get_catalog(Ambient.prod(key[0])).classes[key[1]]
-        value = (beta_on_gset if len(points) == 1 else beta2_on_gsets)(cls, *(xs[i] for i in points))
-        memo[memo_key] = orbit_decompose(value) if decompose else value
+        factors = [xs[i] for i, d in zip(points, key[0]) for _ in range(d)]
+        if not decompose:
+            value = beta_on_gset(cls, xs[points[0]])
+        else:
+            value = _quotient_classes(factors, cls.rep) if factors else BurnsideElement.unit(xs[0].group)
+        memo[memo_key] = value
     return memo[memo_key]
 
 
 def _addition_axiom(explicit, cls, diagonal_terms, points: tuple, union: GSet) -> bool:
-    lhs = orbit_decompose(beta_on_gset(cls, union))
+    lhs = _quotient_classes([union] * cls.rep.degree, cls.rep)
     rhs = BurnsideElement.zero(union.group)
     for key, c in diagonal_terms:
         rhs = rhs + explicit(key, points).scale(c)
@@ -222,7 +228,7 @@ def _composition_axiom(explicit, hkey, kkey, xi: int) -> bool:
     assert coeff == 1
     h_cls = sym_catalog(hkey[0]).class_of(hkey[1])
     inner = explicit(((kkey[0],), kkey[1]), (xi,), decompose=False)  # X^n/K, at most 6^3 points
-    return explicit(key, (xi,)) == orbit_decompose(beta_on_gset(h_cls, inner))
+    return explicit(key, (xi,)) == _quotient_classes([inner] * hkey[0], h_cls.rep)
 
 
 def check_ag_axioms(max_h_degree: int = 3) -> list[dict]:

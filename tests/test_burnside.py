@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from betaring import catalog, config
+from betaring import burnside, catalog, config
 from betaring.bring import BElement, eval_burnside, eval_z
 from betaring.burnside import (
     BurnsideElement,
     GSet,
     _code_map,
+    _quotient_classes,
     _tuple_orbit_quotient,
     beta2_on_gsets,
     beta_on_gset,
@@ -443,16 +444,61 @@ def test_code_map_is_the_product_of_its_columns():
             assert _code_map(columns) == expected == _code_map(iter(columns)), (n, empty)
 
 
-def test_tuple_quotient_edge_shapes_match_reference():
+def _edge_shapes():
     """One coordinate, all in the trailing table, under an explicit identity
     generator; and two empty factors, no point to label or to act on."""
+    identity = PermGroup.generate(1, [[0]])
     for g in _oracle_groups():
-        identity = PermGroup.generate(1, [[0]])
-        cases = [([GSet.coset_space(g, cls.rep)], identity) for cls in group_catalog(g).classes]
-        cases.append(([GSet.empty(g)] * 2, PermGroup.symmetric(2)))
+        yield from (([GSet.coset_space(g, cls.rep)], identity) for cls in group_catalog(g).classes)
+        yield [GSet.empty(g)] * 2, PermGroup.symmetric(2)
+
+
+def test_tuple_quotient_edge_shapes_match_reference():
+    for factors, w in _edge_shapes():
+        quotient = _tuple_orbit_quotient(factors, w)
+        assert (quotient.size, quotient.gen_action) == _reference_quotient(factors, w)
+
+
+def test_quotient_classes_are_the_decomposed_gset():
+    """The classes read off the orbit labels are the decomposition of the
+    G-set built from them: every class of S1..S3 on every transitive G-set
+    and pairwise union of C2, C3, C4, S3 and V4, pair classes on factors
+    of unequal sizes, a W without generators on (S3/e)^6 and the edge
+    shapes."""
+    cases = list(_edge_shapes())
+    for g in _oracle_groups():
+        sets = [GSet.coset_space(g, cls.rep) for cls in group_catalog(g).classes]
+        unions = sets + [x + y for x, y in itertools.combinations_with_replacement(sets, 2)]
+        for n in range(1, 4):
+            cases += [([x] * n, cls.rep) for cls in get_catalog(Ambient.sym(n)).classes for x in unions]
+        for p, q in ((2, 1), (1, 2), (2, 2)):
+            cases += [
+                ([x] * p + [y] * q, cls.rep)
+                for cls in get_catalog(Ambient.pair(p, q)).classes
+                for x in sets
+                for y in sets
+                if x.size != y.size
+            ]
+    cases.append(([GSet.regular(s3())] * 6, PermGroup.trivial(6)))
+    with config.override(gset_cap=6**6):
         for factors, w in cases:
-            quotient = _tuple_orbit_quotient(factors, w)
-            assert (quotient.size, quotient.gen_action) == _reference_quotient(factors, w)
+            expected = orbit_decompose(_tuple_orbit_quotient(factors, w))
+            assert _quotient_classes(factors, w) == expected, (w, [x.size for x in factors])
+
+
+def test_quotient_classes_refuse_labels_that_carry_no_action(monkeypatch):
+    """With orbits 1 and 2 of (S3/e)^2 under the swap merged into one label,
+    the orbit sizes [G : Stab] no longer add up to the number of labels."""
+    labels = burnside._tuple_orbit_labels
+
+    def merged(factors, w):
+        strides, orbit_of, reps = labels(factors, w)
+        return strides, [o - (o >= 2) for o in orbit_of], reps[:2] + reps[3:]
+
+    monkeypatch.setattr(burnside, "_tuple_orbit_labels", merged)
+    x = GSet.regular(s3())
+    with pytest.raises(ValueError, match="do not carry an action"):
+        _quotient_classes([x, x], PermGroup.symmetric(2))
 
 
 def test_beta2_on_gsets_matches_reference_with_unequal_factor_sizes():
@@ -475,18 +521,27 @@ def test_size_cap_is_exact():
     s3_cls = sym_class(3, "S3")
     with config.override(gset_cap=27):
         assert beta_on_gset(s3_cls, x).size == 10
+        assert _quotient_classes([x] * 3, s3_cls.rep).size() == 10
     with config.override(gset_cap=26):
         with pytest.raises(SizeCap):
             beta_on_gset(s3_cls, x)
+        with pytest.raises(SizeCap):
+            _quotient_classes([x] * 3, s3_cls.rep)
 
 
 def test_coordinate_group_mixing_factor_sizes_is_rejected():
+    """Both readers of the orbit labels refuse the same shapes."""
     g = c2()
     x, y = GSet.regular(g), GSet.point(g)
-    with pytest.raises(ValueError):
-        _tuple_orbit_quotient([x, y], PermGroup.symmetric(2))
-    with pytest.raises(ValueError):
-        _tuple_orbit_quotient([x, x, y], PermGroup.cyclic(3))
+    for reader in (_tuple_orbit_quotient, _quotient_classes):
+        with pytest.raises(ValueError, match="another size"):
+            reader([x, y], PermGroup.symmetric(2))
+        with pytest.raises(ValueError, match="another size"):
+            reader([x, x, y], PermGroup.cyclic(3))
+        with pytest.raises(ValueError, match="degree must match"):
+            reader([x, x], PermGroup.symmetric(3))
+        with pytest.raises(ValueError, match="empty factor list"):
+            reader([], PermGroup.trivial(0))
     assert _tuple_orbit_quotient([x, y, x], PermGroup.generate(3, [[2, 1, 0]])).size == 3
     assert _tuple_orbit_quotient([x, GSet.empty(g)], PermGroup.trivial(2)) == GSet.empty(g)
 

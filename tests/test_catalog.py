@@ -328,6 +328,19 @@ def test_identify_rejects_non_subgroups():
         )
 
 
+def test_identify_refuses_an_element_set_that_is_not_closed():
+    """{e, (0 1 2 3)} holds the identity and lies in S4 but is not a group:
+    it raises, as a set and as an iterator, and is not memoized, so a
+    later call raises too."""
+    c = sym(4)
+    memo = dict(c._identified)
+    not_closed = frozenset({(0, 1, 2, 3), (1, 2, 3, 0)})
+    for h in (not_closed, iter(not_closed), not_closed):
+        with pytest.raises(NotASubgroup, match="not closed"):
+            c.identify(h)
+    assert c._identified == memo
+
+
 def test_trivial_class_identification():
     c = sym(4)
     assert c.classes[c.identify(PermGroup.trivial(4))].order == 1

@@ -45,10 +45,10 @@ ROOT = Path(__file__).resolve().parents[1]
 #   PYTHONPATH=src:tests python -c "import json, test_tooling as t; \
 #     print(json.dumps(t._pinned_outputs(), indent=1))" > tests/pinned_outputs.json
 PINNED_OUTPUTS = ROOT / "tests" / "pinned_outputs.json"
-# The digest of one axioms-AG run's tuple quotients, written from the commit
-# before G rows were read only at orbit representatives.  The regeneration
-# above leaves it out (copy it back); `test_axioms_count_their_tuple_quotients`
-# checks it.
+# The digest of one axioms-AG run's tuple quotients (orbit count and
+# decomposition of each), written from the commit before the classes were
+# read off the orbit labels.  The regeneration above leaves it out (copy it
+# back); `test_axioms_count_their_tuple_quotients` checks it.
 QUOTIENTS_PIN = "axioms-AG tuple quotients"
 
 
@@ -159,6 +159,7 @@ def _explicit_results():
         for z in sets:
             quotient = beta_on_gset(cls, z)
             out.append((quotient.size, quotient.gen_action, orbit_decompose(quotient).coords))
+            out.append(burnside._quotient_classes([z] * cls.rep.degree, cls.rep).coords)
     for cls in pair.classes:
         quotient = beta2_on_gsets(cls, x, y)
         out.append((quotient.size, quotient.gen_action, orbit_decompose(quotient).coords))
@@ -186,7 +187,7 @@ def _refuse_gsets(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eval_burnside built a G-set")
 
-    monkeypatch.setattr(burnside, "_tuple_orbit_quotient", refuse)
+    monkeypatch.setattr(burnside, "_tuple_orbit_labels", refuse)
     monkeypatch.setattr(GSet, "__init__", refuse)
 
 
@@ -310,23 +311,40 @@ def test_addition_axiom_sees_a_dropped_diagonal_term(monkeypatch):
 
 
 def test_axioms_count_their_tuple_quotients(monkeypatch):
-    """One axioms-AG run computes each explicit value once: 1,659 tuple
-    quotients, where computing every value where it is used took 2,373.
-    Their (size, gen_action), in call order, hash to the pinned digest."""
-    real = burnside._tuple_orbit_quotient
-    calls = []
-    digest = hashlib.sha256()
+    """One axioms-AG run labels the orbits of 1,659 tuple quotients, where
+    computing every value where it is used took 2,373.  Each quotient's
+    number of orbits and decomposition (of the G-set, where one is built),
+    in call order, hash to the pinned digest."""
+    labels, quotient, classes = (
+        burnside._tuple_orbit_labels, burnside._tuple_orbit_quotient, burnside._quotient_classes
+    )
+    sizes, coords = [], []
 
-    def counted(factors, w):
-        calls.append(w.degree)
-        quotient = real(factors, w)
-        digest.update(json.dumps([quotient.size, quotient.gen_action]).encode())
-        return quotient
+    def counted_labels(factors, w):
+        out = labels(factors, w)
+        sizes.append(len(out[2]))
+        return out
 
-    monkeypatch.setattr(burnside, "_tuple_orbit_quotient", counted)
+    def counted_quotient(factors, w):
+        out = quotient(factors, w)
+        coords.append(orbit_decompose(out).coords)
+        return out
+
+    def counted_classes(factors, w):
+        out = classes(factors, w)
+        coords.append(out.coords)
+        return out
+
+    monkeypatch.setattr(burnside, "_tuple_orbit_labels", counted_labels)
+    monkeypatch.setattr(burnside, "_tuple_orbit_quotient", counted_quotient)
+    for module in (burnside, betaring.checks):
+        monkeypatch.setattr(module, "_quotient_classes", counted_classes)
     reports = betaring.checks.check_ag_axioms()
     assert all(r["status"] == "pass" for r in reports)
-    assert len(calls) == 1659
+    assert len(sizes) == len(coords) == 1659
+    digest = hashlib.sha256()
+    for call in zip(sizes, coords):
+        digest.update(json.dumps(call).encode())
     assert digest.hexdigest() == json.loads(PINNED_OUTPUTS.read_text())[QUOTIENTS_PIN]
 
 
