@@ -21,21 +21,22 @@ itertools.product order), coordinate permutations are flat code-to-code
 lists summed from two short lists over the leading and the trailing half
 of the coordinates, and the diagonal G-action is read only at orbit
 representatives, from two such half lists.  One step labels the orbits
-(`_tuple_orbit_labels`) and two read the labels: `_tuple_orbit_quotient`
-builds the G-set X^n/H, and `_quotient_classes`, where only its class in
-A(G) is needed (beta_on_element), reads the stabilizers off the labels.
+(`_tuple_orbit_labels`): `_tuple_orbit_quotient` builds the G-set X^n/H
+from the labels, and `_quotient_classes`, where only its class in A(G) is
+needed (beta_on_element), hands them to `_orbit_classes`.
 
 A G-set is its action by element, `elem_action`; rows per generator are
 only how it is given, so G-sets over equal groups combine whatever
-generators each lists.  `orbit_decompose` hands each stabilizer's element
-set to `Catalog.identify`, which memoizes it per catalog.
+generators each lists.  `_orbit_classes` is the one reader of stabilizers:
+`orbit_decompose` gives it each point as its own label, and it hands each
+stabilizer's element set to `Catalog.identify`, which memoizes it per
+catalog.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 from .catalog import Ambient, SubgroupClass, get_catalog
 from .config import get_config
@@ -148,25 +149,15 @@ class GSet:
             raise NotASubgroup("restriction needs U <= G")
         return GSet(sub, self.size, self._rows(sub))
 
-    def _orbit_starts(self) -> list[int]:
-        """The least point of each orbit, in increasing order.  Each start
-        marks its images under the elements of G, and the next start is
-        the next unmarked point."""
-        acts = list(self.elem_action.values())
-        marked = bytearray(self.size + 1)  # the last slot stays 0 and ends the scan
-        starts = []
-        start = 0
-        while start < self.size:
-            starts.append(start)
-            for act in acts:
-                marked[act[start]] = 1
-            start = marked.index(0, start + 1)
-        return starts
-
     def orbits(self) -> list[list[int]]:
         """The orbits as sorted lists, in the order of their least points."""
         acts = self.elem_action.values()
-        return [sorted({act[p] for act in acts}) for p in self._orbit_starts()]
+        out, seen = [], set()
+        for p in range(self.size):
+            if p not in seen:
+                out.append(sorted({act[p] for act in acts}))
+                seen.update(out[-1])
+        return out
 
     def stabilizer(self, point: int) -> PermGroup:
         elems = [e for e, act in self.elem_action.items() if act[point] == point]
@@ -398,24 +389,38 @@ class BurnsideElement:
 
 
 def orbit_decompose(x: GSet) -> BurnsideElement:
-    """Write a G-set as a nonnegative sum of transitive classes [G/H].
+    """Write a G-set as a nonnegative sum of transitive classes [G/H]:
+    `_orbit_classes` with each point its own label and code, and each
+    element's row, as it is, the low table of a single coordinate."""
+    points, tables = range(x.size), [((0,), row) for row in x.elem_action.values()]
+    return _orbit_classes(group_catalog(x.group), list(x.elem_action), points, points, x.size, tables)
 
-    Each orbit is represented by its least point.  A stabilizer is the set
-    of elements fixing that point, read as one mask over the elements of G;
-    orbits with equal masks share one lookup, and `Catalog.identify`, which
-    reads only that element set, memoizes it per catalog.
+
+def _orbit_classes(cat, elems, orbit_of, reps, low, tables) -> BurnsideElement:
+    """The classes [G/H] of the G-orbits on labels 0..len(reps)-1.
+
+    Label l is represented by code reps[l], element elems[i] sends code c
+    to hi[c // low] + lo[c % low] for (hi, lo) = tables[i], and orbit_of
+    labels the image.  The least label not yet marked starts an orbit:
+    every element is read at its representative and marks the label it
+    reaches, and the elements that fix the label form one mask, which
+    `Catalog.identify` reads once per distinct mask.
     """
-    cat = group_catalog(x.group)
     coords = [0] * len(cat.classes)
-    reps = x._orbit_starts()
-    elems = list(x.elem_action)
-    fixes = [map(operator.eq, _compose(act, reps), reps) for act in x.elem_action.values()]
     class_of = {}
-    for mask in zip(*fixes):
+    marked = bytearray(len(reps) + 1)  # the last slot stays 0 and ends the scan
+    oid = 0
+    while oid < len(reps):
+        high, rest = divmod(reps[oid], low)
+        images = [orbit_of[hi[high] + lo[rest]] for hi, lo in tables]
+        for image in images:
+            marked[image] = 1
+        mask = tuple(map(oid.__eq__, images))
         idx = class_of.get(mask)
         if idx is None:
             idx = class_of[mask] = cat.identify(itertools.compress(elems, mask))
         coords[idx] += 1
+        oid = marked.index(0, oid + 1)
     return BurnsideElement(cat, coords)
 
 
@@ -530,44 +535,23 @@ def _half_tables(factors: list[GSet], strides, elems):
 
 def _tuple_orbit_quotient(factors: list[GSet], w: PermGroup) -> GSet:
     """The w-orbits as a G-set whose closure checks them: G's generators are
-    read at the representatives, or are full code maps when w has none."""
+    read at the representatives."""
     strides, orbit_of, reps = _tuple_orbit_labels(factors, w)
     group = factors[0].group
     low, tables = _half_tables(factors, strides, group.generators)
-    if not w.generators:
-        return GSet(group, len(reps), ([a + b for a in hi for b in lo] for hi, lo in tables))
     return GSet(group, len(reps), [[orbit_of[hi[c // low] + lo[c % low]] for c in reps] for hi, lo in tables])
 
 
 def _quotient_classes(factors: list[GSet], w: PermGroup) -> BurnsideElement:
-    """orbit_decompose(_tuple_orbit_quotient(factors, w)) with no G-set.
-
-    The least label not yet marked starts a G-orbit: every element of G
-    is read at its representative and marks the label it reaches, and the
-    elements that fix the label are identified once per mask, as in
-    `orbit_decompose`.  No closure checks the labels, so ValueError is
-    raised unless the classes' sizes [G : H] add up to the label count.
+    """orbit_decompose(_tuple_orbit_quotient(factors, w)) with no G-set:
+    `_orbit_classes` over the w-orbit labels and the half tables of every
+    element of G.  No closure checks the labels, so ValueError is raised
+    unless the classes' sizes [G : H] add up to the label count.
     """
     strides, orbit_of, reps = _tuple_orbit_labels(factors, w)
-    cat = group_catalog(factors[0].group)
     elems = list(factors[0].elem_action)
     low, tables = _half_tables(factors, strides, elems)
-    coords = [0] * len(cat.classes)
-    class_of = {}
-    marked = bytearray(len(reps) + 1)  # the last slot stays 0 and ends the scan
-    oid = 0
-    while oid < len(reps):
-        high, rest = divmod(reps[oid], low)
-        images = [orbit_of[hi[high] + lo[rest]] for hi, lo in tables]
-        for image in images:
-            marked[image] = 1
-        mask = tuple(map(oid.__eq__, images))
-        idx = class_of.get(mask)
-        if idx is None:
-            idx = class_of[mask] = cat.identify(itertools.compress(elems, mask))
-        coords[idx] += 1
-        oid = marked.index(0, oid + 1)
-    quotient = BurnsideElement(cat, coords)
+    quotient = _orbit_classes(group_catalog(factors[0].group), elems, orbit_of, reps, low, tables)
     if quotient.size() != len(reps):
         raise ValueError("the orbit labels do not carry an action of G")
     return quotient

@@ -36,9 +36,17 @@ NAMED_GROUPS = {
 }
 
 
+def _ints(option: str, text: str, form: str, sep: str = ",", prefix: str = "") -> list[int]:
+    """The integers of text split at sep, each with prefix stripped;
+    BetaringError naming the option, the expected form and the text."""
+    try:
+        return [int(part.lstrip(prefix)) for part in text.split(sep)]
+    except ValueError:
+        raise BetaringError(f"{option} expects {form}, got {text!r}") from None
+
+
 def _parse_ambient(text: str) -> Ambient:
-    degrees = tuple(int(part.lstrip("Ss")) for part in text.split("x"))
-    return Ambient.prod(degrees)
+    return Ambient.prod(_ints("--ambient", text, "S<n> or S<p>xS<q>", "x", "Ss"))
 
 
 def _parse_class(text: str) -> tuple[int, str]:
@@ -104,7 +112,7 @@ def _cmd_star(args):
 
 def _cmd_psi(args):
     if args.partition is not None:
-        parts = [int(x) for x in args.partition.split(",")]
+        parts = _ints("--partition", args.partition, "comma-separated parts like 2,1")
         result = psi_partition(parts)
         name = f"Psi_({args.partition})"
     else:
@@ -141,7 +149,7 @@ def _cmd_evalg(args):
     group = NAMED_GROUPS[args.group]()
     cat = group_catalog(group)
     if args.coords:
-        coords = [int(x) for x in args.coords.split(",")]
+        coords = _ints("--coords", args.coords, "comma-separated integers like -1,0")
     else:
         coords = [0] * len(cat.classes)
         coords[0] = 1  # the free transitive set [G/e]

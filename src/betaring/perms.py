@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from functools import lru_cache
 from operator import index, itemgetter
 
@@ -118,13 +119,13 @@ class Permutation(tuple):
 
     @classmethod
     def parse(cls, degree: int, text: str) -> Permutation:
-        """Parse cycle notation like "(0 1 2)(3 4)"; "()" is the identity."""
-        cycles = []
-        for chunk in text.replace("(", " ").split(")"):
-            pts = tuple(int(t) for t in chunk.replace(",", " ").split())
-            if pts:
-                cycles.append(pts)
-        return cls.from_cycles(degree, cycles)
+        """Parse cycle notation like "(0 1 2)(3 4)"; "()" and "" are the
+        identity.  ValueError names the text unless it is whitespace and
+        unnested (...) groups of integers split by whitespace or commas."""
+        if not re.fullmatch(r"(?:\s*\(\s*(?:-?\d+\b[\s,]*)*\))*\s*", text):
+            raise ValueError(f"{text!r} is not cycle notation like '(0 1 2)(3 4)'")
+        cycles = [tuple(map(int, re.findall(r"-?\d+", chunk))) for chunk in text.split(")")]
+        return cls.from_cycles(degree, [c for c in cycles if c])
 
     images = property(tuple, doc="The image tuple as a plain tuple.")
     degree = property(len)

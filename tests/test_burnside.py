@@ -547,15 +547,20 @@ def test_coordinate_group_mixing_factor_sizes_is_rejected():
 
 
 def test_orbits_and_orbit_decompose_match_a_per_point_count():
+    """orbits, orbit_decompose and, for the tuple quotients, the classes
+    read off their labels match one stabilizer identified per orbit of
+    the closed G-set."""
+    s3_class, s2_class = sym_class(3, "S3"), sym_class(2, "S2")
     for g in _oracle_groups():
         cat = group_catalog(g)
         sets = [GSet.coset_space(g, cls.rep) for cls in cat.classes]
-        cases = [GSet.empty(g)]
+        cases = [(GSet.empty(g), None)]
         for x in sets:
-            cases.append(beta_on_gset(sym_class(3, "S3"), x))
+            cases.append((beta_on_gset(s3_class, x), ([x] * 3, s3_class.rep)))
             for y in sets:
-                cases += [x * y, beta_on_gset(sym_class(2, "S2"), x + y)]
-        for z in cases:
+                cases.append((x * y, None))
+                cases.append((beta_on_gset(s2_class, x + y), ([x + y] * 2, s2_class.rep)))
+        for z, quotient in cases:
             expected = [0] * len(cat.classes)
             orbits = []
             seen = set()
@@ -568,6 +573,8 @@ def test_orbits_and_orbit_decompose_match_a_per_point_count():
                 expected[cat.identify(z.stabilizer(point))] += 1
             assert z.orbits() == orbits
             assert orbit_decompose(z).coords == tuple(expected)
+            if quotient is not None:
+                assert _quotient_classes(*quotient).coords == tuple(expected)
 
 
 def _basis_elements(cat):

@@ -260,6 +260,29 @@ def test_empty_partition_is_a_computation_error(capsys):
     assert set(json.loads(out)) == {"error", "type"}
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["catalog", "--ambient", "T3"], "--ambient"),
+        (["catalog", "--ambient", "S"], "--ambient"),
+        (["catalog", "--ambient", "Sx3"], "--ambient"),
+        (["marks", "--ambient", "S2x"], "--ambient"),
+        (["psi", "--partition", "2,,1"], "--partition"),
+        (["evalg", "--class", "S2:S2", "--group", "C2", "--coords", "a"], "--coords"),
+    ],
+)
+def test_malformed_option_text_names_the_option(capsys, argv, option):
+    """Text that is not the option's integers exits 1, naming the option
+    and the text, with no traceback, in text and in JSON mode."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {option} expects ") and repr(argv[-1]) in err
+    assert "Traceback" not in err and "invalid literal" not in err
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": err[len("error: "):].strip(), "type": "BetaringError"}
+
+
 @pytest.mark.parametrize("degree", ["0", "9"])
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_max_degree_out_of_range_is_a_usage_error(capsys, degree, json_flag):

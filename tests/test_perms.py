@@ -80,6 +80,8 @@ def test_permutation_json_roundtrip():
     p = perm(5, "(0 3)(1 4 2)")
     assert Permutation.from_json(p.to_json()) == p
     assert Permutation.from_json({"degree": 5, "cycles": p.cycle_string()}) == p
+    for identity in ("()", "", " ( ) "):
+        assert Permutation.from_json({"degree": 3, "cycles": identity}) == (0, 1, 2)
 
 
 @pytest.mark.parametrize(
@@ -90,6 +92,13 @@ def test_permutation_json_roundtrip():
         ("(0 1)(0 1)", "point 0 appears twice"),
         ("(0 1)(1 2)", "point 1 appears twice"),
         ("(1 1)", "point 1 appears twice"),
+        ("(0 1", r"'\(0 1' is not cycle notation"),
+        ("0 1)", r"'0 1\)' is not cycle notation"),
+        ("((0 1))", r"'\(\(0 1\)\)' is not cycle notation"),
+        ("(0 1)(", r"'\(0 1\)\(' is not cycle notation"),
+        ("0 1", "'0 1' is not cycle notation"),
+        ("(0 1)x", r"'\(0 1\)x' is not cycle notation"),
+        ("(0 x)", r"'\(0 x\)' is not cycle notation"),
     ],
 )
 def test_from_cycles_refuses_a_point_out_of_range_or_in_two_cycles(text, message):

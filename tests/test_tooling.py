@@ -11,7 +11,8 @@ builds no Fraction, Polya's sum looks up each term's catalog once, the
 Witt dual-route proof evaluates one ghost product per lower-set point
 pair, and lin, eval_z, cycle_index, plethysm, coproduct, convert, the S4
 representatives' reprs, the demos and one axioms-AG run's tuple quotients
-give the pinned outputs.  Every module import of the package is used."""
+give the pinned outputs.  Every module import and every private
+definition of the package is used."""
 
 import ast
 import hashlib
@@ -579,3 +580,25 @@ def test_every_module_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in read]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_private_definition_is_used():
+    """A deletion can leave a private helper behind too: each function,
+    method or class of the package whose name has one leading underscore
+    is referenced somewhere in the package, as a name, an attribute or an
+    imported name."""
+    defined, referenced = [], set()
+    for path in sorted((ROOT / "src" / "betaring").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert len(defined) > 50
+    unused = [f"{module}: {name}" for module, name in defined if name not in referenced]
+    assert not unused, "unused private definitions: " + ", ".join(unused)
